@@ -32,6 +32,7 @@ from .forms import (
     RingMatrix,
     RingVector,
     isometry_check,
+    isometry_inverse,
     lambda_eval,
     mu_eval,
     transvection,
@@ -43,6 +44,7 @@ from .groupring import (
     NormData,
     exact_divide,
     ideal_contains_one,
+    ideal_express,
     ideal_normalize,
     param_reduce,
 )
@@ -237,24 +239,6 @@ def _block_module(Q: QuadraticModule) -> QuadraticModule:
     return QuadraticModule(Q.m, 1, Q.eps, Q.kind)
 
 
-def _express_over(elems: Sequence[GroupRingElement], target: GroupRingElement):
-    """Write target as a ring combination of elems, or return None."""
-    m = target.m
-    rows = []
-    for el in elems:
-        for j in range(m):
-            rows.append(el.shift(j).coeffs)
-    lat = ZLattice(rows, m)
-    combo = lat.express(target.coeffs)
-    if combo is None:
-        return None
-    out = []
-    for i in range(len(elems)):
-        coeffs = [combo[i * m + j] for j in range(m)]
-        out.append(GroupRingElement(m, coeffs))
-    return out
-
-
 def _toggle_candidates(Q: QuadraticModule) -> list[GroupRingElement]:
     """Scalars c with conj(c) = -eps*c, used to adjust completions by c*x."""
     m = Q.m
@@ -286,22 +270,17 @@ def _complete_pair(Q1, x, p, q):
 
 
 def rank2_vector_isometry(
-    Q: QuadraticModule,
-    source: RingVector,
-    target: RingVector,
-    *,
-    max_word_len: int = 4,
-    max_states: int = 20000,
+    Q: QuadraticModule, source: RingVector, target: RingVector
 ) -> RingMatrix:
     """Isometry M of a rank-1 hyperbolic block with M * source = target.
 
-    Both vectors must be primitive with equal lambda(x, x) and equal mu
-    class. For isotropic vectors the isometry is built directly: each
-    vector is completed to a standard hyperbolic pair, the completions'
-    mu classes are aligned by shear adjustments, and M is the basis
-    transport. A bounded breadth-first word search over elementary
-    isometries remains as a fallback; exhausting it raises
-    SearchExhausted, which is not a proof that no isometry exists.
+    Both vectors must be primitive and isotropic (lambda(x, x) = 0) with
+    equal mu class; equal vectors give the identity. The isometry is built
+    directly: each vector is completed to a standard hyperbolic pair, the
+    completions' mu classes are aligned by shear adjustments, and M is the
+    transport between the two pair bases. If no shear aligns the classes,
+    SearchExhausted is raised, which is not a proof that no isometry
+    exists.
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
@@ -318,23 +297,20 @@ def rank2_vector_isometry(
     if source == target:
         return RingMatrix.identity(2, Q.m)
 
-    if lambda_eval(Q, source, source).is_zero():
-        M = _constructive_transport(Q, source, target)
-        if M is not None:
-            return M
-    M = _word_search(Q, source, target, max_word_len, max_states)
-    if M is not None:
-        return M
-    raise SearchExhausted(
-        "no isometry found within the configured word-search budget"
-    )
+    if not lambda_eval(Q, source, source).is_zero():
+        raise PreconditionFailed(
+            "source vector is not isotropic: lambda(x, x) must vanish"
+        )
+    M = _constructive_transport(Q, source, target)
+    if M is None:
+        raise SearchExhausted("no shear aligns the completions' mu classes")
+    return M
 
 
 def _constructive_transport(Q, x, y) -> Optional[RingMatrix]:
-    combo_x = _express_over(list(x.coords), GroupRingElement.one(Q.m))
-    combo_y = _express_over(list(y.coords), GroupRingElement.one(Q.m))
-    if combo_x is None or combo_y is None:
-        return None
+    # both vectors are primitive, so neither expression is None
+    combo_x = ideal_express(list(x.coords), GroupRingElement.one(Q.m))
+    combo_y = ideal_express(list(y.coords), GroupRingElement.one(Q.m))
     xp = _complete_pair(Q, x, combo_x[0], combo_x[1])
     yp = _complete_pair(Q, y, combo_y[0], combo_y[1])
     # Align the completions' mu classes by shear moves x' -> x' + c*x.
@@ -352,68 +328,11 @@ def _constructive_transport(Q, x, y) -> Optional[RingMatrix]:
     xp, yp = best
     Bx = RingMatrix.from_columns([x, xp])
     By = RingMatrix.from_columns([y, yp])
-    try:
-        M = By * Bx.inverse()
-    except PreconditionFailed:
-        return None
+    # (x, x') is a standard pair (completion plus shears with
+    # conj(c) = -eps*c), so Bx preserves the Gram matrix
+    M = By * isometry_inverse(Q, Bx)
     if M * x == y and isometry_check(Q, M):
         return M
-    return None
-
-
-def _shear_generators(Q: QuadraticModule) -> list[RingMatrix]:
-    gens = []
-    for c in _toggle_candidates(Q):
-        if c.is_zero():
-            continue
-        if not param_reduce(c, Q.kind).is_zero():
-            continue
-        for base in (("e1", "f1"), ("f1", "e1")):
-            try:
-                gens.append(transvection(Q, base, c))
-            except PreconditionFailed:
-                continue
-    # unit scalings
-    for k in range(Q.m):
-        for sign in (1, -1):
-            u = sign * GroupRingElement.gen(Q.m, k)
-            if u == GroupRingElement.one(Q.m):
-                continue
-            gens.append(
-                RingMatrix(
-                    [
-                        [u, GroupRingElement.zero(Q.m)],
-                        [GroupRingElement.zero(Q.m), u],
-                    ]
-                )
-            )
-    return gens
-
-
-def _word_search(Q, x, y, max_word_len, max_states) -> Optional[RingMatrix]:
-    gens = _shear_generators(Q)
-    start = (x[0].coeffs, x[1].coeffs)
-    goal = (y[0].coeffs, y[1].coeffs)
-    frontier = [(x, RingMatrix.identity(2, Q.m))]
-    seen = {start}
-    for _ in range(max_word_len):
-        nxt = []
-        for vec, mat in frontier:
-            for g in gens:
-                w = g * vec
-                key = (w[0].coeffs, w[1].coeffs)
-                if key in seen:
-                    continue
-                seen.add(key)
-                gm = g * mat
-                if key == goal:
-                    return gm
-                nxt.append((w, gm))
-                if len(seen) > max_states:
-                    return None
-        frontier = nxt
-        if not frontier:
-            break
     return None
 
 
@@ -455,7 +374,7 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
     Phi = _embed_block(Q, M2, (1, 3))
     v2n = Phi * v2
     w1, w2 = _standard_complement(Q, a_t)
-    Phi_inv = _embed_block(Q, M2.inverse(), (1, 3))
+    Phi_inv = _embed_block(Q, isometry_inverse(Q1, M2), (1, 3))
     U = _pull_back([w1, w2], [Phi_inv])
     cert = verify_lagrangian_complement(Q, (v1, v2), U)
     return SolverTrace(
@@ -493,7 +412,7 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
             raise ParityObstruction("mu class of v2 cannot be normalized")
 
     a1_cur, a2_cur, b2_cur = v2[0], v2[1], v2[3]
-    combo = _express_over([a2_cur, s, b2_cur], -a1_cur)
+    combo = ideal_express([a2_cur, s, b2_cur], -a1_cur)
     if combo is None:
         raise NormalizationFailed("coefficient equation has no solution")
     r_el, _k_el, t_el = combo
@@ -529,7 +448,7 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     v2n = Phi * v2
     w1, w2 = _standard_complement(Q, a_t)
     inverses = [
-        _embed_block(Q, M2.inverse(), (1, 3)),
+        _embed_block(Q, isometry_inverse(Q1, M2), (1, 3)),
         transvection(Q, ("e1", "f2"), -r_el),
         transvection(Q, ("e2", "f1"), -t_el),
     ]

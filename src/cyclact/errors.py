@@ -44,7 +44,7 @@ class NotComplement(CyclactError):
 
 
 class SearchExhausted(CyclactError):
-    """Bounded isometry search ran out of budget. Data, not a refutation."""
+    """Constructive isometry transport found no isometry. Data, not a refutation."""
 
 
 class NormalizationFailed(CyclactError):

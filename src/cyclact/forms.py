@@ -359,6 +359,18 @@ def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
     return True
 
 
+def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
+    """Inverse of a Gram-preserving M, in closed form: eps * G * conj(M)^T * G.
+
+    Conjugating M^T G conj(M) = G gives conj(M)^T G M = G, and
+    G^-1 = eps * G = G^T, so G^T conj(M)^T G is a left, hence two-sided,
+    inverse of M. The caller guarantees Gram preservation; the result is
+    not checked.
+    """
+    G = Q.gram_matrix()
+    return G.transpose() * M.conj_transpose() * G
+
+
 def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRingElement) -> RingMatrix:
     """Elementary isometry attached to a pair of basis labels.
 

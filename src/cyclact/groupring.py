@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
@@ -67,10 +66,8 @@ class GroupRingElement:
         """1 + gen + ... + gen^(l-1) for l >= 0, folded modulo gen^m = 1."""
         if l < 0:
             raise ValueError("geometric length must be nonnegative")
-        c = [0] * m
-        for i in range(l):
-            c[i % m] += 1
-        return GroupRingElement(m, c)
+        q, r = divmod(l, m)
+        return GroupRingElement(m, [q + (i < r) for i in range(m)])
 
     # ring structure -------------------------------------------------------
 
@@ -209,8 +206,7 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
     if d.is_zero():
         raise NotDivisible("division by zero")
     m = x.m
-    rows = [d.shift(j).coeffs for j in range(m)]
-    lat = ZLattice(rows, m)
+    lat = shift_lattice([d])
     q = lat.express(x.coeffs)
     if q is None:
         raise NotDivisible(f"{x!r} is not a multiple of {d!r}")
@@ -241,26 +237,6 @@ class FormParameterKind(enum.Enum):
     PLUS = "PLUS"  # generated by all w + conj(w)
     MINUS = "MINUS"  # generated by all w - conj(w)
 
-    def lattice_rows(self, m: int) -> list[list[int]]:
-        rows = []
-        if self is FormParameterKind.TILDE:
-            rows.append([1] + [0] * (m - 1))
-        for i in range(m):
-            row = [0] * m
-            if self is FormParameterKind.MINUS:
-                row[i] += 1
-                row[(m - i) % m] -= 1
-            else:
-                row[i] += 1
-                row[(m - i) % m] += 1
-            rows.append(row)
-        return rows
-
-
-@lru_cache(maxsize=None)
-def _param_lattice(m: int, kind: FormParameterKind) -> ZLattice:
-    return ZLattice(kind.lattice_rows(m), m)
-
 
 @dataclass(frozen=True)
 class ParameterClass:
@@ -284,9 +260,26 @@ class ParameterClass:
 
 
 def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass:
-    """Canonical class of x modulo the parameter lattice (Hermite reduction)."""
-    rep = _param_lattice(x.m, kind).reduce(list(x.coeffs))
-    return ParameterClass(kind, GroupRingElement(x.m, rep))
+    """Canonical class of x modulo the form parameter, in closed form.
+
+    The parameter is spanned by gen^i + sign*gen^(m-i), with sign -1 for
+    MINUS and +1 otherwise, together with 1 for TILDE. For each pair
+    1 <= i < m-i the coefficient c_i folds into c_(m-i). TILDE sets c_0 to
+    0 and PLUS to c_0 mod 2; both take c_(m/2) mod 2 for even m, while
+    MINUS leaves c_0 and c_(m/2). The result is the Hermite-reduced coset
+    representative.
+    """
+    m = x.m
+    c = list(x.coeffs)
+    sign = 1 if kind is FormParameterKind.MINUS else -1
+    for i in range(1, (m + 1) // 2):
+        c[m - i] += sign * c[i]
+        c[i] = 0
+    if kind is not FormParameterKind.MINUS:
+        c[0] = 0 if kind is FormParameterKind.TILDE else c[0] % 2
+        if m % 2 == 0:
+            c[m // 2] %= 2
+    return ParameterClass(kind, GroupRingElement(m, c))
 
 
 @dataclass(frozen=True)
@@ -365,6 +358,17 @@ def shift_lattice(elems: Sequence[GroupRingElement]) -> ZLattice:
         for j in range(m):
             rows.append(list(e.shift(j).coeffs))
     return ZLattice(rows, m)
+
+
+def ideal_express(
+    elems: Sequence[GroupRingElement], target: GroupRingElement
+) -> Optional[list[GroupRingElement]]:
+    """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
+    m = target.m
+    combo = shift_lattice(elems).express(target.coeffs)
+    if combo is None:
+        return None
+    return [GroupRingElement(m, combo[i * m : (i + 1) * m]) for i in range(len(elems))]
 
 
 def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:

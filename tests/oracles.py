@@ -45,6 +45,19 @@ def naive_hnf(rows, n):
     return tuple(tuple(v) for v in basis)
 
 
+def naive_reduce(basis, vec):
+    """Coset representative of vec modulo a canonical basis from naive_hnf.
+
+    Each pivot entry is reduced into [0, pivot), in pivot order.
+    """
+    v = list(vec)
+    for row in basis:
+        col = next(j for j, a in enumerate(row) if a != 0)
+        q = v[col] // row[col]
+        v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
 def poly_mul_fold(m, a, b):
     """Cyclic convolution via schoolbook product on degree 2m, then fold."""
     long = [0] * (2 * m)

@@ -181,6 +181,17 @@ def test_rank2_vector_isometry_rejects_invariant_mismatches():
         rank2_vector_isometry(Q, RingVector([el(m, 2), el(m, 0)]), x)
 
 
+def test_rank2_vector_isometry_rejects_non_isotropic_source():
+    # x and g*x agree on primitivity, lambda and mu, but lambda(x, x) =
+    # conj(g) - g is nonzero, so no constructive transport applies
+    m = 3
+    Q = QuadraticModule(m, 1, -1, FormParameterKind.TILDE)
+    x = RingVector([el(m, 1), el(m, 0, 1)])
+    y = x.scaled(GroupRingElement.gen(m))
+    with pytest.raises(PreconditionFailed, match="isotropic"):
+        rank2_vector_isometry(Q, x, y)
+
+
 def test_rank2_vector_isometry_generic_transport():
     rng = random.Random(99)
     m = 5

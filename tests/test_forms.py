@@ -14,6 +14,7 @@ from cyclact.forms import (
     RingVector,
     is_primitive,
     isometry_check,
+    isometry_inverse,
     lambda_eval,
     mu_eval,
     ring_det,
@@ -271,6 +272,10 @@ def test_matrix_inverse_roundtrip():
         M = transvection(Q, base, rand_el(rng, m))
         assert M * M.inverse() == RingMatrix.identity(Q.dim, m)
         assert M.inverse() * M == RingMatrix.identity(Q.dim, m)
+    for Q in (tilde(m), minus(m)):
+        for base in (("e1", "f2"), ("e2", "f1")):
+            M = transvection(Q, base, rand_el(rng, m))
+            assert isometry_inverse(Q, M) == M.inverse()
     with pytest.raises(PreconditionFailed):
         RingMatrix(
             [[el(m, 2), el(m, 0)], [el(m, 0), el(m, 1)]]

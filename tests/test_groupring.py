@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from cyclact.groupring import (
 )
 from cyclact.intlattice import det_int
 
-from oracles import conj_coeffs, ideal_hnf, poly_mul_fold
+from oracles import conj_coeffs, ideal_hnf, naive_hnf, naive_reduce, poly_mul_fold
 
 
 def el(m, *coeffs):
@@ -192,6 +193,24 @@ def test_ideal_normalize_generates_the_same_ideal():
     assert s_cases >= 30
 
 
+def test_geometric_matches_the_folded_sum():
+    for m in range(2, 14):
+        for l in range(60):
+            c = [0] * m
+            for i in range(l):
+                c[i % m] += 1
+            assert GroupRingElement.geometric(m, l).coeffs == tuple(c)
+
+
+def test_ideal_normalize_with_huge_augmentation_is_fast():
+    gen = GroupRingElement(5, [200000001] + [200000000] * 4)
+    t0 = time.perf_counter()
+    norm = ideal_normalize([gen])
+    assert time.perf_counter() - t0 < 2.0
+    assert norm.l == 1000000001
+    assert norm.verify()
+
+
 def test_ideal_normalize_rejections():
     with pytest.raises(PreconditionFailed):
         ideal_normalize([GroupRingElement.norm(4)])
@@ -247,6 +266,32 @@ def test_param_reduce_odd_modulus_norm_vanishes():
     for m in (3, 5, 7):
         s = GroupRingElement.norm(m)
         assert param_reduce(s, FormParameterKind.TILDE).is_zero()
+
+
+def _parameter_lattice_rows(m, kind):
+    """Generators of the form parameter: gen^i +- gen^(m-i), plus 1 for TILDE."""
+    sign = -1 if kind is FormParameterKind.MINUS else 1
+    rows = [[1] + [0] * (m - 1)] if kind is FormParameterKind.TILDE else []
+    for i in range(m):
+        row = [0] * m
+        row[i] += 1
+        row[(m - i) % m] += sign
+        rows.append(row)
+    return rows
+
+
+def test_param_reduce_matches_hermite_representative():
+    rng = random.Random(31)
+    for m in range(2, 14):
+        for kind in FormParameterKind:
+            basis = naive_hnf(_parameter_lattice_rows(m, kind), m)
+            for bound in (3, 10**6):
+                for _ in range(10):
+                    x = GroupRingElement(
+                        m, [rng.randint(-bound, bound) for _ in range(m)]
+                    )
+                    rep = param_reduce(x, kind).rep.coeffs
+                    assert rep == naive_reduce(basis, x.coeffs)
 
 
 @given(elements)
