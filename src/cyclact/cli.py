@@ -14,7 +14,7 @@ import sys
 
 from .census import ActionQuery, classification
 from .complement import Branch, EmbeddingSpec, run_sweep, solve
-from .errors import CyclactError
+from .errors import CyclactError, PreconditionFailed
 from .forms import (
     QuadraticModule,
     RingMatrix,
@@ -45,28 +45,38 @@ def _emit(args, payload: dict, human: str = "") -> None:
         sys.stderr.write(human.rstrip() + "\n")
 
 
-def _element(m: int, text: str) -> GroupRingElement:
-    obj = json.loads(text)
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise PreconditionFailed(f"malformed JSON: {exc}") from None
+
+
+def _list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise PreconditionFailed(f"{what} must be a JSON list")
+    return obj
+
+
+def _as_element(m: int, obj) -> GroupRingElement:
+    """A coefficient list over m, or the {"m", "coeffs"} form; integers only."""
     if isinstance(obj, dict):
         return GroupRingElement.from_json(obj)
-    return GroupRingElement(m, [int(c) for c in obj])
+    return GroupRingElement.from_json({"m": m, "coeffs": _list(obj, "an element")})
+
+
+def _element(m: int, text: str) -> GroupRingElement:
+    return _as_element(m, _json(text))
 
 
 def _vector(m: int, obj) -> RingVector:
     if isinstance(obj, str):
-        obj = json.loads(obj)
-    return RingVector(
-        [
-            GroupRingElement.from_json(c)
-            if isinstance(c, dict)
-            else GroupRingElement(m, [int(a) for a in c])
-            for c in obj
-        ]
-    )
+        obj = _json(obj)
+    return RingVector([_as_element(m, c) for c in _list(obj, "a vector")])
 
 
 def _matrix(m: int, text: str) -> RingMatrix:
-    obj = json.loads(text)
+    obj = _list(_json(text), "a matrix")
     return RingMatrix([_vector(m, row).coords for row in obj])
 
 
@@ -95,7 +105,7 @@ def _cmd_ring(args) -> int:
             f"quotient: {res.quotient!r} (ambiguous: {res.ambiguous})",
         )
     else:
-        gens = [_element(m, json.dumps(g)) for g in json.loads(args.gens)]
+        gens = [_as_element(m, g) for g in _list(_json(args.gens), "--gens")]
         norm = ideal_normalize(gens)
         _emit(
             args,
@@ -126,8 +136,8 @@ def _cmd_form(args) -> int:
         out = ring_det(_matrix(Q.m, args.matrix))
         _emit(args, {"det": out.to_json()}, f"det: {out!r}")
     else:
-        S = [_vector(Q.m, v) for v in json.loads(args.S)]
-        U = [_vector(Q.m, v) for v in json.loads(args.U)]
+        S = [_vector(Q.m, v) for v in _list(_json(args.S), "--S")]
+        U = [_vector(Q.m, v) for v in _list(_json(args.U), "--U")]
         cert = verify_lagrangian_complement(Q, S, U)
         _emit(args, {"certificate": cert.to_json()}, "complement verified")
     return 0
@@ -136,7 +146,9 @@ def _cmd_form(args) -> int:
 def _cmd_lagrangian(args) -> int:
     if args.lag_op == "solve":
         text = sys.stdin.read() if args.spec == "-" else args.spec
-        obj = json.loads(text)
+        obj = _json(text)
+        if not isinstance(obj, dict):
+            raise PreconditionFailed("a spec must be a JSON object")
         obj.setdefault("m", args.m)
         obj.setdefault("branch", args.branch)
         trace = solve(EmbeddingSpec.from_json(obj))

@@ -42,7 +42,7 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
-    exact_divide,
+    divide_by_one_minus_gen,
     ideal_contains_one,
     ideal_express,
     ideal_normalize,
@@ -149,12 +149,14 @@ class EmbeddingSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EmbeddingSpec":
-        m = int(obj["m"])
+        m = obj["m"]
+        if type(m) is not int:
+            raise PreconditionFailed(f"modulus must be an integer, got {m!r}")
 
         def coerce(val) -> GroupRingElement:
             if isinstance(val, dict):
                 return GroupRingElement.from_json(val)
-            return GroupRingElement(m, list(val))
+            return GroupRingElement.from_json({"m": m, "coeffs": val})
 
         return EmbeddingSpec(
             m=m,
@@ -286,9 +288,13 @@ def rank2_vector_isometry(
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
     Q._check_vector(source)
     Q._check_vector(target)
-    if not ideal_contains_one(list(source.coords)):
+    # the Bezout combinations that prove primitivity also complete the pairs
+    one = GroupRingElement.one(Q.m)
+    combo_x = ideal_express(list(source.coords), one)
+    if combo_x is None:
         raise PreconditionFailed("source vector is not primitive")
-    if not ideal_contains_one(list(target.coords)):
+    combo_y = ideal_express(list(target.coords), one)
+    if combo_y is None:
         raise PreconditionFailed("target vector is not primitive")
     if lambda_eval(Q, source, source) != lambda_eval(Q, target, target):
         raise PreconditionFailed("lambda(x, x) differs between source and target")
@@ -301,16 +307,13 @@ def rank2_vector_isometry(
         raise PreconditionFailed(
             "source vector is not isotropic: lambda(x, x) must vanish"
         )
-    M = _constructive_transport(Q, source, target)
+    M = _constructive_transport(Q, source, target, combo_x, combo_y)
     if M is None:
         raise SearchExhausted("no shear aligns the completions' mu classes")
     return M
 
 
-def _constructive_transport(Q, x, y) -> Optional[RingMatrix]:
-    # both vectors are primitive, so neither expression is None
-    combo_x = ideal_express(list(x.coords), GroupRingElement.one(Q.m))
-    combo_y = ideal_express(list(y.coords), GroupRingElement.one(Q.m))
+def _constructive_transport(Q, x, y, combo_x, combo_y) -> Optional[RingMatrix]:
     xp = _complete_pair(Q, x, combo_x[0], combo_x[1])
     yp = _complete_pair(Q, y, combo_y[0], combo_y[1])
     # Align the completions' mu classes by shear moves x' -> x' + c*x.
@@ -364,8 +367,8 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
         norm = ideal_normalize([spec.a2, spec.b2])
     except PreconditionFailed as exc:
         raise NormalizationFailed(str(exc)) from exc
-    alpha = exact_divide(spec.a2, norm.u).quotient
-    beta = exact_divide(spec.b2, norm.u).quotient
+    alpha = norm.divide(spec.a2)
+    beta = norm.divide(spec.b2)
     v_t, a_t, b_t = norm.positive_variant()
     Q1 = _block_module(Q)
     x = RingVector([alpha, beta])
@@ -432,8 +435,8 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
         norm = ideal_normalize([a2_cur, b2_cur])
     except PreconditionFailed as exc:
         raise NormalizationFailed(str(exc)) from exc
-    alpha = exact_divide(a2_cur, norm.u).quotient
-    beta = exact_divide(b2_cur, norm.u).quotient
+    alpha = norm.divide(a2_cur)
+    beta = norm.divide(b2_cur)
     if param_reduce(alpha * beta.conj(), Q.kind) != target_class:
         raise ParityObstruction(
             "reduced coefficient product has even middle coefficient"
@@ -506,8 +509,7 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
             "coefficient augmentation cannot be normalized to 1"
         )
 
-    c = spec.f1_coefficient
-    a = exact_divide(v2[1] - one, c).quotient
+    a = divide_by_one_minus_gen(v2[1] - one)
     w1 = Q.vector({"e2": a, "f1": one})
     w2 = Q.vector({"e1": -a.conj(), "f2": one})
     inverses.reverse()

@@ -35,6 +35,10 @@ class BadIndex(CyclactError):
     """Basis index out of range for a transvection."""
 
 
+class RankTooLarge(CyclactError):
+    """A matrix is above the rank a routine supports (see forms.RING_DET_MAX_RANK)."""
+
+
 class NotComplement(CyclactError):
     """Certification failed. `condition` names the first failed check."""
 

@@ -23,6 +23,7 @@ from .errors import (
     ModulusMismatch,
     NotComplement,
     PreconditionFailed,
+    RankTooLarge,
     ZeroVector,
 )
 from .groupring import (
@@ -142,30 +143,16 @@ class RingMatrix:
         if isinstance(other, RingVector):
             if len(other) != self.n:
                 raise DimensionMismatch("matrix/vector size mismatch")
-            return RingVector(
-                [
-                    sum(
-                        (self.rows[i][j] * other[j] for j in range(self.n)),
-                        GroupRingElement.zero(self.m),
-                    )
-                    for i in range(self.n)
-                ]
-            )
+            if other.m != self.m:
+                raise ModulusMismatch(f"m={other.m} vs matrix m={self.m}")
+            return RingVector([_dot(self.m, row, other.coords) for row in self.rows])
         if isinstance(other, RingMatrix):
             if other.n != self.n:
                 raise DimensionMismatch("matrix size mismatch")
-            return RingMatrix(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(self.n)),
-                            GroupRingElement.zero(self.m),
-                        )
-                        for j in range(self.n)
-                    ]
-                    for i in range(self.n)
-                ]
-            )
+            if other.m != self.m:
+                raise ModulusMismatch(f"m={other.m} vs matrix m={self.m}")
+            cols = list(zip(*other.rows))
+            return RingMatrix([[_dot(self.m, row, col) for col in cols] for row in self.rows])
         return NotImplemented
 
     def conj_transpose(self) -> "RingMatrix":
@@ -227,6 +214,19 @@ class RingMatrix:
         return RingMatrix(
             [[GroupRingElement.from_json(x) for x in r] for r in obj]
         )
+
+
+def _dot(m: int, xs, ys) -> GroupRingElement:
+    """sum_k xs[k] * ys[k], skipping every term with a zero factor.
+
+    Embedded blocks, Gram matrices and transvections are mostly zeros.
+    """
+    total = None
+    for x, y in zip(xs, ys):
+        if any(x.coeffs) and any(y.coeffs):
+            term = x * y
+            total = term if total is None else total + term
+    return GroupRingElement.zero(m) if total is None else total
 
 
 @dataclass(frozen=True)
@@ -319,20 +319,16 @@ def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingEl
     Q._check_vector(x)
     Q._check_vector(y)
     r = Q.rank
-    total = GroupRingElement.zero(Q.m)
-    for i in range(r):
-        total = total + x[i] * y[r + i].conj()
-        total = total + Q.eps * (x[r + i] * y[i].conj())
-    return total
+    ef = _dot(Q.m, x.coords[:r], [d.conj() for d in y.coords[r:]])
+    fe = _dot(Q.m, x.coords[r:], [c.conj() for c in y.coords[:r]])
+    return ef + fe if Q.eps == 1 else ef - fe
 
 
 def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
     """Quadratic refinement mu(x) = [sum a_i conj(b_i)] in Lambda/parameter."""
     Q._check_vector(x)
     r = Q.rank
-    lift = GroupRingElement.zero(Q.m)
-    for i in range(r):
-        lift = lift + x[i] * x[r + i].conj()
+    lift = _dot(Q.m, x.coords[:r], [b.conj() for b in x.coords[r:]])
     return param_reduce(lift, Q.kind)
 
 
@@ -420,13 +416,23 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
     return RingMatrix(rows)
 
 
+# ring_det memoizes one minor per column subset, 2^n of them at rank n.
+# In-package callers stay at rank 8 or below (certificates have rank 2r).
+RING_DET_MAX_RANK = 16
+
+
 def ring_det(M: RingMatrix) -> GroupRingElement:
     """Determinant over the group ring, division-free.
 
     Expansion along rows with minors memoized on the column subset; row k
-    always expands over the columns remaining in the mask.
+    always expands over the columns remaining in the mask. Memory grows as
+    2^n, so a matrix above RING_DET_MAX_RANK raises RankTooLarge.
     """
     n = M.n
+    if n > RING_DET_MAX_RANK:
+        raise RankTooLarge(
+            f"ring_det supports rank at most {RING_DET_MAX_RANK}, got {n}"
+        )
     cache: dict[int, GroupRingElement] = {0: GroupRingElement.one(M.m)}
 
     def minor_det(mask: int) -> GroupRingElement:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
@@ -23,8 +25,7 @@ class GroupRingElement:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[int]):
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
+        _check_modulus(m)
         if len(coeffs) != m:
             raise ValueError("coefficient vector must have length m")
         object.__setattr__(self, "m", m)
@@ -37,37 +38,36 @@ class GroupRingElement:
 
     @staticmethod
     def zero(m: int) -> "GroupRingElement":
-        return GroupRingElement(m, [0] * m)
+        return GroupRingElement.integer(m, 0)
 
     @staticmethod
     def one(m: int) -> "GroupRingElement":
-        return GroupRingElement(m, [1] + [0] * (m - 1))
+        return GroupRingElement.integer(m, 1)
 
     @staticmethod
     def gen(m: int, power: int = 1) -> "GroupRingElement":
         """gen^power, the group generator raised to a power."""
-        c = [0] * m
-        c[power % m] = 1
-        return GroupRingElement(m, c)
+        return GroupRingElement.one(m).shift(power)
 
     @staticmethod
     def norm(m: int) -> "GroupRingElement":
         """The norm element s = 1 + gen + ... + gen^(m-1)."""
-        return GroupRingElement(m, [1] * m)
+        _check_modulus(m)
+        return _trusted(m, (1,) * m)
 
     @staticmethod
     def integer(m: int, n: int) -> "GroupRingElement":
-        c = [0] * m
-        c[0] = n
-        return GroupRingElement(m, c)
+        _check_modulus(m)
+        return _trusted(m, (int(n),) + (0,) * (m - 1))
 
     @staticmethod
     def geometric(m: int, l: int) -> "GroupRingElement":
         """1 + gen + ... + gen^(l-1) for l >= 0, folded modulo gen^m = 1."""
+        _check_modulus(m)
         if l < 0:
             raise ValueError("geometric length must be nonnegative")
         q, r = divmod(l, m)
-        return GroupRingElement(m, [q + (i < r) for i in range(m)])
+        return _trusted(m, (q + 1,) * r + (q,) * (m - r))
 
     # ring structure -------------------------------------------------------
 
@@ -77,22 +77,18 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._require_same(other)
-        return GroupRingElement(
-            self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return _trusted(self.m, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._require_same(other)
-        return GroupRingElement(
-            self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return _trusted(self.m, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.m, [-a for a in self.coeffs])
+        return _trusted(self.m, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.m, [other * a for a in self.coeffs])
+            return _trusted(self.m, tuple(other * a for a in self.coeffs))
         self._require_same(other)
         m = self.m
         out = [0] * m
@@ -102,7 +98,7 @@ class GroupRingElement:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[(i + j) % m] += a * b
-        return GroupRingElement(m, out)
+        return _trusted(m, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -111,17 +107,14 @@ class GroupRingElement:
 
     def conj(self) -> "GroupRingElement":
         """Involution: coefficient at i moves to (m - i) mod m."""
-        m = self.m
-        out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            out[(m - i) % m] = a
-        return GroupRingElement(m, out)
+        c = self.coeffs
+        return _trusted(self.m, c[:1] + c[:0:-1])
 
     def shift(self, j: int) -> "GroupRingElement":
         """Multiplication by gen^j."""
         m = self.m
         j %= m
-        return GroupRingElement(m, self.coeffs[m - j :] + self.coeffs[: m - j])
+        return _trusted(m, self.coeffs[m - j :] + self.coeffs[: m - j])
 
     def aug(self) -> int:
         return sum(self.coeffs)
@@ -163,7 +156,40 @@ class GroupRingElement:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupRingElement":
-        return GroupRingElement(int(obj["m"]), [int(c) for c in obj["coeffs"]])
+        """Element from {"m": m, "coeffs": [...]}; every entry a JSON integer.
+
+        Floats, booleans, strings and a coefficient list of the wrong length
+        raise PreconditionFailed rather than being coerced.
+        """
+        if not isinstance(obj, dict) or "m" not in obj or "coeffs" not in obj:
+            raise PreconditionFailed("an element is {\"m\": m, \"coeffs\": [...]}")
+        m, coeffs = obj["m"], obj["coeffs"]
+        if type(m) is not int or m < 2:
+            raise PreconditionFailed(f"modulus must be an integer >= 2, got {m!r}")
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) != m:
+            raise PreconditionFailed(f"coefficients must be a list of length {m}")
+        for c in coeffs:
+            if type(c) is not int:
+                raise PreconditionFailed(f"coefficient {c!r} is not an integer")
+        return _trusted(m, tuple(coeffs))
+
+
+def _check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+
+
+_new_element = object.__new__
+_set_m = GroupRingElement.m.__set__
+_set_coeffs = GroupRingElement.coeffs.__set__
+
+
+def _trusted(m: int, coeffs: tuple) -> GroupRingElement:
+    """Element from a tuple of m ints already known to be valid; no checks."""
+    el = _new_element(GroupRingElement)
+    _set_m(el, m)
+    _set_coeffs(el, coeffs)
+    return el
 
 
 def ring_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
@@ -212,7 +238,7 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
         raise NotDivisible(f"{x!r} is not a multiple of {d!r}")
     kernel = lat.kernel()
     if kernel:
-        q = ZLattice(kernel, m).reduce(q)
+        q = ZLattice(kernel, m, transform=False).reduce(q)
         return DivisionResult(GroupRingElement(m, q), True)
     return DivisionResult(GroupRingElement(m, q), False)
 
@@ -223,7 +249,15 @@ class UnitCheck(NamedTuple):
 
 
 def is_unit(x: GroupRingElement) -> UnitCheck:
-    """Unit test: determinant of the multiplication matrix equals +-1."""
+    """Unit test: determinant of the multiplication matrix equals +-1.
+
+    A trivial unit +-gen^k is answered directly with its inverse
+    +-gen^(-k), the only one, since inverses in a commutative ring are
+    unique.
+    """
+    support = [i for i, c in enumerate(x.coeffs) if c]
+    if len(support) == 1 and x.coeffs[support[0]] in (1, -1):
+        return UnitCheck(True, x.conj())
     if det_int(mult_matrix(x)) not in (1, -1):
         return UnitCheck(False, None)
     inv = exact_divide(GroupRingElement.one(x.m), x).quotient
@@ -279,7 +313,7 @@ def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass
         c[0] = 0 if kind is FormParameterKind.TILDE else c[0] % 2
         if m % 2 == 0:
             c[m // 2] %= 2
-    return ParameterClass(kind, GroupRingElement(m, c))
+    return ParameterClass(kind, _trusted(m, tuple(c)))
 
 
 @dataclass(frozen=True)
@@ -312,6 +346,21 @@ class NormData:
         one = GroupRingElement.one(m)
         s = GroupRingElement.norm(m)
         return self.u * self.v == one - self.a * s
+
+    def divide(self, x: GroupRingElement) -> GroupRingElement:
+        """The q with u*q = x, in closed form; NotDivisible if there is none.
+
+        From u*v = 1 - a*s: if x = u*q then x*v = q - a*aug(q)*s and
+        aug(x) = l*aug(q), so q = x*v + a*(aug(x)/l)*s. u is not a zero
+        divisor (gcd(l, m) = 1), so q is the only quotient; the product
+        u*q is checked against x.
+        """
+        k, r = divmod(x.aug(), self.l)
+        if r == 0:
+            q = x * self.v + (self.a * k) * GroupRingElement.norm(self.m)
+            if self.u * q == x:
+                return q
+        raise NotDivisible(f"{x!r} is not a multiple of {self.u!r}")
 
     def positive_variant(self, parity: Optional[int] = None) -> tuple[GroupRingElement, int, int]:
         """The companion identity u*v2 + a2*s = 1 with b2*l + a2*m = 1, b2 > 0.
@@ -348,16 +397,23 @@ class NormData:
         }
 
 
-def shift_lattice(elems: Sequence[GroupRingElement]) -> ZLattice:
-    """Z-lattice of the ideal generated by elems: all gen-shifts as rows."""
+def shift_lattice(
+    elems: Sequence[GroupRingElement], *, transform: bool = True
+) -> ZLattice:
+    """Z-lattice of the ideal generated by elems: all gen-shifts as rows.
+
+    With transform=False the lattice answers membership and reduction
+    only (see ZLattice).
+    """
     m = elems[0].m
     rows = []
     for e in elems:
         if e.m != m:
             raise ModulusMismatch(f"m={e.m} vs m={m}")
+        c = e.coeffs
         for j in range(m):
-            rows.append(list(e.shift(j).coeffs))
-    return ZLattice(rows, m)
+            rows.append(c[m - j :] + c[: m - j])
+    return ZLattice(rows, m, transform=transform)
 
 
 def ideal_express(
@@ -368,43 +424,47 @@ def ideal_express(
     combo = shift_lattice(elems).express(target.coeffs)
     if combo is None:
         return None
-    return [GroupRingElement(m, combo[i * m : (i + 1) * m]) for i in range(len(elems))]
+    return [_trusted(m, tuple(combo[i * m : (i + 1) * m])) for i in range(len(elems))]
 
 
 def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:
     """True iff the ideal generated by elems is the whole ring."""
     m = elems[0].m
     one = [1] + [0] * (m - 1)
-    return shift_lattice(elems).contains(one)
+    return shift_lattice(elems, transform=False).contains(one)
 
 
 def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     """Normalize an ideal A with A + (s) = Lambda to its principal form.
 
     Returns NormData (u, l, v, a, b): l is the positive generator of aug(A),
-    u = 1 + gen + ... + gen^(l-1) satisfies u*Lambda = A (verified by
-    two-sided lattice inclusion), and u*v = 1 - a*s.
+    u = 1 + gen + ... + gen^(l-1) satisfies u*Lambda = A, and u*v = 1 - a*s.
+
+    A + (s) = Lambda holds iff gcd(l, m) = 1, the index [Lambda : A] is l
+    and u lies in A. Then u*Lambda, of index |det mult(u)| = l, lies in A,
+    so A = u*Lambda and 1 = u*v + a*s lies in A + (s). Conversely
+    A + (s) = Lambda forces A = u*Lambda. Index and membership are read off
+    one Hermite form without transform.
     """
     if not generators:
         raise Degenerate("no generators")
     m = generators[0].m
     if all(gx.is_zero() for gx in generators):
         raise Degenerate("all generators are zero")
-    lat_a = shift_lattice(generators)
-    s = GroupRingElement.norm(m)
-    one = [1] + [0] * (m - 1)
-    with_s = ZLattice(lat_a.gens + [list(s.coeffs)], m)
-    if not with_s.contains(one):
-        raise PreconditionFailed("ideal plus the norm ideal is not the whole ring")
     l = 0
     for gx in generators:
         l = math.gcd(l, gx.aug())
-    # the precondition forces gcd(l, m) = 1, hence l > 0
-    assert l > 0 and math.gcd(l, m) == 1
-    u = GroupRingElement.geometric(m, l)
-    lat_u = shift_lattice([u])
-    if not lat_u.same_lattice(lat_a):
-        raise PreconditionFailed("normalized generator does not span the ideal")
+    whole = math.gcd(l, m) == 1
+    if whole:
+        lat_a = shift_lattice(generators, transform=False)
+        u = GroupRingElement.geometric(m, l)
+        whole = (
+            lat_a.rank == m
+            and math.prod(lat_a.hnf[k][k] for k in range(m)) == l
+            and lat_a.contains(u.coeffs)
+        )
+    if not whole:
+        raise PreconditionFailed("ideal plus the norm ideal is not the whole ring")
     b = (-pow(l, -1, m)) % m
     if b == 0:
         b = m
@@ -417,3 +477,15 @@ def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     data = NormData(u=u, v=v, l=l, a=a, b=b)
     assert data.verify()
     return data
+
+
+def divide_by_one_minus_gen(x: GroupRingElement) -> GroupRingElement:
+    """The quotient q of x by 1 - gen with q_0 = 0, as a prefix sum.
+
+    (1 - gen)*q = x reads x_k = q_k - q_(k-1), solvable iff aug(x) = 0.
+    The solutions differ by multiples of s, and q_0 = 0 picks the same
+    canonical representative as exact_divide.
+    """
+    if x.aug() != 0:
+        raise NotDivisible(f"{x!r} is not a multiple of 1 - gen")
+    return _trusted(x.m, (0,) + tuple(accumulate(x.coeffs[1:])))

@@ -26,20 +26,22 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def row_hnf_transform(
-    rows: Sequence[Sequence[int]], ncols: int
+    rows: Sequence[Sequence[int]], ncols: int, *, transform: bool = True
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Row-style Hermite normal form with transformation.
 
     Returns (H, U, pivots) where U is unimodular, U @ rows == H, the nonzero
     rows of H sit on top with positive pivots in strictly increasing columns,
-    and every entry above a pivot is reduced into [0, pivot).
+    and every entry above a pivot is reduced into [0, pivot). With
+    transform=False, U is not tracked and comes back as an empty list; H and
+    pivots are the same.
     """
     h = [list(r) for r in rows]
     n = len(h)
     for r in h:
         if len(r) != ncols:
             raise ValueError("row length mismatch")
-    u = _identity(n)
+    u = _identity(n) if transform else []
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -60,21 +62,25 @@ def row_hnf_transform(
                 [x * h[piv][k] + y * h[i][k] for k in range(ncols)],
                 [p * h[piv][k] + q * h[i][k] for k in range(ncols)],
             )
-            u[piv], u[i] = (
-                [x * u[piv][k] + y * u[i][k] for k in range(n)],
-                [p * u[piv][k] + q * u[i][k] for k in range(n)],
-            )
+            if transform:
+                u[piv], u[i] = (
+                    [x * u[piv][k] + y * u[i][k] for k in range(n)],
+                    [p * u[piv][k] + q * u[i][k] for k in range(n)],
+                )
         if piv != row:
             h[piv], h[row] = h[row], h[piv]
-            u[piv], u[row] = u[row], u[piv]
+            if transform:
+                u[piv], u[row] = u[row], u[piv]
         if h[row][col] < 0:
             h[row] = [-v for v in h[row]]
-            u[row] = [-v for v in u[row]]
+            if transform:
+                u[row] = [-v for v in u[row]]
         for i in range(row):
             q = h[i][col] // h[row][col]
             if q:
                 h[i] = [h[i][k] - q * h[row][k] for k in range(ncols)]
-                u[i] = [u[i][k] - q * u[row][k] for k in range(n)]
+                if transform:
+                    u[i] = [u[i][k] - q * u[row][k] for k in range(n)]
         pivots.append(col)
         row += 1
     return h, u, pivots
@@ -84,15 +90,17 @@ class ZLattice:
     """Integer lattice spanned by the given generator rows.
 
     Precomputes the HNF once; membership, canonical reduction, coordinate
-    expression and the kernel of the generating map all read off it.
+    expression and the kernel of the generating map all read off it. With
+    transform=False the transform is not tracked: membership, reduction and
+    the basis still work, while express and kernel raise ValueError.
     """
 
     __slots__ = ("ncols", "gens", "hnf", "transform", "pivots")
 
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int, *, transform: bool = True):
         self.ncols = ncols
         self.gens = [list(r) for r in rows]
-        h, u, pivots = row_hnf_transform(self.gens, ncols)
+        h, u, pivots = row_hnf_transform(self.gens, ncols, transform=transform)
         self.hnf = h
         self.transform = u
         self.pivots = pivots
@@ -125,8 +133,13 @@ class ZLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self._reduce(vec)[0])
 
+    def _require_transform(self) -> None:
+        if not self.transform and self.gens:
+            raise ValueError("lattice was built without its transform")
+
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of vec on the original generator rows, or None."""
+        self._require_transform()
         rem, coeffs = self._reduce(vec)
         if any(rem):
             return None
@@ -141,6 +154,7 @@ class ZLattice:
 
     def kernel(self) -> list[list[int]]:
         """Basis of {c : sum_i c_i * gens_i = 0}, read off the transform."""
+        self._require_transform()
         return [self.transform[i][:] for i in range(self.rank, len(self.gens))]
 
     def same_lattice(self, other: "ZLattice") -> bool:

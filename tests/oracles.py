@@ -134,3 +134,37 @@ def ideal_hnf(m, gens_coeffs):
     for coeffs in gens_coeffs:
         rows.extend(element_shifts(m, coeffs))
     return naive_hnf(rows, m)
+
+
+def dense_ring_matmul(m, a, b):
+    """Product of matrices of coefficient tuples, every term computed.
+
+    a is n x k and b is k x p; entries are length-m coefficient tuples and
+    each product is folded by poly_mul_fold. A vector is a k x 1 matrix.
+    """
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = (0,) * m
+            for x, col in zip(row, b):
+                term = poly_mul_fold(m, x, col[j])
+                acc = tuple(s + t for s, t in zip(acc, term))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def transform_certifies(rows, H, U):
+    """True iff U is square unimodular (|det U| = 1) and U @ rows == H."""
+    k = len(rows)
+    if len(U) != k or any(len(r) != k for r in U):
+        return False
+    if abs(fraction_det(U)) != 1:
+        return False
+    ncols = len(H[0]) if H else 0
+    for i in range(k):
+        got = [sum(U[i][j] * rows[j][c] for j in range(k)) for c in range(ncols)]
+        if got != list(H[i]):
+            return False
+    return True

@@ -190,3 +190,51 @@ def test_stdin_spec(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["trace"]["branch"] == "even-n"
+
+
+ZERO_VEC = "[[0,0,0],[0,0,0],[0,0,0],[0,0,0]]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # floats are not truncated
+        ["ring", "mul", "--m", "3", "--x", "[1.7,0,0]", "--y", "[1,0,0]"],
+        # booleans are not integers
+        ["ring", "mul", "--m", "3", "--x", "[true,0,0]", "--y", "[1,0,0]"],
+        # strings are not coerced
+        ["ring", "mul", "--m", "3", "--x", '["a",0,0]', "--y", "[1,0,0]"],
+        # malformed JSON
+        ["ring", "mul", "--m", "3", "--x", "[1,0", "--y", "[1,0,0]"],
+        # the dict form goes through GroupRingElement.from_json
+        ["ring", "conj", "--m", "3", "--x", '{"m": 3, "coeffs": [1, 0.5, 0]}'],
+        ["ring", "aug", "--m", "3", "--x", '{"m": 3, "coeffs": [false, 0, 0]}'],
+        ["ring", "normalize", "--m", "3", "--gens", "[[1,0,0],[2.0,0,0]]"],
+        ["ring", "normalize", "--m", "3", "--gens", "[[1,0,0]"],
+        # vectors and matrices
+        ["form", "mu", "--m", "3", "--x", "[[1,0,0],[0,0,0],[0,0,1.5],[0,0,0]]"],
+        ["form", "mu", "--m", "3", "--x", "[[1,0,0],[0,0,0],"],
+        ["form", "det", "--m", "3", "--matrix", "[[[1,0,0]],[[true,0,0]]]"],
+        ["form", "verify", "--m", "3", "--S", "[" + ZERO_VEC, "--U", "[]"],
+        ["lagrangian", "solve", "--branch", "odd-m", "--m", "3", "--spec", "{"],
+        ["lagrangian", "solve", "--branch", "odd-m", "--m", "3",
+         "--spec", '{"a1": [0,0,0], "a2": [1.0,0,0], "b2": [0,0,0]}'],
+        ["lagrangian", "solve", "--branch", "odd-m", "--m", "3",
+         "--spec", '{"m": 3.9, "a1": [0,0,0], "a2": [1,0,0], "b2": [0,0,0]}'],
+    ],
+)
+def test_malformed_coefficients_are_precondition_failures(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "PreconditionFailed"
+    assert doc["detail"]
+    assert err == ""
+
+
+def test_form_det_above_the_rank_bound_is_an_error(capsys):
+    one = [1, 0, 0]
+    matrix = json.dumps([[one] * 17 for _ in range(17)])
+    code, out, _ = run(capsys, "--json", "form", "det", "--m", "3", "--matrix", matrix)
+    assert code == 1
+    assert json.loads(out)["error"] == "RankTooLarge"

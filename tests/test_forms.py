@@ -4,8 +4,10 @@ import pytest
 
 from cyclact.errors import (
     BadIndex,
+    ModulusMismatch,
     NotComplement,
     PreconditionFailed,
+    RankTooLarge,
     ZeroVector,
 )
 from cyclact.forms import (
@@ -23,7 +25,7 @@ from cyclact.forms import (
 )
 from cyclact.groupring import FormParameterKind, GroupRingElement, param_reduce
 
-from oracles import leibniz_det
+from oracles import dense_ring_matmul, leibniz_det
 
 
 def el(m, *coeffs):
@@ -218,6 +220,51 @@ def test_ring_det_matches_leibniz():
             M.rows, GroupRingElement.zero(m), GroupRingElement.one(m)
         )
         assert ring_det(M) == want
+
+
+def test_ring_det_rejects_ranks_above_the_memo_bound():
+    # the rank check runs before any minor is memoized: a dense rank-17
+    # matrix would need 2^17 minors
+    m = 3
+    one = GroupRingElement.one(m)
+    M = RingMatrix([[one] * 17 for _ in range(17)])
+    with pytest.raises(RankTooLarge):
+        ring_det(M)
+
+
+def _coeff_rows(rows):
+    return [[x.coeffs for x in r] for r in rows]
+
+
+def test_matrix_products_match_the_dense_reference():
+    rng = random.Random(29)
+    for m in range(2, 14):
+        for n in (1, 2, 3, 4):
+            def sparse_matrix():
+                rows = [
+                    [rand_el(rng, m) if rng.randrange(3) else GroupRingElement.zero(m)
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+                rows[rng.randrange(n)] = [GroupRingElement.zero(m)] * n
+                return RingMatrix(rows)
+
+            A, B = sparse_matrix(), sparse_matrix()
+            got = A * B
+            assert _coeff_rows(got.rows) == dense_ring_matmul(
+                m, _coeff_rows(A.rows), _coeff_rows(B.rows)
+            )
+            v = RingVector(
+                [rand_el(rng, m) if rng.randrange(2) else GroupRingElement.zero(m)
+                 for _ in range(n)]
+            )
+            want = dense_ring_matmul(m, _coeff_rows(A.rows), [[c.coeffs] for c in v.coords])
+            assert [c.coeffs for c in (A * v).coords] == [r[0] for r in want]
+    zero = RingMatrix([[GroupRingElement.zero(4)]])
+    with pytest.raises(ModulusMismatch):
+        zero * RingVector([GroupRingElement.zero(5)])
+    with pytest.raises(ModulusMismatch):
+        zero * RingMatrix([[GroupRingElement.one(5)]])
 
 
 def test_det_identity_for_the_skew_complement_matrix():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -10,6 +11,7 @@ from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
     augmentation,
+    divide_by_one_minus_gen,
     exact_divide,
     ideal_contains_one,
     ideal_normalize,
@@ -310,3 +312,129 @@ def test_unit_check_against_det():
         assert ok == (det_int(mult_matrix(x)) in (1, -1))
         if ok:
             assert x * inv == GroupRingElement.one(m)
+
+
+def _rand(rng, m, h=3):
+    return GroupRingElement(m, [rng.randint(-h, h) for _ in range(m)])
+
+
+def test_norm_data_divide_matches_exact_divide():
+    rng = random.Random(41)
+    for m in range(2, 14):
+        for l in [l for l in range(1, 3 * m) if math.gcd(l, m) == 1][:6]:
+            u = GroupRingElement.geometric(m, l)
+            norm = ideal_normalize([u * GroupRingElement.gen(m, rng.randrange(m))])
+            assert norm.u == u
+            for _ in range(4):
+                x = u * _rand(rng, m)
+                assert norm.divide(x) == exact_divide(x, u).quotient
+                y = x + _rand(rng, m, 1)
+                try:
+                    want = exact_divide(y, u).quotient
+                except NotDivisible:
+                    with pytest.raises(NotDivisible):
+                        norm.divide(y)
+                else:
+                    assert norm.divide(y) == want
+            if l > 1:
+                with pytest.raises(NotDivisible):
+                    norm.divide(GroupRingElement.one(m))
+
+
+def test_division_by_one_minus_gen_matches_exact_divide():
+    rng = random.Random(43)
+    for m in range(2, 14):
+        c = GroupRingElement.one(m) - GroupRingElement.gen(m)
+        for _ in range(10):
+            x = c * _rand(rng, m)
+            res = exact_divide(x, c)
+            assert res.ambiguous
+            assert divide_by_one_minus_gen(x) == res.quotient
+        x = GroupRingElement.one(m)
+        with pytest.raises(NotDivisible):
+            exact_divide(x, c)
+        with pytest.raises(NotDivisible):
+            divide_by_one_minus_gen(x)
+
+
+def test_trivial_units_match_the_determinant_path():
+    for m in range(2, 14):
+        for k in range(m):
+            for sign in (1, -1):
+                x = GroupRingElement.gen(m, k) * sign
+                ok, inv = is_unit(x)
+                assert ok and det_int(mult_matrix(x)) in (1, -1)
+                assert inv == exact_divide(GroupRingElement.one(m), x).quotient
+                assert inv == GroupRingElement.gen(m, -k) * sign
+        # 2*g has a single nonzero coefficient but is no unit
+        assert is_unit(GroupRingElement.gen(m, 1) * 2) == (False, None)
+
+
+def test_trusted_results_equal_public_ones():
+    rng = random.Random(47)
+    for m in range(2, 14):
+        x, y = _rand(rng, m), _rand(rng, m)
+        norm = ideal_normalize([GroupRingElement.geometric(m, 1)])
+        results = [
+            x * y, x + y, x - y, -x, x * 3, 3 * x, x.conj(), x.shift(rng.randrange(m)),
+            GroupRingElement.geometric(m, rng.randint(0, 40)),
+            param_reduce(x, FormParameterKind.TILDE).rep,
+            param_reduce(x, FormParameterKind.MINUS).rep,
+            norm.divide(x),
+            divide_by_one_minus_gen(x - GroupRingElement.integer(m, x.aug())),
+            GroupRingElement.from_json({"m": m, "coeffs": list(x.coeffs)}),
+        ]
+        for r in results:
+            public = GroupRingElement(m, list(r.coeffs))
+            assert r == public and hash(r) == hash(public)
+            assert type(r.coeffs) is tuple and len(r.coeffs) == m
+            assert all(type(c) is int for c in r.coeffs)
+
+
+def test_from_json_accepts_integers_only():
+    assert GroupRingElement.from_json({"m": 3, "coeffs": [1, -2, 0]}) == el(3, 1, -2)
+    for bad in (
+        {"m": 3, "coeffs": [1.7, 0, 0]},
+        {"m": 3, "coeffs": [True, 0, 0]},
+        {"m": 3, "coeffs": ["1", 0, 0]},
+        {"m": 3, "coeffs": [1, 0]},
+        {"m": 3.0, "coeffs": [1, 0, 0]},
+        {"m": 1, "coeffs": [1]},
+        {"coeffs": [1, 0, 0]},
+        [1, 0, 0],
+    ):
+        with pytest.raises(PreconditionFailed):
+            GroupRingElement.from_json(bad)
+
+
+NOT_WHOLE = "ideal plus the norm ideal is not the whole ring"
+
+
+def test_ideal_normalize_rejects_with_the_same_error():
+    cases = [
+        [el(5, 1, -1)],  # zero augmentation
+        [el(5, 1, -1), el(5, 0, 2, -2)],  # zero augmentation, rank < m
+        [el(4, 2)],  # gcd(l, m) = 2
+        [el(6, 3), el(6, 1, 2)],  # gcd(l, m) = 3
+        [el(5, 4), el(5, 2, -2)],  # gcd(l, m) = 1 but A lies in 2*Lambda
+        [GroupRingElement.norm(4)],
+    ]
+    for gens in cases:
+        with pytest.raises(PreconditionFailed) as info:
+            ideal_normalize(gens)
+        assert str(info.value) == NOT_WHOLE
+    rng = random.Random(53)
+    for _ in range(300):
+        m = rng.randint(2, 9)
+        gens = [_rand(rng, m, 2) for _ in range(rng.randint(1, 2))]
+        if all(g.is_zero() for g in gens):
+            continue
+        whole = ideal_contains_one(gens + [GroupRingElement.norm(m)])
+        try:
+            norm = ideal_normalize(gens)
+        except PreconditionFailed as exc:
+            assert not whole and str(exc) == NOT_WHOLE
+        else:
+            assert whole and norm.verify()
+            for g in gens:
+                assert exact_divide(g, norm.u).quotient * norm.u == g

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cyclact.intlattice import ZLattice, det_int, row_hnf_transform, xgcd
 
-from oracles import fraction_det, naive_hnf
+from oracles import element_shifts, fraction_det, naive_hnf, transform_certifies
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -35,6 +35,43 @@ def test_row_hnf_transform_is_unimodular_row_equivalence():
             got = [sum(U[i][j] * rows[j][c] for j in range(k)) for c in range(n)]
             assert got == list(H[i])
         assert pivots == sorted(pivots)
+
+
+def _shift_rows(rng, m, count):
+    rows = []
+    for _ in range(count):
+        rows += element_shifts(m, [rng.randint(-3, 3) for _ in range(m)])
+    return rows
+
+
+def test_transform_certifies_and_transform_free_call_agrees():
+    rng = random.Random(17)
+    cases = [(_random_rows(rng, rng.randint(1, 7), n), n) for n in range(1, 7)]
+    cases += [(_shift_rows(rng, m, rng.randint(1, 3)), m) for m in range(2, 14)]
+    for rows, n in cases:
+        H, U, pivots = row_hnf_transform(rows, n)
+        assert transform_certifies(rows, H, U)
+        H2, U2, pivots2 = row_hnf_transform(rows, n, transform=False)
+        assert (H2, pivots2) == (H, pivots)
+        assert U2 == []
+    # a wrong transform is caught
+    rows = [[2, 1], [4, 3]]
+    H, U, _ = row_hnf_transform(rows, 2)
+    assert not transform_certifies(rows, H, [[1, 0], [0, 1]])
+    assert not transform_certifies(rows, H, [[2 * a for a in r] for r in U])
+
+
+def test_transform_free_lattice_answers_membership_only():
+    rows = [[2, 0], [0, 3], [2, 3]]
+    lat = ZLattice(rows, 2, transform=False)
+    full = ZLattice(rows, 2)
+    assert lat.basis() == full.basis() and lat.rank == full.rank == 2
+    assert lat.contains([4, 3]) and not lat.contains([1, 0])
+    assert lat.reduce([5, 7]) == full.reduce([5, 7])
+    with pytest.raises(ValueError):
+        lat.express([2, 0])
+    with pytest.raises(ValueError):
+        lat.kernel()
 
 
 def test_lattice_basis_matches_naive_hnf():
