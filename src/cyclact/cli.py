@@ -198,7 +198,12 @@ def _cmd_ahss(args) -> int:
 def _cmd_census(args) -> int:
     pont = None
     if args.pontryagin:
-        pont = tuple(int(t) for t in args.pontryagin.split(","))
+        try:
+            pont = tuple(int(t) for t in args.pontryagin.split(","))
+        except ValueError:
+            raise PreconditionFailed(
+                f"--pontryagin must be comma-separated integers, got {args.pontryagin!r}"
+            ) from None
     report = classification(ActionQuery(args.n, args.m, args.g, pont))
     human = [f"exists: {report.exists} ({report.reason})"]
     if report.class_count is not None:

@@ -71,6 +71,13 @@ _BRANCH_FORM = {
 }
 
 
+def _check_modulus_parity(branch: Branch, m: int) -> None:
+    if branch is Branch.ODD_M_SKEW and m % 2 == 0:
+        raise PreconditionFailed("odd-m branch requires odd modulus")
+    if branch is Branch.EVEN_M_SKEW and m % 2 == 1:
+        raise PreconditionFailed("even-m branch requires even modulus")
+
+
 @dataclass(frozen=True)
 class EmbeddingSpec:
     """Coefficients of the standard embedded pair (v_1, v_2)."""
@@ -107,10 +114,7 @@ class EmbeddingSpec:
 
     def validate(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
-        if self.branch is Branch.ODD_M_SKEW and self.m % 2 == 0:
-            raise PreconditionFailed("odd-m branch requires odd modulus")
-        if self.branch is Branch.EVEN_M_SKEW and self.m % 2 == 1:
-            raise PreconditionFailed("even-m branch requires even modulus")
+        _check_modulus_parity(self.branch, self.m)
         Q = self.module()
         v1, v2 = self.vectors()
         lam = lambda_eval(Q, v2, v2)
@@ -149,6 +153,9 @@ class EmbeddingSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EmbeddingSpec":
+        missing = [k for k in ("m", "branch", "a1", "a2", "b2") if k not in obj]
+        if missing:
+            raise PreconditionFailed(f"spec is missing {', '.join(missing)}")
         m = obj["m"]
         if type(m) is not int:
             raise PreconditionFailed(f"modulus must be an integer, got {m!r}")
@@ -241,28 +248,6 @@ def _block_module(Q: QuadraticModule) -> QuadraticModule:
     return QuadraticModule(Q.m, 1, Q.eps, Q.kind)
 
 
-def _toggle_candidates(Q: QuadraticModule) -> list[GroupRingElement]:
-    """Scalars c with conj(c) = -eps*c, used to adjust completions by c*x."""
-    m = Q.m
-    one = GroupRingElement.one(m)
-    cands = [GroupRingElement.zero(m)]
-    if Q.eps == -1:
-        base = [one, -one]
-        if m % 2 == 0:
-            gm = GroupRingElement.gen(m, m // 2)
-            base += [gm, -gm, one + gm, -(one + gm)]
-        for i in range(1, (m - 1) // 2 + 1):
-            sym = GroupRingElement.gen(m, i) + GroupRingElement.gen(m, (m - i) % m)
-            base += [sym, -sym, one + sym]
-        cands += base
-    else:
-        for i in range(1, m):
-            anti = GroupRingElement.gen(m, i) - GroupRingElement.gen(m, (m - i) % m)
-            if not anti.is_zero():
-                cands += [anti, -anti]
-    return cands
-
-
 def _complete_pair(Q1, x, p, q):
     """Given p*x1 + q*x2 = 1, return x' with (x, x') a standard pair."""
     eps = Q1.eps
@@ -277,66 +262,66 @@ def rank2_vector_isometry(
     """Isometry M of a rank-1 hyperbolic block with M * source = target.
 
     Both vectors must be primitive and isotropic (lambda(x, x) = 0) with
-    equal mu class; equal vectors give the identity. The isometry is built
-    directly: each vector is completed to a standard hyperbolic pair, the
-    completions' mu classes are aligned by shear adjustments, and M is the
-    transport between the two pair bases. If no shear aligns the classes,
-    SearchExhausted is raised, which is not a proof that no isometry
-    exists.
+    equal mu class; equal vectors give the identity. Each vector is
+    completed to a standard hyperbolic pair, (x, x') and (y, y'); y' is
+    sheared by a multiple of y, picked in closed form, until
+    mu(y') = mu(x'); and M is the transport between the two pair bases.
+    If no shear aligns the classes, SearchExhausted is raised, which is not
+    a proof that no isometry exists.
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
     Q._check_vector(source)
     Q._check_vector(target)
     # the Bezout combinations that prove primitivity also complete the pairs
-    one = GroupRingElement.one(Q.m)
+    m = Q.m
+    one = GroupRingElement.one(m)
     combo_x = ideal_express(list(source.coords), one)
     if combo_x is None:
         raise PreconditionFailed("source vector is not primitive")
     combo_y = ideal_express(list(target.coords), one)
     if combo_y is None:
         raise PreconditionFailed("target vector is not primitive")
-    if lambda_eval(Q, source, source) != lambda_eval(Q, target, target):
+    lam = lambda_eval(Q, source, source)
+    if lam != lambda_eval(Q, target, target):
         raise PreconditionFailed("lambda(x, x) differs between source and target")
     if mu_eval(Q, source) != mu_eval(Q, target):
         raise PreconditionFailed("mu classes differ between source and target")
     if source == target:
-        return RingMatrix.identity(2, Q.m)
-
-    if not lambda_eval(Q, source, source).is_zero():
+        return RingMatrix.identity(2, m)
+    if not lam.is_zero():
         raise PreconditionFailed(
             "source vector is not isotropic: lambda(x, x) must vanish"
         )
-    M = _constructive_transport(Q, source, target, combo_x, combo_y)
-    if M is None:
-        raise SearchExhausted("no shear aligns the completions' mu classes")
-    return M
 
-
-def _constructive_transport(Q, x, y, combo_x, combo_y) -> Optional[RingMatrix]:
+    x, y = source, target
     xp = _complete_pair(Q, x, combo_x[0], combo_x[1])
     yp = _complete_pair(Q, y, combo_y[0], combo_y[1])
-    # Align the completions' mu classes by shear moves x' -> x' + c*x.
-    best = None
-    for cx in _toggle_candidates(Q):
-        mx = mu_eval(Q, xp + x.scaled(cx))
-        for cy in _toggle_candidates(Q):
-            if mu_eval(Q, yp + y.scaled(cy)) == mx:
-                best = (xp + x.scaled(cx), yp + y.scaled(cy))
-                break
-        if best:
+    # A shear y' -> y' + c*y with conj(c) = -eps*c keeps (y, y') a standard
+    # pair and moves mu(y') by [c*conj(c)*mu~(y)] - [c], where mu~(y) is the
+    # lift a*conj(b) of mu(y). As y is isotropic, mu~(y) is antisymmetric
+    # for eps = +1, as is c, so under MINUS the move is 0. For eps = -1 both
+    # are symmetric and the move depends only on the parities of c_0 and
+    # c_(m/2), so one c per parity pattern reaches every class any shear
+    # reaches. The first c that aligns the classes is taken.
+    shears = [GroupRingElement.zero(m)]
+    if Q.eps == -1:
+        shears.append(one)
+        if m % 2 == 0:
+            g_half = GroupRingElement.gen(m, m // 2)
+            shears += [g_half, one + g_half]
+    want = mu_eval(Q, xp)
+    for c in shears:
+        yc = yp + y.scaled(c)
+        if mu_eval(Q, yc) == want:
+            # (x, x') and (y, yc) are standard pairs, so both column
+            # matrices preserve the Gram matrix
+            Bx = RingMatrix.from_columns([x, xp])
+            M = RingMatrix.from_columns([y, yc]) * isometry_inverse(Q, Bx)
+            if M * x == y and isometry_check(Q, M):
+                return M
             break
-    if best is None:
-        return None
-    xp, yp = best
-    Bx = RingMatrix.from_columns([x, xp])
-    By = RingMatrix.from_columns([y, yp])
-    # (x, x') is a standard pair (completion plus shears with
-    # conj(c) = -eps*c), so Bx preserves the Gram matrix
-    M = By * isometry_inverse(Q, Bx)
-    if M * x == y and isometry_check(Q, M):
-        return M
-    return None
+    raise SearchExhausted("no shear aligns the completions' mu classes")
 
 
 def _pull_back(U_std, inverses) -> tuple[RingVector, ...]:
@@ -356,30 +341,41 @@ def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
     return w1, w2
 
 
+def _skew_transport(Q: QuadraticModule, v2: RingVector, parity: Optional[int]):
+    """Normalize v2's (e2, f2) coefficients and transport them to (v, s).
+
+    The ideal (a2, b2) is normalized to u*Lambda, and (a2/u, b2/u) is moved
+    onto (v, s) from the companion identity u*v + a*s = 1, with the parity
+    of aug(v) chosen as in NormData.positive_variant. Returns the ideal
+    data, the ambient transport Phi, Phi * v2, and the standard complement
+    of the normalized pair pulled back by Phi^-1.
+    """
+    try:
+        norm = ideal_normalize([v2[1], v2[3]])
+    except PreconditionFailed as exc:
+        raise NormalizationFailed(str(exc)) from exc
+    Q1 = _block_module(Q)
+    x = RingVector([norm.divide(v2[1]), norm.divide(v2[3])])
+    v_t, a_t, _ = norm.positive_variant(parity)
+    y = RingVector([v_t, GroupRingElement.norm(Q.m)])
+    # mu(y) = [aug(v)*s], the class of g^(m/2) for odd aug(v) and even m
+    if mu_eval(Q1, x) != mu_eval(Q1, y):
+        raise ParityObstruction(
+            "reduced coefficient product has even middle coefficient"
+        )
+    M2 = rank2_vector_isometry(Q1, x, y)
+    Phi = _embed_block(Q, M2, (1, 3))
+    Phi_inv = _embed_block(Q, isometry_inverse(Q1, M2), (1, 3))
+    U = _pull_back(_standard_complement(Q, a_t), [Phi_inv])
+    return norm, Phi, Phi * v2, U
+
+
 def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the odd-modulus skew branch."""
     if spec.branch is not Branch.ODD_M_SKEW:
         raise PreconditionFailed("spec branch is not odd-m")
     Q, v1, v2 = spec.validate()
-    m = spec.m
-    s = GroupRingElement.norm(m)
-    try:
-        norm = ideal_normalize([spec.a2, spec.b2])
-    except PreconditionFailed as exc:
-        raise NormalizationFailed(str(exc)) from exc
-    alpha = norm.divide(spec.a2)
-    beta = norm.divide(spec.b2)
-    v_t, a_t, b_t = norm.positive_variant()
-    Q1 = _block_module(Q)
-    x = RingVector([alpha, beta])
-    y = RingVector([v_t, s])
-    M2 = rank2_vector_isometry(Q1, x, y)
-    Phi = _embed_block(Q, M2, (1, 3))
-    v2n = Phi * v2
-    w1, w2 = _standard_complement(Q, a_t)
-    Phi_inv = _embed_block(Q, isometry_inverse(Q1, M2), (1, 3))
-    U = _pull_back([w1, w2], [Phi_inv])
-    cert = verify_lagrangian_complement(Q, (v1, v2), U)
+    norm, Phi, v2n, U = _skew_transport(Q, v2, None)
     return SolverTrace(
         branch=spec.branch,
         steps=(TraceStep("vector-transport", "ambient", Phi),),
@@ -387,7 +383,7 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
         h=None,
         normalized_S=(v1, v2n),
         U=U,
-        certificate=cert,
+        certificate=verify_lagrangian_complement(Q, (v1, v2), U),
     )
 
 
@@ -395,16 +391,15 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the even-modulus skew branch."""
     if spec.branch is not Branch.EVEN_M_SKEW:
         raise PreconditionFailed("spec branch is not even-m")
-    Q, v1, v2 = spec.validate()
+    Q, v1, v2_in = spec.validate()
     m = spec.m
-    half = m // 2
     s = GroupRingElement.norm(m)
-    g_half = GroupRingElement.gen(m, half)
     steps = []
 
     # Ensure the mu class of v2 is [g^half]; a basis change v2 -> v1 + v2
     # shifts the class by [lambda(v1, v2)] = [s] = [g^half].
-    target_class = param_reduce(g_half, Q.kind)
+    target_class = param_reduce(GroupRingElement.gen(m, m // 2), Q.kind)
+    v2 = v2_in
     if mu_eval(Q, v2) != target_class:
         one = GroupRingElement.one(m)
         zero = GroupRingElement.zero(m)
@@ -414,8 +409,7 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
         if mu_eval(Q, v2) != target_class:
             raise ParityObstruction("mu class of v2 cannot be normalized")
 
-    a1_cur, a2_cur, b2_cur = v2[0], v2[1], v2[3]
-    combo = ideal_express([a2_cur, s, b2_cur], -a1_cur)
+    combo = ideal_express([v2[1], s, v2[3]], -v2[0])
     if combo is None:
         raise NormalizationFailed("coefficient equation has no solution")
     r_el, _k_el, t_el = combo
@@ -429,43 +423,20 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     head = v2[0]
     if any(c != head.coeffs[0] for c in head.coeffs):
         raise NormalizationFailed("e1 coefficient did not reduce to a norm multiple")
-    h = head.coeffs[0]
-    a2_cur, b2_cur = v2[1], v2[3]
-    try:
-        norm = ideal_normalize([a2_cur, b2_cur])
-    except PreconditionFailed as exc:
-        raise NormalizationFailed(str(exc)) from exc
-    alpha = norm.divide(a2_cur)
-    beta = norm.divide(b2_cur)
-    if param_reduce(alpha * beta.conj(), Q.kind) != target_class:
-        raise ParityObstruction(
-            "reduced coefficient product has even middle coefficient"
-        )
-    v_t, a_t, b_t = norm.positive_variant(parity=1)
-    Q1 = _block_module(Q)
-    x = RingVector([alpha, beta])
-    y = RingVector([v_t, s])
-    M2 = rank2_vector_isometry(Q1, x, y)
-    Phi = _embed_block(Q, M2, (1, 3))
+    norm, Phi, v2n, U = _skew_transport(Q, v2, 1)
     steps.append(TraceStep("vector-transport", "ambient", Phi))
-    v2n = Phi * v2
-    w1, w2 = _standard_complement(Q, a_t)
-    inverses = [
-        _embed_block(Q, isometry_inverse(Q1, M2), (1, 3)),
-        transvection(Q, ("e1", "f2"), -r_el),
-        transvection(Q, ("e2", "f1"), -t_el),
-    ]
-    U = _pull_back([w1, w2], inverses)
-    v1_in, v2_in = spec.vectors()
-    cert = verify_lagrangian_complement(Q, (v1_in, v2_in), U)
+    U = _pull_back(
+        U,
+        [transvection(Q, ("e1", "f2"), -r_el), transvection(Q, ("e2", "f1"), -t_el)],
+    )
     return SolverTrace(
         branch=spec.branch,
         steps=tuple(steps),
         norm=norm,
-        h=h,
+        h=head.coeffs[0],
         normalized_S=(v1, v2n),
         U=U,
-        certificate=cert,
+        certificate=verify_lagrangian_complement(Q, (v1, v2_in), U),
     )
 
 
@@ -473,7 +444,8 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the symmetric branch."""
     if spec.branch is not Branch.EVEN_N_SYM:
         raise PreconditionFailed("spec branch is not even-n")
-    Q, v1, v2 = spec.validate()
+    Q, v1, v2_in = spec.validate()
+    v2 = v2_in
     m = spec.m
     one = GroupRingElement.one(m)
     zero = GroupRingElement.zero(m)
@@ -481,26 +453,12 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     inverses = []
 
     if v2[1].aug() == 0:
-        swap = RingMatrix(
-            [
-                [one, zero, zero, zero],
-                [zero, zero, zero, one],
-                [zero, zero, one, zero],
-                [zero, one, zero, zero],
-            ]
-        )
+        swap = _embed_block(Q, RingMatrix([[zero, one], [one, zero]]), (1, 3))
         steps.append(TraceStep("swap-e2-f2", "ambient", swap))
         inverses.append(swap)
         v2 = swap * v2
     if v2[1].aug() == -1:
-        neg = RingMatrix(
-            [
-                [one, zero, zero, zero],
-                [zero, -one, zero, zero],
-                [zero, zero, one, zero],
-                [zero, zero, zero, -one],
-            ]
-        )
+        neg = _embed_block(Q, RingMatrix([[-one, zero], [zero, -one]]), (1, 3))
         steps.append(TraceStep("negate-block-2", "ambient", neg))
         inverses.append(neg)
         v2 = neg * v2
@@ -514,8 +472,7 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     w2 = Q.vector({"e1": -a.conj(), "f2": one})
     inverses.reverse()
     U = _pull_back([w1, w2], inverses)
-    v1_in, v2_in = spec.vectors()
-    cert = verify_lagrangian_complement(Q, (v1_in, v2_in), U)
+    cert = verify_lagrangian_complement(Q, (v1, v2_in), U)
     return SolverTrace(
         branch=spec.branch,
         steps=tuple(steps),
@@ -599,8 +556,11 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
     """Random valid EmbeddingSpec for the branch.
 
     Skew branches mix a constructive generator (high acceptance, covers
-    nontrivial ideal factors u) with a fully random rejection arm.
+    nontrivial ideal factors u) with a fully random rejection arm. A modulus
+    below 2 or of the wrong parity for the branch raises PreconditionFailed
+    before anything is drawn.
     """
+    _check_modulus_parity(branch, m)
     s = GroupRingElement.norm(m)
     one = GroupRingElement.one(m)
     g = GroupRingElement.gen(m)

@@ -378,6 +378,8 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
     """
     if parameter.m != Q.m:
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
+    if len(base) != 2:
+        raise BadIndex(f"base must be a pair of basis labels, got {base!r}")
     ub, ui = _parse_label(base[0], Q.rank)
     wb, wi = _parse_label(base[1], Q.rank)
     if ub == wb:

@@ -25,11 +25,16 @@ class GroupRingElement:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[int]):
+        """Validates, never coerces: m >= 2 and m coefficients, all ints."""
         _check_modulus(m)
+        coeffs = tuple(coeffs)
         if len(coeffs) != m:
-            raise ValueError("coefficient vector must have length m")
+            raise PreconditionFailed(f"coefficients must be a list of length {m}")
+        for c in coeffs:
+            if type(c) is not int:
+                raise PreconditionFailed(f"coefficient {c!r} is not an integer")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
@@ -58,7 +63,9 @@ class GroupRingElement:
     @staticmethod
     def integer(m: int, n: int) -> "GroupRingElement":
         _check_modulus(m)
-        return _trusted(m, (int(n),) + (0,) * (m - 1))
+        if type(n) is not int:
+            raise PreconditionFailed(f"integer {n!r} is not an int")
+        return _trusted(m, (n,) + (0,) * (m - 1))
 
     @staticmethod
     def geometric(m: int, l: int) -> "GroupRingElement":
@@ -156,27 +163,17 @@ class GroupRingElement:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupRingElement":
-        """Element from {"m": m, "coeffs": [...]}; every entry a JSON integer.
-
-        Floats, booleans, strings and a coefficient list of the wrong length
-        raise PreconditionFailed rather than being coerced.
-        """
+        """Element from {"m": m, "coeffs": [...]}, validated by the constructor."""
         if not isinstance(obj, dict) or "m" not in obj or "coeffs" not in obj:
             raise PreconditionFailed("an element is {\"m\": m, \"coeffs\": [...]}")
-        m, coeffs = obj["m"], obj["coeffs"]
-        if type(m) is not int or m < 2:
-            raise PreconditionFailed(f"modulus must be an integer >= 2, got {m!r}")
-        if not isinstance(coeffs, (list, tuple)) or len(coeffs) != m:
-            raise PreconditionFailed(f"coefficients must be a list of length {m}")
-        for c in coeffs:
-            if type(c) is not int:
-                raise PreconditionFailed(f"coefficient {c!r} is not an integer")
-        return _trusted(m, tuple(coeffs))
+        if not isinstance(obj["coeffs"], (list, tuple)):
+            raise PreconditionFailed("coefficients must be a list")
+        return GroupRingElement(obj["m"], obj["coeffs"])
 
 
 def _check_modulus(m: int) -> None:
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
+    if type(m) is not int or m < 2:
+        raise PreconditionFailed(f"modulus must be an integer >= 2, got {m!r}")
 
 
 _new_element = object.__new__

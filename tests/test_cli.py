@@ -238,3 +238,29 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
     code, out, _ = run(capsys, "--json", "form", "det", "--m", "3", "--matrix", matrix)
     assert code == 1
     assert json.loads(out)["error"] == "RankTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["lagrangian", "solve", "--m", "3", "--branch", "odd-m", "--spec", "{}"],
+         "PreconditionFailed"),
+        (["census", "--n", "8", "--m", "7", "--g", "6", "--pontryagin", "a"],
+         "PreconditionFailed"),
+        (["census", "--n", "8", "--m", "7", "--g", "6", "--pontryagin", "1.5"],
+         "PreconditionFailed"),
+        (["form", "transvection", "--m", "3", "--base", "e1", "--c", "[1,0,0]"],
+         "BadIndex"),
+        (["form", "transvection", "--m", "3", "--base", "e1,f2,f1", "--c", "[1,0,0]"],
+         "BadIndex"),
+        (["lagrangian", "sweep", "--branch", "odd-m", "--m", "1", "--count", "1"],
+         "PreconditionFailed"),
+        (["lagrangian", "sweep", "--branch", "odd-m", "--m", "40", "--count", "1"],
+         "PreconditionFailed"),
+    ],
+)
+def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == error
+    assert err == ""

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,8 @@ from cyclact.forms import (
     QuadraticModule,
     RingVector,
     isometry_check,
+    lambda_eval,
+    mu_eval,
 )
 from cyclact.groupring import FormParameterKind, GroupRingElement
 
@@ -250,3 +253,97 @@ def test_run_sweep_solves_everything_and_is_deterministic():
     assert r3.solved == 15 and r3.failures == ()
     r4 = run_sweep(Branch.EVEN_N_SYM, 3, 15, seed=3)
     assert r4.solved == 15 and r4.failures == ()
+
+
+def _isotropic_walk(rng, Q):
+    """A primitive isotropic vector reached from (1, 0) by random moves.
+
+    A shear adds c times one entry to the other, with conj(c) = -eps*c (c
+    symmetric for eps = -1, antisymmetric for eps = +1); the swap sends
+    (w1, w2) to (w2, -eps*w1); a scaling multiplies both entries by +-g^k.
+    Every move keeps lambda(w, w) = 0 and the unit ideal.
+    """
+    m, eps = Q.m, Q.eps
+    w1, w2 = GroupRingElement.one(m), GroupRingElement.zero(m)
+    for _ in range(rng.randrange(1, 4)):
+        op = rng.randrange(4)
+        if op < 2:
+            t = el(m, *[rng.randint(-1, 1) for _ in range(m)])
+            if eps == 1:
+                c = t - t.conj()
+            else:
+                c = t + t.conj() + el(m, rng.randint(-1, 1))
+                if m % 2 == 0:
+                    c = c + GroupRingElement.gen(m, m // 2) * rng.randint(-1, 1)
+            if op == 0:
+                w2 = w2 + c * w1
+            else:
+                w1 = w1 + c * w2
+        elif op == 2:
+            w1, w2 = w2, w1 * -eps
+        else:
+            t = GroupRingElement.gen(m, rng.randrange(m)) * rng.choice((1, -1))
+            w1, w2 = t * w1, t * w2
+    return RingVector([w1, w2])
+
+
+def test_rank2_vector_isometry_transports_every_form_parameter():
+    rng = random.Random(505)
+    forms = [
+        (-1, FormParameterKind.TILDE),
+        (-1, FormParameterKind.PLUS),
+        (1, FormParameterKind.MINUS),
+    ]
+    for m in range(2, 10):
+        for eps, kind in forms:
+            Q = QuadraticModule(m, 1, eps, kind)
+            pairs = 0
+            while pairs < 6:
+                x, y = _isotropic_walk(rng, Q), _isotropic_walk(rng, Q)
+                assert lambda_eval(Q, x, x).is_zero()
+                if mu_eval(Q, x) != mu_eval(Q, y):
+                    continue
+                M = rank2_vector_isometry(Q, x, y)
+                assert M * x == y
+                assert isometry_check(Q, M)
+                pairs += 1
+
+
+@pytest.mark.parametrize(
+    "kind, x, y",
+    [
+        # mu(x) = [g]; the completions' classes differ by [g], which the
+        # shear by 1 moves and the shear by g alone does not
+        (FormParameterKind.TILDE, [[1], [1, 1]], [[1, -2], [-1, 1]]),
+        # mu(x) = [1 + g]; the completions' classes differ by [1] + [g],
+        # which only a shear with c_0 and c_(m/2) both odd moves
+        (FormParameterKind.PLUS, [[1], [-1, -1]], [[1, 1], [-1, -2]]),
+    ],
+)
+def test_rank2_vector_isometry_when_the_completions_need_a_shear(kind, x, y):
+    m = 2
+    Q = QuadraticModule(m, 1, -1, kind)
+    x = RingVector([el(m, *c) for c in x])
+    y = RingVector([el(m, *c) for c in y])
+    M = rank2_vector_isometry(Q, x, y)
+    assert M * x == y
+    assert isometry_check(Q, M)
+
+
+def test_sample_spec_rejects_bad_moduli_before_drawing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    for branch, m, detail in (
+        (Branch.ODD_M_SKEW, 40, "odd-m branch requires odd modulus"),
+        (Branch.EVEN_M_SKEW, 7, "even-m branch requires even modulus"),
+        (Branch.ODD_M_SKEW, 1, "modulus must be an integer >= 2"),
+        (Branch.EVEN_N_SYM, 0, "modulus must be an integer >= 2"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(PreconditionFailed, match=detail):
+            sample_spec(branch, m, rng)
+        with pytest.raises(PreconditionFailed, match=detail):
+            run_sweep(branch, m, 1, seed=0)
+        assert time.perf_counter() - t0 < 1.0
+    assert rng.getstate() == state
+

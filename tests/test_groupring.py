@@ -438,3 +438,26 @@ def test_ideal_normalize_rejects_with_the_same_error():
             assert whole and norm.verify()
             for g in gens:
                 assert exact_divide(g, norm.u).quotient * norm.u == g
+
+
+def test_constructor_validates_instead_of_coercing():
+    assert GroupRingElement(3, (1, -2, 0)) == el(3, 1, -2)
+    for m, coeffs in (
+        (3, [1.7, True, "2"]),
+        (3, [1, 0, True]),
+        (3, [1, 0, 2.0]),
+        (3, [1, 0]),
+        (3, [1, 0, 0, 0]),
+        (True, [1, 0]),
+        (2.0, [1, 0]),
+        (1, [1]),
+        (0, []),
+        (-1, []),
+    ):
+        with pytest.raises(PreconditionFailed):
+            GroupRingElement(m, coeffs)
+    for n in (1.5, True, "1"):
+        with pytest.raises(PreconditionFailed):
+            GroupRingElement.integer(3, n)
+    with pytest.raises(PreconditionFailed):
+        GroupRingElement.norm(1)
