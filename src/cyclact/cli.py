@@ -38,11 +38,23 @@ from .selftest import run_selftest
 from .spectral import e2_page, parse_class, spin_line_report, steenrod_square
 
 
-def _emit(args, payload: dict, human: str = "") -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    if human and not args.json:
-        sys.stderr.write(human.rstrip() + "\n")
+def _emit(args, payload: dict, human) -> None:
+    """Write the JSON document and, without --json, the summary human().
+
+    Both texts are built before either is written, so a failure leaves
+    stdout free for the error document.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True)
+        summary = "" if args.json else human()
+    except ValueError:
+        raise PreconditionFailed(
+            f"an output integer has more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for integer string conversion"
+        ) from None
+    sys.stdout.write(text + "\n")
+    if summary:
+        sys.stderr.write(summary.rstrip() + "\n")
 
 
 def _json(text: str):
@@ -90,19 +102,19 @@ def _cmd_ring(args) -> int:
     m = args.m
     if args.ring_op == "mul":
         out = _element(m, args.x) * _element(m, args.y)
-        _emit(args, {"product": out.to_json()}, f"product: {out!r}")
+        _emit(args, {"product": out.to_json()}, lambda: f"product: {out!r}")
     elif args.ring_op == "conj":
         out = _element(m, args.x).conj()
-        _emit(args, {"conj": out.to_json()}, f"conj: {out!r}")
+        _emit(args, {"conj": out.to_json()}, lambda: f"conj: {out!r}")
     elif args.ring_op == "aug":
         val = augmentation(_element(m, args.x), mod2=args.mod2)
-        _emit(args, {"augmentation": val}, f"augmentation: {val}")
+        _emit(args, {"augmentation": val}, lambda: f"augmentation: {val}")
     elif args.ring_op == "divide":
         res = exact_divide(_element(m, args.x), _element(m, args.d))
         _emit(
             args,
             {"quotient": res.quotient.to_json(), "ambiguous": res.ambiguous},
-            f"quotient: {res.quotient!r} (ambiguous: {res.ambiguous})",
+            lambda: f"quotient: {res.quotient!r} (ambiguous: {res.ambiguous})",
         )
     else:
         gens = [_as_element(m, g) for g in _list(_json(args.gens), "--gens")]
@@ -110,7 +122,7 @@ def _cmd_ring(args) -> int:
         _emit(
             args,
             {"normData": norm.to_json()},
-            f"u = {norm.u!r}, l = {norm.l}, a = {norm.a}, b = {norm.b}",
+            lambda: f"u = {norm.u!r}, l = {norm.l}, a = {norm.a}, b = {norm.b}",
         )
     return 0
 
@@ -119,27 +131,27 @@ def _cmd_form(args) -> int:
     Q = _module(args)
     if args.form_op == "eval":
         out = lambda_eval(Q, _vector(Q.m, args.x), _vector(Q.m, args.y))
-        _emit(args, {"lambda": out.to_json()}, f"lambda: {out!r}")
+        _emit(args, {"lambda": out.to_json()}, lambda: f"lambda: {out!r}")
     elif args.form_op == "mu":
         out = mu_eval(Q, _vector(Q.m, args.x))
-        _emit(args, {"mu": out.to_json()}, f"mu class: {out.rep!r} ({out.kind.value})")
+        _emit(args, {"mu": out.to_json()}, lambda: f"mu class: {out.rep!r} ({out.kind.value})")
     elif args.form_op == "primitive":
         flag = is_primitive(Q, _vector(Q.m, args.x))
-        _emit(args, {"primitive": flag}, f"primitive: {flag}")
+        _emit(args, {"primitive": flag}, lambda: f"primitive: {flag}")
     elif args.form_op == "isometry":
         flag = isometry_check(Q, _matrix(Q.m, args.matrix))
-        _emit(args, {"isometry": flag}, f"isometry: {flag}")
+        _emit(args, {"isometry": flag}, lambda: f"isometry: {flag}")
     elif args.form_op == "transvection":
         M = transvection(Q, tuple(args.base.split(",")), _element(Q.m, args.c))
-        _emit(args, {"matrix": M.to_json()}, f"transvection on ({args.base})")
+        _emit(args, {"matrix": M.to_json()}, lambda: f"transvection on ({args.base})")
     elif args.form_op == "det":
         out = ring_det(_matrix(Q.m, args.matrix))
-        _emit(args, {"det": out.to_json()}, f"det: {out!r}")
+        _emit(args, {"det": out.to_json()}, lambda: f"det: {out!r}")
     else:
         S = [_vector(Q.m, v) for v in _list(_json(args.S), "--S")]
         U = [_vector(Q.m, v) for v in _list(_json(args.U), "--U")]
         cert = verify_lagrangian_complement(Q, S, U)
-        _emit(args, {"certificate": cert.to_json()}, "complement verified")
+        _emit(args, {"certificate": cert.to_json()}, lambda: "complement verified")
     return 0
 
 
@@ -157,8 +169,12 @@ def _cmd_lagrangian(args) -> int:
             f"steps: {', '.join(s.name for s in trace.steps) or '(none)'}",
             "U:",
         ]
-        human.extend(f"  {v!r}" for v in trace.U)
-        _emit(args, {"trace": trace.to_json()}, "\n".join(human))
+        # repr of U is built only when printed: it can pass the digit limit
+        _emit(
+            args,
+            {"trace": trace.to_json()},
+            lambda: "\n".join(human + [f"  {v!r}" for v in trace.U]),
+        )
     else:
         seed = args.sweep_seed if args.sweep_seed is not None else args.seed
         report = run_sweep(Branch.from_cli(args.branch), args.m, args.count, seed)
@@ -166,7 +182,7 @@ def _cmd_lagrangian(args) -> int:
             f"sweep {report.branch.value} m={report.m}: {report.solved} solved, "
             f"{report.exhausted} search-exhausted, {len(report.failures)} failures"
         )
-        _emit(args, {"sweep": report.to_json()}, human)
+        _emit(args, {"sweep": report.to_json()}, lambda: human)
         return 1 if report.failures else 0
     return 0
 
@@ -182,7 +198,7 @@ def _cmd_ahss(args) -> int:
         _emit(
             args,
             {"report": rep.to_json(), "e2": page.to_json()},
-            "\n".join(lines),
+            lambda: "\n".join(lines),
         )
     else:
         c = parse_class(args.m, getattr(args, "cls"))
@@ -190,7 +206,7 @@ def _cmd_ahss(args) -> int:
         _emit(
             args,
             {"input": c.to_json(), "square": out.to_json()},
-            f"Sq^{args.k}({c!r}) = {out!r}",
+            lambda: f"Sq^{args.k}({c!r}) = {out!r}",
         )
     return 0
 
@@ -214,7 +230,7 @@ def _cmd_census(args) -> int:
         human.append(f"  model: {d}")
     for n in report.notes:
         human.append(f"  note: {n}")
-    _emit(args, {"census": report.to_json()}, "\n".join(human))
+    _emit(args, {"census": report.to_json()}, lambda: "\n".join(human))
     if report.parameterization == "OUT_OF_RANGE":
         return 3
     return 0 if report.exists else 2
@@ -238,7 +254,7 @@ def _cmd_selftest(args) -> int:
                 else ""
             )
         )
-    _emit(args, {"selftest": summary.to_json()}, "\n".join(lines))
+    _emit(args, {"selftest": summary.to_json()}, lambda: "\n".join(lines))
     return 1 if summary.failed else 0
 
 
@@ -343,14 +359,8 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except CyclactError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "detail": str(exc)},
-            sys.stdout,
-            sort_keys=True,
-        )
-        sys.stdout.write("\n")
-        if not args.json:
-            sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        name = type(exc).__name__
+        _emit(args, {"error": name, "detail": str(exc)}, lambda: f"error: {name}: {exc}")
         return 1
 
 

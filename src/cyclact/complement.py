@@ -127,8 +127,8 @@ class EmbeddingSpec:
                 raise AugmentationObstruction(
                     "both coefficient augmentations vanish; no unit normalization"
                 )
-            ideal = [self.a2, self.b2, self.f1_coefficient]
-            if not ideal_contains_one(ideal):
+            # Lambda/(1 - g) = Z via aug, so (a2, b2, 1 - g) = Lambda iff gcd = 1
+            if math.gcd(self.a2.aug(), self.b2.aug()) != 1:
                 raise PreconditionFailed(
                     "a2, b2 and 1-g must generate the unit ideal"
                 )
@@ -507,9 +507,9 @@ def _skew_kernel_sample(rng: random.Random, a2: GroupRingElement) -> GroupRingEl
         gj = GroupRingElement.gen(m, j)
         img = a2 * gj.conj() - a2.conj() * gj
         rows.append(img.coeffs)
-    ker = ZLattice(rows, m).kernel()
-    if not ker:
-        return GroupRingElement.zero(m)
+    # the kernel's Hermite basis depends on the lattice alone, not on how
+    # the elimination reached it
+    ker = ZLattice(ZLattice(rows, m).kernel(), m, transform=False).basis()
     combo = [rng.randint(-2, 2) for _ in ker]
     coeffs = [0] * m
     for c, row in zip(combo, ker):

@@ -9,22 +9,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def row_hnf_transform(
     rows: Sequence[Sequence[int]], ncols: int, *, transform: bool = True
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
@@ -35,54 +19,49 @@ def row_hnf_transform(
     and every entry above a pivot is reduced into [0, pivot). With
     transform=False, U is not tracked and comes back as an empty list; H and
     pivots are the same.
+
+    Each column is cleared by a Euclid against its smallest nonzero entry
+    with nearest-integer quotients (Cohen, GTM 138, section 2.4): each round
+    leaves every other entry at most half the pivot in size, which keeps U
+    small.
     """
-    h = [list(r) for r in rows]
-    n = len(h)
-    for r in h:
+    n = len(rows)
+    for r in rows:
         if len(r) != ncols:
             raise ValueError("row length mismatch")
-    u = _identity(n) if transform else []
+    # a working row is H's row followed by U's row, so one row operation
+    # updates both
+    w = [
+        list(r) + ([0] * i + [1] + [0] * (n - 1 - i) if transform else [])
+        for i, r in enumerate(rows)
+    ]
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        piv = None
-        for i in range(row, n):
-            if h[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+        live = [i for i in range(row, n) if w[i][col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(w[i][col]))
+            p = w[piv]
+            b = p[col]
+            for i in live:
+                q = (2 * w[i][col] + b) // (2 * b)
+                if i != piv and q:
+                    w[i] = [x - q * y for x, y in zip(w[i], p)]
+            live = [i for i in live if w[i][col]]
+        if not live:
             continue
-        for i in range(piv + 1, n):
-            if h[i][col] == 0:
-                continue
-            a, b = h[piv][col], h[i][col]
-            g, x, y = xgcd(a, b)
-            p, q = -(b // g), a // g
-            h[piv], h[i] = (
-                [x * h[piv][k] + y * h[i][k] for k in range(ncols)],
-                [p * h[piv][k] + q * h[i][k] for k in range(ncols)],
-            )
-            if transform:
-                u[piv], u[i] = (
-                    [x * u[piv][k] + y * u[i][k] for k in range(n)],
-                    [p * u[piv][k] + q * u[i][k] for k in range(n)],
-                )
-        if piv != row:
-            h[piv], h[row] = h[row], h[piv]
-            if transform:
-                u[piv], u[row] = u[row], u[piv]
-        if h[row][col] < 0:
-            h[row] = [-v for v in h[row]]
-            if transform:
-                u[row] = [-v for v in u[row]]
+        w[live[0]], w[row] = w[row], w[live[0]]
+        if w[row][col] < 0:
+            w[row] = [-x for x in w[row]]
+        p = w[row]
         for i in range(row):
-            q = h[i][col] // h[row][col]
+            q = w[i][col] // p[col]
             if q:
-                h[i] = [h[i][k] - q * h[row][k] for k in range(ncols)]
-                if transform:
-                    u[i] = [u[i][k] - q * u[row][k] for k in range(n)]
+                w[i] = [x - q * y for x, y in zip(w[i], p)]
         pivots.append(col)
         row += 1
+    h = [r[:ncols] for r in w]
+    u = [r[ncols:] for r in w] if transform else []
     return h, u, pivots
 
 

@@ -10,7 +10,7 @@ import random
 import time
 
 from cyclact.census import ActionQuery, classification, existence_check
-from cyclact.complement import Branch, run_sweep, sample_spec, solve
+from cyclact.complement import Branch, EmbeddingSpec, run_sweep, sample_spec, solve
 from cyclact.forms import (
     QuadraticModule,
     RingMatrix,
@@ -18,6 +18,7 @@ from cyclact.forms import (
     mu_eval,
     ring_det,
     transvection,
+    verify_lagrangian_complement,
 )
 from cyclact.groupring import (
     FormParameterKind,
@@ -260,4 +261,28 @@ def test_criterion_9_census_gate():
     for n, m, genus in [(8, 6, 5), (9, 5, 6), (4, 3, 2), (8, 35, 34)]:
         rep = classification(ActionQuery(n=n, m=m, genus=genus, pontryagin=None))
         assert rep.exists and rep.parameterization == "OUT_OF_RANGE", (n, m)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_criterion_10_bounded_coefficient_growth():
+    # Bezout coefficients for this odd-m spec run to 10^5 bits, and the
+    # solve to minutes, unless the Hermite elimination controls entry size
+    t0 = time.perf_counter()
+    spec = EmbeddingSpec(
+        13,
+        Branch.ODD_M_SKEW,
+        GroupRingElement.zero(13),
+        GroupRingElement(13, [13, 6, 13, -8, 3, 2, 7, -5, -5, 7, 2, 3, -8]),
+        GroupRingElement(13, [0, 1, 0, 1, -2, -2, -2, 0, 0, -2, -2, -2, 1]),
+    )
+    trace = solve(spec)
+    assert trace.replay()
+    verify_lagrangian_complement(spec.module(), spec.vectors(), trace.U)
+    bits = max(abs(c).bit_length() for v in trace.U for x in v.coords for c in x.coeffs)
+    assert bits < 1000
+    assert time.perf_counter() - t0 < 5.0
+    # the even-n unit-ideal test is a gcd, so a large modulus stays cheap
+    t0 = time.perf_counter()
+    report = run_sweep(Branch.EVEN_N_SYM, 101, 1, seed=0)
+    assert report.solved == 1 and report.failures == ()
     assert time.perf_counter() - t0 < 5.0

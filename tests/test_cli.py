@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from cyclact.cli import main
+from cyclact.groupring import GroupRingElement
 
 
 def run(capsys, *argv):
@@ -94,6 +96,49 @@ def test_lagrangian_solve_merges_flags_into_spec(capsys):
     assert doc["trace"]["branch"] == "odd-m"
     assert doc["trace"]["U"][0][2]["coeffs"] == [1, 0, 0]
     assert "U:" in err
+
+
+def _assert_digit_limit_error(code, out):
+    # one whole error document, not a traceback or half a document
+    assert code == 1
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "PreconditionFailed"
+    assert f"{sys.get_int_max_str_digits()} digits" in doc["detail"]
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_ring_mul_past_the_digit_limit_is_an_error_document(capsys, flags):
+    # each factor parses; their square has 4/3 of the digit limit
+    x = "[" + "9" * (sys.get_int_max_str_digits() * 2 // 3) + ",0]"
+    code, out, _ = run(capsys, *flags, "ring", "mul", "--m", "2", "--x", x, "--y", x)
+    _assert_digit_limit_error(code, out)
+
+
+def test_lagrangian_solve_past_the_digit_limit_is_an_error_document(capsys):
+    # a1 at the digit limit parses; the solve's output doubles it
+    big = int("9" * sys.get_int_max_str_digits())
+    spec = json.dumps({"a1": [big, 0], "a2": [1, 0], "b2": [0, 1]})
+    code, out, _ = run(
+        capsys, "--json", "lagrangian", "solve", "--branch", "even-m", "--m", "2",
+        "--spec", spec,
+    )
+    _assert_digit_limit_error(code, out)
+
+
+def test_json_flag_builds_no_summary(capsys, monkeypatch):
+    def fail(self):
+        raise AssertionError("summary built under --json")
+
+    monkeypatch.setattr(GroupRingElement, "__repr__", fail)
+    spec = json.dumps({"a1": [0, 0, 0], "a2": [1, 0, 0], "b2": [0, 0, 0]})
+    for argv in (
+        ["ring", "mul", "--m", "2", "--x", "[1,2]", "--y", "[3,4]"],
+        ["lagrangian", "solve", "--branch", "odd-m", "--m", "3", "--spec", spec],
+    ):
+        code, out, err = run(capsys, "--json", *argv)
+        assert code == 0 and err == ""
+        json.loads(out)
 
 
 def test_lagrangian_sweep_seed_flag_overrides_global(capsys):

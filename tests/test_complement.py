@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -24,8 +25,10 @@ from cyclact.forms import (
     isometry_check,
     lambda_eval,
     mu_eval,
+    verify_lagrangian_complement,
 )
-from cyclact.groupring import FormParameterKind, GroupRingElement
+from cyclact.groupring import FormParameterKind, GroupRingElement, ideal_contains_one
+from cyclact.intlattice import ZLattice
 
 
 def el(m, *coeffs):
@@ -73,16 +76,25 @@ def test_odd_branch_preconditions():
         solve_odd_m(spec_of(4, Branch.ODD_M_SKEW, [0], [1], [0]))
 
 
+def _assert_even_m_facts(spec, trace):
+    # the e1 coefficient of the normalized v2 is h times the norm element,
+    # U is Lagrangian, and S + U is certified as the whole module
+    m = spec.m
+    assert trace.normalized_S[1][0] == trace.h * GroupRingElement.norm(m)
+    Q = spec.module()
+    assert all(lambda_eval(Q, u, w).is_zero() for u in trace.U for w in trace.U)
+    assert all(mu_eval(Q, u).is_zero() for u in trace.U)
+    verify_lagrangian_complement(Q, spec.vectors(), trace.U)
+    assert trace.replay()
+
+
 def test_even_m_branch_small_modulus():
     spec = spec_of(2, Branch.EVEN_M_SKEW, [0], [1], [0, 1])
     trace = solve_even_m(spec)
     assert [s.name for s in trace.steps] == [
         "shear-T", "shear-R", "vector-transport",
     ]
-    assert trace.h == 0
-    assert coords(trace.U[0]) == ((0, 0), (0, 0), (1, 0), (0, 0))
-    assert coords(trace.U[1]) == ((0, 0), (0, -1), (0, 0), (0, 0))
-    assert trace.replay()
+    _assert_even_m_facts(spec, trace)
 
 
 def test_even_m_branch_with_basis_mixing():
@@ -95,14 +107,7 @@ def test_even_m_branch_with_basis_mixing():
         "mix-v1-into-v2", "shear-T", "shear-R", "vector-transport",
     ]
     assert trace.steps[0].kind == "basis"
-    assert trace.h == 1
-    assert coords(trace.U[0]) == (
-        (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0),
-    )
-    assert coords(trace.U[1]) == (
-        (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0),
-    )
-    assert trace.replay()
+    _assert_even_m_facts(spec, trace)
 
 
 def test_even_m_branch_rejects_odd_modulus():
@@ -238,6 +243,55 @@ def test_sampled_specs_always_validate():
         for _ in range(25):
             spec = sample_spec(branch, m, rng)
             spec.validate()
+
+
+def test_even_n_unit_ideal_is_an_augmentation_gcd():
+    rng = random.Random(13)
+    zero = GroupRingElement.zero
+    for m in range(2, 13):
+        one_minus_g = GroupRingElement.one(m) - GroupRingElement.gen(m)
+        for _ in range(30):
+            a2, b2 = (el(m, *(rng.randint(-3, 3) for _ in range(m))) for _ in range(2))
+            unit = ideal_contains_one([a2, b2, one_minus_g])
+            assert (math.gcd(a2.aug(), b2.aug()) == 1) == unit
+            # with aug(b2) = 0, lambda(v2, v2) has augmentation 0 and
+            # validate reaches its unit-ideal test
+            b2 = b2 * one_minus_g
+            if a2.aug() == 0:
+                continue
+            spec = EmbeddingSpec(m, Branch.EVEN_N_SYM, zero(m), a2, b2)
+            if ideal_contains_one([a2, b2, one_minus_g]):
+                spec.validate()
+            else:
+                with pytest.raises(PreconditionFailed, match="unit ideal"):
+                    spec.validate()
+
+
+def test_sampled_specs_do_not_depend_on_the_kernel_basis(monkeypatch):
+    # b2 is drawn on the kernel's Hermite basis, so a different unimodular
+    # basis from the elimination draws the same specs
+    plans = [(Branch.ODD_M_SKEW, 5), (Branch.ODD_M_SKEW, 7), (Branch.EVEN_M_SKEW, 4)]
+
+    def draw():
+        rng = random.Random(21)
+        return [sample_spec(b, m, rng).to_json() for b, m in plans for _ in range(8)]
+
+    want = draw()
+    kernel = ZLattice.kernel
+    mixed_bases = []
+
+    def mixed(self):
+        ker = kernel(self)
+        # add twice each row to the one after it, then reverse the order:
+        # a unimodular change of basis
+        out = [ker[0]] if ker else []
+        out += [[a + 2 * b for a, b in zip(r, q)] for r, q in zip(ker[1:], ker)]
+        mixed_bases.append(len(out) > 1)
+        return out[::-1]
+
+    monkeypatch.setattr(ZLattice, "kernel", mixed)
+    assert draw() == want
+    assert any(mixed_bases)
 
 
 def test_run_sweep_solves_everything_and_is_deterministic():
