@@ -42,10 +42,10 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    _normalize,
     divide_by_one_minus_gen,
     ideal_contains_one,
     ideal_express,
-    ideal_normalize,
     param_reduce,
 )
 from .intlattice import ZLattice
@@ -257,31 +257,37 @@ def _complete_pair(Q1, x, p, q):
 
 
 def rank2_vector_isometry(
-    Q: QuadraticModule, source: RingVector, target: RingVector
+    Q: QuadraticModule,
+    source: RingVector,
+    target: RingVector,
+    source_pair: Sequence[GroupRingElement],
+    target_pair: Sequence[GroupRingElement],
 ) -> RingMatrix:
     """Isometry M of a rank-1 hyperbolic block with M * source = target.
 
-    Both vectors must be primitive and isotropic (lambda(x, x) = 0) with
-    equal mu class; equal vectors give the identity. Each vector is
-    completed to a standard hyperbolic pair, (x, x') and (y, y'); y' is
-    sheared by a multiple of y, picked in closed form, until
-    mu(y') = mu(x'); and M is the transport between the two pair bases.
-    If no shear aligns the classes, SearchExhausted is raised, which is not
-    a proof that no isometry exists.
+    Each vector x comes with a Bezout pair (p, q), p*x1 + q*x2 = 1, which
+    proves it primitive and completes it. Both vectors must be isotropic
+    (lambda(x, x) = 0) with equal mu class; equal vectors give the
+    identity. Each vector is completed to a standard hyperbolic pair,
+    (x, x') and (y, y'); y' is sheared by a multiple of y, picked in closed
+    form, until mu(y') = mu(x'); and M is the transport between the two
+    pair bases. If no shear aligns the classes, SearchExhausted is raised,
+    which is not a proof that no isometry exists.
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
     Q._check_vector(source)
     Q._check_vector(target)
-    # the Bezout combinations that prove primitivity also complete the pairs
     m = Q.m
     one = GroupRingElement.one(m)
-    combo_x = ideal_express(list(source.coords), one)
-    if combo_x is None:
-        raise PreconditionFailed("source vector is not primitive")
-    combo_y = ideal_express(list(target.coords), one)
-    if combo_y is None:
-        raise PreconditionFailed("target vector is not primitive")
+    for name, vec, (p, q) in (
+        ("source", source, source_pair),
+        ("target", target, target_pair),
+    ):
+        if p * vec[0] + q * vec[1] != one:
+            raise PreconditionFailed(
+                f"{name} Bezout pair does not satisfy p*x1 + q*x2 = 1"
+            )
     lam = lambda_eval(Q, source, source)
     if lam != lambda_eval(Q, target, target):
         raise PreconditionFailed("lambda(x, x) differs between source and target")
@@ -295,8 +301,8 @@ def rank2_vector_isometry(
         )
 
     x, y = source, target
-    xp = _complete_pair(Q, x, combo_x[0], combo_x[1])
-    yp = _complete_pair(Q, y, combo_y[0], combo_y[1])
+    xp = _complete_pair(Q, x, *source_pair)
+    yp = _complete_pair(Q, y, *target_pair)
     # A shear y' -> y' + c*y with conj(c) = -eps*c keeps (y, y') a standard
     # pair and moves mu(y') by [c*conj(c)*mu~(y)] - [c], where mu~(y) is the
     # lift a*conj(b) of mu(y). As y is isotropic, mu~(y) is antisymmetric
@@ -344,26 +350,30 @@ def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
 def _skew_transport(Q: QuadraticModule, v2: RingVector, parity: Optional[int]):
     """Normalize v2's (e2, f2) coefficients and transport them to (v, s).
 
-    The ideal (a2, b2) is normalized to u*Lambda, and (a2/u, b2/u) is moved
-    onto (v, s) from the companion identity u*v + a*s = 1, with the parity
-    of aug(v) chosen as in NormData.positive_variant. Returns the ideal
-    data, the ambient transport Phi, Phi * v2, and the standard complement
-    of the normalized pair pulled back by Phi^-1.
+    The ideal (a2, b2) is normalized to u*Lambda, and x = (a2/u, b2/u) is
+    moved onto y = (v, s) from the companion identity u*v + a*s = 1, with
+    the parity of aug(v) chosen as in NormData.positive_variant. The
+    normalization's Hermite form yields x's Bezout pair, and the identity
+    is y's pair (u, a). Returns the ideal data, the ambient transport Phi,
+    Phi * v2, and the standard complement of the normalized pair pulled
+    back by Phi^-1.
     """
+    m = Q.m
     try:
-        norm = ideal_normalize([v2[1], v2[3]])
+        norm, quotients, pair_x = _normalize([v2[1], v2[3]], bezout=True)
     except PreconditionFailed as exc:
         raise NormalizationFailed(str(exc)) from exc
     Q1 = _block_module(Q)
-    x = RingVector([norm.divide(v2[1]), norm.divide(v2[3])])
+    x = RingVector(quotients)
     v_t, a_t, _ = norm.positive_variant(parity)
-    y = RingVector([v_t, GroupRingElement.norm(Q.m)])
+    y = RingVector([v_t, GroupRingElement.norm(m)])
     # mu(y) = [aug(v)*s], the class of g^(m/2) for odd aug(v) and even m
     if mu_eval(Q1, x) != mu_eval(Q1, y):
         raise ParityObstruction(
             "reduced coefficient product has even middle coefficient"
         )
-    M2 = rank2_vector_isometry(Q1, x, y)
+    pair_y = (norm.u, GroupRingElement.integer(m, a_t))
+    M2 = rank2_vector_isometry(Q1, x, y, pair_x, pair_y)
     Phi = _embed_block(Q, M2, (1, 3))
     Phi_inv = _embed_block(Q, isometry_inverse(Q1, M2), (1, 3))
     U = _pull_back(_standard_complement(Q, a_t), [Phi_inv])

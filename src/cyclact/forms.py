@@ -155,11 +155,6 @@ class RingMatrix:
             return RingMatrix([[_dot(self.m, row, col) for col in cols] for row in self.rows])
         return NotImplemented
 
-    def conj_transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            [[self.rows[j][i].conj() for j in range(self.n)] for i in range(self.n)]
-        )
-
     def transpose(self) -> "RingMatrix":
         return RingMatrix(
             [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
@@ -341,30 +336,55 @@ def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
 
 
 def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
-    """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images."""
+    """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images.
+
+    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j). Both that value
+    and G[i][j] change to eps * conj(.) when i and j swap, so the entries
+    with i <= j decide. The diagonal follows from mu: lambda(x, x) is
+    L + eps * conj(L) for any lift L of mu(x), which vanishes when L lies
+    in the form parameter. So mu = 0 and the entries with i < j decide.
+    """
     if M.n != Q.dim:
         raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
     if M.m != Q.m:
         raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    G = Q.gram_matrix()
-    if M.transpose() * G * M.conj() != G:
+    G = Q.gram_matrix().rows
+    cols = [M.column(i) for i in range(Q.dim)]
+    if not all(mu_eval(Q, x).is_zero() for x in cols):
         return False
-    for i in range(Q.dim):
-        if not mu_eval(Q, M.column(i)).is_zero():
-            return False
+    for i, x in enumerate(cols):
+        for j in range(i + 1, Q.dim):
+            if lambda_eval(Q, x, cols[j]) != G[i][j]:
+                return False
     return True
 
 
 def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
-    """Inverse of a Gram-preserving M, in closed form: eps * G * conj(M)^T * G.
+    """Inverse of a Gram-preserving M, in closed form: G^T * conj(M)^T * G.
 
     Conjugating M^T G conj(M) = G gives conj(M)^T G M = G, and
     G^-1 = eps * G = G^T, so G^T conj(M)^T G is a left, hence two-sided,
-    inverse of M. The caller guarantees Gram preservation; the result is
-    not checked.
+    inverse of M. G is a signed permutation: G[k][pi(k)] is 1 on the
+    e-slots k and eps on the f-slots, where pi swaps e_i and f_i. So the
+    product is an entry shuffle, inv[i][j] = sigma(i) * sigma(j) *
+    conj(M[pi(j)][pi(i)]), with sigma = eps on the e-slots and 1 on the
+    f-slots. The caller guarantees Gram preservation; the result is not
+    checked.
     """
-    G = Q.gram_matrix()
-    return G.transpose() * M.conj_transpose() * G
+    if M.n != Q.dim:
+        raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
+    r, n = Q.rank, Q.dim
+    pi = [(i + r) % n for i in range(n)]
+    flip = Q.eps == -1
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = M.rows[pi[j]][pi[i]].conj()
+            # sigma(i) * sigma(j) is eps when exactly one of i, j is an e-slot
+            row.append(-x if flip and (i < r) != (j < r) else x)
+        rows.append(row)
+    return RingMatrix(rows)
 
 
 def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRingElement) -> RingMatrix:
@@ -502,17 +522,19 @@ def verify_lagrangian_complement(
         for j, val in enumerate(row):
             if not val.is_zero():
                 raise NotComplement(
-                    "gram", f"lambda(U[{i}], U[{j}]) = {val!r} is nonzero"
+                    "gram", f"lambda(U[{i}], U[{j}]) is nonzero ({val.bits()} bits)"
                 )
     mus = tuple(mu_eval(Q, u) for u in U)
     for i, c in enumerate(mus):
         if not c.is_zero():
-            raise NotComplement("mu", f"mu(U[{i}]) = {c.rep!r} is nonzero")
+            raise NotComplement(
+                "mu", f"mu(U[{i}]) is nonzero ({c.rep.bits()}-bit representative)"
+            )
     B = RingMatrix.from_columns(list(S) + list(U))
     d = ring_det(B)
     ok, dinv = is_unit(d)
     if not ok:
-        raise NotComplement("determinant", f"det = {d!r} is not a unit")
+        raise NotComplement("determinant", f"det ({d.bits()} bits) is not a unit")
     return ComplementCertificate(
         S=tuple(S),
         U=tuple(U),

@@ -126,6 +126,14 @@ class GroupRingElement:
     def aug(self) -> int:
         return sum(self.coeffs)
 
+    def bits(self) -> int:
+        """Bit length of the largest coefficient.
+
+        Error messages report this rather than repr, which fails once a
+        coefficient passes the interpreter's int-to-string digit limit.
+        """
+        return max(abs(a).bit_length() for a in self.coeffs)
+
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
@@ -232,7 +240,9 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
     lat = shift_lattice([d])
     q = lat.express(x.coeffs)
     if q is None:
-        raise NotDivisible(f"{x!r} is not a multiple of {d!r}")
+        raise NotDivisible(
+            f"a {x.bits()}-bit element is not a multiple of the {d.bits()}-bit divisor"
+        )
     kernel = lat.kernel()
     if kernel:
         q = ZLattice(kernel, m, transform=False).reduce(q)
@@ -357,7 +367,7 @@ class NormData:
             q = x * self.v + (self.a * k) * GroupRingElement.norm(self.m)
             if self.u * q == x:
                 return q
-        raise NotDivisible(f"{x!r} is not a multiple of {self.u!r}")
+        raise NotDivisible(f"a {x.bits()}-bit element is not a multiple of u")
 
     def positive_variant(self, parity: Optional[int] = None) -> tuple[GroupRingElement, int, int]:
         """The companion identity u*v2 + a2*s = 1 with b2*l + a2*m = 1, b2 > 0.
@@ -431,17 +441,34 @@ def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:
     return shift_lattice(elems, transform=False).contains(one)
 
 
+_NOT_WHOLE = "ideal plus the norm ideal is not the whole ring"
+
+
 def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     """Normalize an ideal A with A + (s) = Lambda to its principal form.
 
     Returns NormData (u, l, v, a, b): l is the positive generator of aug(A),
     u = 1 + gen + ... + gen^(l-1) satisfies u*Lambda = A, and u*v = 1 - a*s.
+    Raises PreconditionFailed when A + (s) is not Lambda.
+    """
+    return _normalize(generators, bezout=False)[0]
 
-    A + (s) = Lambda holds iff gcd(l, m) = 1, the index [Lambda : A] is l
-    and u lies in A. Then u*Lambda, of index |det mult(u)| = l, lies in A,
-    so A = u*Lambda and 1 = u*v + a*s lies in A + (s). Conversely
-    A + (s) = Lambda forces A = u*Lambda. Index and membership are read off
-    one Hermite form without transform.
+
+def _normalize(
+    generators: Sequence[GroupRingElement], *, bezout: bool
+) -> tuple[NormData, list[GroupRingElement], Optional[list[GroupRingElement]]]:
+    """ideal_normalize, also returning the quotients generators[i] / u.
+
+    A + (s) = Lambda holds iff gcd(l, m) = 1 and the quotients generate
+    Lambda. When gcd(l, m) = 1, u*Lambda has index |det mult(u)| = l and
+    lies in {x : l divides aug(x)}, of index l too, so the two agree and u
+    divides every generator; the divisions are closed forms
+    (NormData.divide). If the quotients generate Lambda, A = u*Lambda and
+    1 = u*v + a*s lies in A + (s). Conversely A + (s) = Lambda forces
+    A = u*Lambda; as u is not a zero divisor, u = u*t with t in the
+    quotients' ideal gives t = 1. The quotients' ideal is one Hermite form.
+    With bezout set, that form keeps its transform, and ring coefficients
+    p_i with sum p_i * quotients[i] = 1 come back as well; otherwise None.
     """
     if not generators:
         raise Degenerate("no generators")
@@ -451,17 +478,8 @@ def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     l = 0
     for gx in generators:
         l = math.gcd(l, gx.aug())
-    whole = math.gcd(l, m) == 1
-    if whole:
-        lat_a = shift_lattice(generators, transform=False)
-        u = GroupRingElement.geometric(m, l)
-        whole = (
-            lat_a.rank == m
-            and math.prod(lat_a.hnf[k][k] for k in range(m)) == l
-            and lat_a.contains(u.coeffs)
-        )
-    if not whole:
-        raise PreconditionFailed("ideal plus the norm ideal is not the whole ring")
+    if math.gcd(l, m) != 1:
+        raise PreconditionFailed(_NOT_WHOLE)
     b = (-pow(l, -1, m)) % m
     if b == 0:
         b = m
@@ -470,10 +488,19 @@ def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     c = [0] * m
     for j in range(b):
         c[(1 + j * l) % m] -= 1
-    v = GroupRingElement(m, c)
-    data = NormData(u=u, v=v, l=l, a=a, b=b)
+    u = GroupRingElement.geometric(m, l)
+    data = NormData(u=u, v=_trusted(m, tuple(c)), l=l, a=a, b=b)
     assert data.verify()
-    return data
+    quotients = [data.divide(gx) for gx in generators]
+    if bezout:
+        pair = ideal_express(quotients, GroupRingElement.one(m))
+        whole = pair is not None
+    else:
+        pair = None
+        whole = ideal_contains_one(quotients)
+    if not whole:
+        raise PreconditionFailed(_NOT_WHOLE)
+    return data, quotients, pair
 
 
 def divide_by_one_minus_gen(x: GroupRingElement) -> GroupRingElement:
@@ -484,5 +511,7 @@ def divide_by_one_minus_gen(x: GroupRingElement) -> GroupRingElement:
     canonical representative as exact_divide.
     """
     if x.aug() != 0:
-        raise NotDivisible(f"{x!r} is not a multiple of 1 - gen")
+        raise NotDivisible(
+            f"a {x.bits()}-bit element of nonzero augmentation is not a multiple of 1 - gen"
+        )
     return _trusted(x.m, (0,) + tuple(accumulate(x.coeffs[1:])))

@@ -168,3 +168,63 @@ def transform_certifies(rows, H, U):
         if got != list(H[i]):
             return False
     return True
+
+
+def hyperbolic_gram(m, rank, eps):
+    """Gram matrix of H^rank_eps as coefficient tuples: G[k][r+k] = 1, G[r+k][k] = eps."""
+    n = 2 * rank
+    zero = (0,) * m
+    G = [[zero] * n for _ in range(n)]
+    for k in range(rank):
+        G[k][rank + k] = (1,) + (0,) * (m - 1)
+        G[rank + k][k] = (eps,) + (0,) * (m - 1)
+    return G
+
+
+def _conj_transpose(m, M):
+    n = len(M)
+    return [[conj_coeffs(m, M[j][i]) for j in range(n)] for i in range(n)]
+
+
+def gram_inverse(m, rank, eps, M):
+    """G^T * conj(M)^T * G, every product computed densely."""
+    G = hyperbolic_gram(m, rank, eps)
+    Gt = [list(r) for r in zip(*G)]
+    return dense_ring_matmul(m, dense_ring_matmul(m, Gt, _conj_transpose(m, M)), G)
+
+
+def in_form_parameter(m, c, kind):
+    """Membership in the form parameter, from its spanning set.
+
+    TILDE and PLUS are spanned by w + conj(w) (plus 1 for TILDE), MINUS by
+    w - conj(w): pair up coefficients i and m - i and read the fixed points
+    0 and m/2 off the spanning elements.
+    """
+    sign = -1 if kind == "MINUS" else 1
+    for i in range(1, m):
+        if c[i] != sign * c[m - i]:
+            return False
+    fixed = [0] + ([m // 2] if m % 2 == 0 else [])
+    for i in fixed:
+        if kind == "MINUS" and c[i] != 0:
+            return False
+        if kind != "MINUS" and c[i] % 2 and not (kind == "TILDE" and i == 0):
+            return False
+    return True
+
+
+def is_isometry(m, rank, eps, kind, M):
+    """M^T G conj(M) == G, and every column's mu lift lies in the parameter."""
+    G = hyperbolic_gram(m, rank, eps)
+    Mt = [list(r) for r in zip(*M)]
+    Mbar = [[conj_coeffs(m, x) for x in row] for row in M]
+    if dense_ring_matmul(m, dense_ring_matmul(m, Mt, G), Mbar) != G:
+        return False
+    for j in range(2 * rank):
+        lift = (0,) * m
+        for k in range(rank):
+            term = poly_mul_fold(m, M[k][j], conj_coeffs(m, M[rank + k][j]))
+            lift = tuple(s + t for s, t in zip(lift, term))
+        if not in_form_parameter(m, lift, kind):
+            return False
+    return True

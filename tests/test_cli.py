@@ -126,6 +126,20 @@ def test_lagrangian_solve_past_the_digit_limit_is_an_error_document(capsys):
     _assert_digit_limit_error(code, out)
 
 
+def test_form_verify_failure_past_the_digit_limit_is_named(capsys):
+    # N has 3,000 digits, so det = N^2 has 6,000: the NotComplement
+    # message reports its size in bits rather than its digits
+    n = "9" * 3000
+    S = "[[[1,0],[0,0],[0,0],[0,0]],[[0,0],[1,0],[0,0],[0,0]]]"
+    U = f"[[[0,0],[0,0],[{n},0],[0,0]],[[0,0],[0,0],[0,0],[{n},0]]]"
+    code, out, _ = run(capsys, "--json", "form", "verify", "--m", "2", "--S", S, "--U", U)
+    assert code == 1
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "NotComplement"
+    assert "determinant" in doc["detail"] and "bits" in doc["detail"]
+
+
 def test_json_flag_builds_no_summary(capsys, monkeypatch):
     def fail(self):
         raise AssertionError("summary built under --json")

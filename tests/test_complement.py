@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from cyclact import intlattice
 from cyclact.complement import (
     Branch,
     EmbeddingSpec,
@@ -27,7 +28,12 @@ from cyclact.forms import (
     mu_eval,
     verify_lagrangian_complement,
 )
-from cyclact.groupring import FormParameterKind, GroupRingElement, ideal_contains_one
+from cyclact.groupring import (
+    FormParameterKind,
+    GroupRingElement,
+    ideal_contains_one,
+    ideal_express,
+)
 from cyclact.intlattice import ZLattice
 
 
@@ -166,13 +172,22 @@ def test_certificates_hold_for_all_branch_examples():
         assert det * dinv == GroupRingElement.one(spec.m)
 
 
+def bezout(x):
+    """(p, q) with p*x1 + q*x2 = 1, from the shift lattice of x's entries."""
+    return ideal_express(list(x.coords), GroupRingElement.one(x.m))
+
+
+def transport(Q, x, y):
+    return rank2_vector_isometry(Q, x, y, bezout(x), bezout(y))
+
+
 def test_rank2_vector_isometry_identity_and_shear():
     m = 4
     Q = QuadraticModule(m, 1, -1, FormParameterKind.TILDE)
     x = RingVector([el(m, 1), el(m, 0)])
-    assert rank2_vector_isometry(Q, x, x).rows[0][0] == el(m, 1)
+    assert transport(Q, x, x).rows[0][0] == el(m, 1)
     y = RingVector([el(m, 1), el(m, 0, 1, 0, 1)])
-    M = rank2_vector_isometry(Q, x, y)
+    M = transport(Q, x, y)
     assert M * x == y
     assert isometry_check(Q, M)
 
@@ -182,11 +197,14 @@ def test_rank2_vector_isometry_rejects_invariant_mismatches():
     Q = QuadraticModule(m, 1, -1, FormParameterKind.TILDE)
     x = RingVector([el(m, 1), el(m, 0)])
     with pytest.raises(PreconditionFailed):
-        rank2_vector_isometry(Q, x, RingVector([el(m, 1), el(m, 0, 0, 1)]))
+        transport(Q, x, RingVector([el(m, 1), el(m, 0, 0, 1)]))
     with pytest.raises(PreconditionFailed):
-        rank2_vector_isometry(Q, x, RingVector([el(m, 1), el(m, 0, 1)]))
-    with pytest.raises(PreconditionFailed):
-        rank2_vector_isometry(Q, RingVector([el(m, 2), el(m, 0)]), x)
+        transport(Q, x, RingVector([el(m, 1), el(m, 0, 1)]))
+    # (2, 0) is not primitive, so every claimed Bezout pair fails the check
+    with pytest.raises(PreconditionFailed, match="Bezout"):
+        rank2_vector_isometry(
+            Q, RingVector([el(m, 2), el(m, 0)]), x, (el(m, 1), el(m, 0)), bezout(x)
+        )
 
 
 def test_rank2_vector_isometry_rejects_non_isotropic_source():
@@ -197,7 +215,7 @@ def test_rank2_vector_isometry_rejects_non_isotropic_source():
     x = RingVector([el(m, 1), el(m, 0, 1)])
     y = x.scaled(GroupRingElement.gen(m))
     with pytest.raises(PreconditionFailed, match="isotropic"):
-        rank2_vector_isometry(Q, x, y)
+        transport(Q, x, y)
 
 
 def test_rank2_vector_isometry_generic_transport():
@@ -209,7 +227,7 @@ def test_rank2_vector_isometry_generic_transport():
         k = rng.randrange(m)
         u = GroupRingElement.gen(m, k)
         y = RingVector([u, el(m, 0)])
-        M = rank2_vector_isometry(Q, x, y)
+        M = transport(Q, x, y)
         assert M * x == y
         assert isometry_check(Q, M)
 
@@ -357,7 +375,7 @@ def test_rank2_vector_isometry_transports_every_form_parameter():
                 assert lambda_eval(Q, x, x).is_zero()
                 if mu_eval(Q, x) != mu_eval(Q, y):
                     continue
-                M = rank2_vector_isometry(Q, x, y)
+                M = transport(Q, x, y)
                 assert M * x == y
                 assert isometry_check(Q, M)
                 pairs += 1
@@ -379,7 +397,7 @@ def test_rank2_vector_isometry_when_the_completions_need_a_shear(kind, x, y):
     Q = QuadraticModule(m, 1, -1, kind)
     x = RingVector([el(m, *c) for c in x])
     y = RingVector([el(m, *c) for c in y])
-    M = rank2_vector_isometry(Q, x, y)
+    M = transport(Q, x, y)
     assert M * x == y
     assert isometry_check(Q, M)
 
@@ -401,3 +419,33 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
         assert time.perf_counter() - t0 < 1.0
     assert rng.getstate() == state
 
+
+
+def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
+    # odd-m: the unit-ideal check of validate and the normalization, whose
+    # transform also gives the source's Bezout pair; even-m adds the
+    # three-term solve; even-n decides everything by augmentations
+    budgets = [
+        (Branch.ODD_M_SKEW, (3, 5, 7), 2),
+        (Branch.EVEN_M_SKEW, (2, 4), 3),
+        (Branch.EVEN_N_SYM, (2, 3, 4), 0),
+    ]
+    rng = random.Random(61)
+    cases = [
+        (sample_spec(branch, m, rng), budget)
+        for branch, moduli, budget in budgets
+        for m in moduli
+        for _ in range(15)
+    ]
+    real = intlattice.row_hnf_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intlattice, "row_hnf_transform", counted)
+    for spec, budget in cases:
+        calls.clear()
+        solve(spec)
+        assert len(calls) <= budget, (spec.to_json(), len(calls))

@@ -25,7 +25,7 @@ from cyclact.forms import (
 )
 from cyclact.groupring import FormParameterKind, GroupRingElement, param_reduce
 
-from oracles import dense_ring_matmul, leibniz_det
+from oracles import dense_ring_matmul, gram_inverse, is_isometry, leibniz_det
 
 
 def el(m, *coeffs):
@@ -396,3 +396,101 @@ def test_vector_matrix_json_roundtrip():
     Q = tilde(m)
     M = transvection(Q, ("e1", "f2"), el(m, 1, 1))
     assert RingMatrix.from_json(M.to_json()) == M
+
+
+FORMS = [
+    (-1, FormParameterKind.TILDE),
+    (-1, FormParameterKind.PLUS),
+    (1, FormParameterKind.MINUS),
+]
+
+
+def _elementary_isometry(rng, Q):
+    """A random generator of the isometry group of Q: a shear, a cross
+    transvection (rank 2), a trivial-unit scaling or a hyperbolic swap."""
+    m, r = Q.m, Q.rank
+    i = rng.randrange(r) + 1
+    op = rng.randrange(4 if r == 2 else 3)
+    if op == 0:
+        # conj(c) = -eps*c, and c = w - eps*conj(w) has class 0
+        w = rand_el(rng, m)
+        base = (f"e{i}", f"f{i}") if rng.randrange(2) else (f"f{i}", f"e{i}")
+        return transvection(Q, base, w - w.conj() * Q.eps)
+    rows = [list(row) for row in RingMatrix.identity(Q.dim, m).rows]
+    e, f = i - 1, r + i - 1
+    if op == 1:
+        # e_i -> t e_i, f_i -> t f_i with t = +-g^k, so t*conj(t) = 1
+        t = GroupRingElement.gen(m, rng.randrange(m)) * rng.choice((1, -1))
+        rows[e][e] = rows[f][f] = t
+    elif op == 2:
+        # e_i -> f_i, f_i -> eps*e_i
+        zero = GroupRingElement.zero(m)
+        rows[e][e] = rows[f][f] = zero
+        rows[f][e] = GroupRingElement.one(m)
+        rows[e][f] = GroupRingElement.integer(m, Q.eps)
+    else:
+        return transvection(Q, rng.choice((("e1", "f2"), ("e2", "f1"))), rand_el(rng, m))
+    return RingMatrix(rows)
+
+
+def _random_isometry(rng, Q):
+    M = RingMatrix.identity(Q.dim, Q.m)
+    for _ in range(rng.randint(1, 4)):
+        M = M * _elementary_isometry(rng, Q)
+    return M
+
+
+def _tuples(M):
+    return [[x.coeffs for x in row] for row in M.rows]
+
+
+def _modules():
+    for m in range(2, 13):
+        for rank in (1, 2):
+            for eps, kind in FORMS:
+                yield QuadraticModule(m, rank, eps, kind)
+
+
+def test_isometry_inverse_matches_the_gram_product_and_the_adjugate():
+    rng = random.Random(71)
+    for Q in _modules():
+        for _ in range(2):
+            M = _random_isometry(rng, Q)
+            inv = isometry_inverse(Q, M)
+            assert _tuples(inv) == gram_inverse(Q.m, Q.rank, Q.eps, _tuples(M))
+            assert inv == M.inverse()
+            assert M * inv == RingMatrix.identity(Q.dim, Q.m)
+
+
+def test_isometry_check_agrees_with_the_definition():
+    rng = random.Random(73)
+    seen = {True: 0, False: 0}
+    for Q in _modules():
+        M = _random_isometry(rng, Q)
+        candidates = [M]
+        # one entry moved by a small element: mostly breaks the Gram matrix
+        rows = [list(row) for row in M.rows]
+        i, j = rng.randrange(Q.dim), rng.randrange(Q.dim)
+        rows[i][j] = rows[i][j] + rand_el(rng, Q.m, 1)
+        candidates.append(RingMatrix(rows))
+        # an f_1 -> f_1 + c*e_1 shear with conj(c) = -eps*c keeps the Gram
+        # matrix; it keeps mu exactly when c's class vanishes
+        rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
+        w = rand_el(rng, Q.m)
+        c = w - w.conj() * Q.eps
+        if Q.eps == -1:
+            # 1 has class 0 under TILDE only, g^(m/2) under neither
+            middle = (0, Q.m // 2) if Q.m % 2 == 0 else (0,)
+            c = c + GroupRingElement.gen(Q.m, rng.choice(middle))
+        rows[0][Q.rank] = c
+        candidates.append(M * RingMatrix(rows))
+        # e_1 -> e_1 + w*f_1 for a random w keeps every lambda(M e_i, M e_j)
+        # with i != j; lambda(e_1, e_1) becomes conj(w) + eps*w
+        rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
+        rows[Q.rank][0] = w
+        candidates.append(M * RingMatrix(rows))
+        for cand in candidates:
+            want = is_isometry(Q.m, Q.rank, Q.eps, Q.kind.value, _tuples(cand))
+            assert isometry_check(Q, cand) == want
+            seen[want] += 1
+    assert seen[True] >= 70 and seen[False] >= 130

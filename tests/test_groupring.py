@@ -10,6 +10,7 @@ from cyclact.errors import Degenerate, NotDivisible, PreconditionFailed
 from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
+    NormData,
     augmentation,
     divide_by_one_minus_gen,
     exact_divide,
@@ -461,3 +462,50 @@ def test_constructor_validates_instead_of_coercing():
             GroupRingElement.integer(3, n)
     with pytest.raises(PreconditionFailed):
         GroupRingElement.norm(1)
+
+
+def test_division_errors_report_bits_past_the_digit_limit():
+    # repr of a 5,000-digit coefficient passes the int-to-string digit
+    # limit; each error must still come out as the named error
+    huge = 10**5000 + 1
+    with pytest.raises(NotDivisible, match="16610-bit"):
+        exact_divide(GroupRingElement(2, [huge, 0]), GroupRingElement(2, [2, 0]))
+    with pytest.raises(NotDivisible):
+        divide_by_one_minus_gen(GroupRingElement(3, [huge, 0, 0]))
+    norm = ideal_normalize([el(5, 1, 1)])
+    with pytest.raises(NotDivisible):
+        norm.divide(GroupRingElement(5, [huge, 0, 0, 0, 0]))
+    # l = 10^5000 + 1 is prime to 3, but (l) + (s) is not the whole ring
+    with pytest.raises(PreconditionFailed, match="not the whole ring"):
+        ideal_normalize([GroupRingElement(3, [huge, 0, 0])])
+
+
+def test_ideal_normalize_accepts_exactly_the_ideals_prime_to_the_norm():
+    # generators u_l * w_i are accepted iff the w_i generate the unit
+    # ideal; mixed with random ones, over a quarter of the ideals are accepted
+    rng = random.Random(59)
+    accepted = 0
+    for _ in range(400):
+        m = rng.randint(2, 12)
+        gens = [_rand(rng, m, 2) for _ in range(rng.randint(1, 2))]
+        if rng.randrange(4):
+            l = rng.choice([l for l in range(1, 2 * m) if math.gcd(l, m) == 1])
+            gens = [GroupRingElement.geometric(m, l) * w for w in gens]
+        if all(w.is_zero() for w in gens):
+            continue
+        s = GroupRingElement.norm(m)
+        if not ideal_contains_one(gens + [s]):
+            with pytest.raises(PreconditionFailed, match=NOT_WHOLE):
+                ideal_normalize(gens)
+            continue
+        accepted += 1
+        # the fields follow from l alone: b*l = -1 mod m with 0 < b <= m,
+        # a = (1 + b*l)/m and v = -g*(1 + g^l + ... + g^((b-1)l))
+        l = math.gcd(*(w.aug() for w in gens))
+        b = next(b for b in range(1, m + 1) if (b * l + 1) % m == 0)
+        v = GroupRingElement.zero(m)
+        for j in range(b):
+            v = v - GroupRingElement.gen(m, 1 + j * l)
+        want = NormData(GroupRingElement.geometric(m, l), v, l, (1 + b * l) // m, b)
+        assert ideal_normalize(gens) == want
+    assert accepted >= 100
