@@ -258,8 +258,31 @@ def _cmd_selftest(args) -> int:
     return 1 if summary.failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors raised as PreconditionFailed, not exit 2.
+
+    Exit 2 is census's "no symmetry", so a malformed command line ends like
+    any other bad input: exit 1 with one error document. argparse quotes
+    the offending text after these markers; the detail stops at them.
+    """
+
+    _ECHOES = (
+        "invalid int value",
+        "invalid choice",
+        "unrecognized arguments",
+        "ambiguous option",
+    )
+
+    def error(self, message):
+        for marker in self._ECHOES:
+            at = message.find(marker)
+            if at >= 0:
+                message = message[: at + len(marker)]
+        raise PreconditionFailed(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cyclact")
+    p = _Parser(prog="cyclact")
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     p.add_argument("--json", action="store_true", help="suppress human output")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
@@ -355,8 +378,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # what _emit reads of the arguments, should they not parse
+    args = argparse.Namespace(json="--json" in argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except CyclactError as exc:
         name = type(exc).__name__

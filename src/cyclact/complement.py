@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     AugmentationObstruction,
+    Degenerate,
     DimensionMismatch,
     ModulusMismatch,
     NormalizationFailed,
@@ -44,9 +45,10 @@ from .groupring import (
     NormData,
     _normalize,
     divide_by_one_minus_gen,
+    express_on,
     ideal_contains_one,
-    ideal_express,
     param_reduce,
+    shift_lattice,
 )
 from .intlattice import ZLattice
 
@@ -69,6 +71,9 @@ _BRANCH_FORM = {
     Branch.EVEN_M_SKEW: (-1, FormParameterKind.TILDE),
     Branch.EVEN_N_SYM: (1, FormParameterKind.MINUS),
 }
+
+
+_SKEW_NOT_UNIT = "a2, b2 and the norm element must generate the unit ideal"
 
 
 def _check_modulus_parity(branch: Branch, m: int) -> None:
@@ -114,6 +119,20 @@ class EmbeddingSpec:
 
     def validate(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
+        Q, v1, v2 = self._check_before_ideal()
+        if self.branch is not Branch.EVEN_N_SYM:
+            s = GroupRingElement.norm(self.m)
+            if not ideal_contains_one([self.a2, s, self.b2]):
+                raise PreconditionFailed(_SKEW_NOT_UNIT)
+        return Q, v1, v2
+
+    def _check_before_ideal(self) -> tuple[QuadraticModule, RingVector, RingVector]:
+        """validate, up to the skew branches' unit-ideal test.
+
+        The skew solvers answer that test, in validate's order and with its
+        message, from a Hermite form they build anyway; the sampler's
+        random arm has answered it before drawing a1.
+        """
         _check_modulus_parity(self.branch, self.m)
         Q = self.module()
         v1, v2 = self.vectors()
@@ -132,14 +151,8 @@ class EmbeddingSpec:
                 raise PreconditionFailed(
                     "a2, b2 and 1-g must generate the unit ideal"
                 )
-        else:
-            if not lam.is_zero():
-                raise PreconditionFailed("lambda(v2, v2) must vanish")
-            s = GroupRingElement.norm(self.m)
-            if not ideal_contains_one([self.a2, s, self.b2]):
-                raise PreconditionFailed(
-                    "a2, b2 and the norm element must generate the unit ideal"
-                )
+        elif not lam.is_zero():
+            raise PreconditionFailed("lambda(v2, v2) must vanish")
         return Q, v1, v2
 
     def to_json(self) -> dict:
@@ -347,22 +360,22 @@ def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
     return w1, w2
 
 
-def _skew_transport(Q: QuadraticModule, v2: RingVector, parity: Optional[int]):
-    """Normalize v2's (e2, f2) coefficients and transport them to (v, s).
+def _skew_transport(
+    Q: QuadraticModule, v2: RingVector, parity: Optional[int], normalized
+):
+    """Transport v2's normalized (e2, f2) coefficients to (v, s).
 
-    The ideal (a2, b2) is normalized to u*Lambda, and x = (a2/u, b2/u) is
-    moved onto y = (v, s) from the companion identity u*v + a*s = 1, with
-    the parity of aug(v) chosen as in NormData.positive_variant. The
-    normalization's Hermite form yields x's Bezout pair, and the identity
-    is y's pair (u, a). Returns the ideal data, the ambient transport Phi,
-    Phi * v2, and the standard complement of the normalized pair pulled
-    back by Phi^-1.
+    normalized is _normalize([v2[1], v2[3]], bezout=True): the ideal
+    (a2, b2) as u*Lambda, the quotients x = (a2/u, b2/u) and x's Bezout
+    pair from the normalization's Hermite form. x is moved onto y = (v, s)
+    from the companion identity u*v + a*s = 1, with the parity of aug(v)
+    chosen as in NormData.positive_variant; the identity is y's pair
+    (u, a). Returns the ideal data, the ambient transport Phi, Phi * v2,
+    and the standard complement of the normalized pair pulled back by
+    Phi^-1.
     """
     m = Q.m
-    try:
-        norm, quotients, pair_x = _normalize([v2[1], v2[3]], bezout=True)
-    except PreconditionFailed as exc:
-        raise NormalizationFailed(str(exc)) from exc
+    norm, quotients, pair_x = normalized
     Q1 = _block_module(Q)
     x = RingVector(quotients)
     v_t, a_t, _ = norm.positive_variant(parity)
@@ -384,8 +397,14 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the odd-modulus skew branch."""
     if spec.branch is not Branch.ODD_M_SKEW:
         raise PreconditionFailed("spec branch is not odd-m")
-    Q, v1, v2 = spec.validate()
-    norm, Phi, v2n, U = _skew_transport(Q, v2, None)
+    Q, v1, v2 = spec._check_before_ideal()
+    # (a2, b2) + (s) = Lambda, validate's unit-ideal test, holds iff the
+    # normalization succeeds; a2 = b2 = 0 fails it as Degenerate
+    try:
+        normalized = _normalize([v2[1], v2[3]], bezout=True)
+    except (Degenerate, PreconditionFailed):
+        raise PreconditionFailed(_SKEW_NOT_UNIT) from None
+    norm, Phi, v2n, U = _skew_transport(Q, v2, None, normalized)
     return SolverTrace(
         branch=spec.branch,
         steps=(TraceStep("vector-transport", "ambient", Phi),),
@@ -401,9 +420,15 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the even-modulus skew branch."""
     if spec.branch is not Branch.EVEN_M_SKEW:
         raise PreconditionFailed("spec branch is not even-m")
-    Q, v1, v2_in = spec.validate()
+    Q, v1, v2_in = spec._check_before_ideal()
     m = spec.m
     s = GroupRingElement.norm(m)
+    # one Hermite form of (a2, s, b2) answers validate's unit-ideal test
+    # and the three-term solve below, as the basis change v2 -> v1 + v2
+    # leaves a2 and b2 as they are
+    ideal = shift_lattice([v2_in[1], s, v2_in[3]])
+    if not ideal.contains(GroupRingElement.one(m).coeffs):
+        raise PreconditionFailed(_SKEW_NOT_UNIT)
     steps = []
 
     # Ensure the mu class of v2 is [g^half]; a basis change v2 -> v1 + v2
@@ -419,7 +444,7 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
         if mu_eval(Q, v2) != target_class:
             raise ParityObstruction("mu class of v2 cannot be normalized")
 
-    combo = ideal_express([v2[1], s, v2[3]], -v2[0])
+    combo = express_on(ideal, -v2[0])
     if combo is None:
         raise NormalizationFailed("coefficient equation has no solution")
     r_el, _k_el, t_el = combo
@@ -433,7 +458,11 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     head = v2[0]
     if any(c != head.coeffs[0] for c in head.coeffs):
         raise NormalizationFailed("e1 coefficient did not reduce to a norm multiple")
-    norm, Phi, v2n, U = _skew_transport(Q, v2, 1)
+    try:
+        normalized = _normalize([v2[1], v2[3]], bezout=True)
+    except PreconditionFailed as exc:
+        raise NormalizationFailed(str(exc)) from exc
+    norm, Phi, v2n, U = _skew_transport(Q, v2, 1, normalized)
     steps.append(TraceStep("vector-transport", "ambient", Phi))
     U = _pull_back(
         U,
@@ -575,6 +604,7 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
     one = GroupRingElement.one(m)
     g = GroupRingElement.gen(m)
     for attempt in range(500):
+        ideal_settled = False
         if branch is Branch.EVEN_N_SYM:
             w1 = _random_element(rng, m)
             w2 = _random_element(rng, m)
@@ -597,6 +627,8 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
                 continue
             a1 = _random_element(rng, m)
             spec = EmbeddingSpec(m, branch, a1, a2, b2)
+            # validate would rebuild the lattice just built
+            ideal_settled = True
         else:
             w1, w2 = _skew_pair_sample(rng, m)
             ls = [l for l in range(1, m) if math.gcd(l, m) == 1]
@@ -604,7 +636,10 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
             a1 = _random_element(rng, m)
             spec = EmbeddingSpec(m, branch, a1, u * w1, u * w2)
         try:
-            spec.validate()
+            if ideal_settled:
+                spec._check_before_ideal()
+            else:
+                spec.validate()
         except (PreconditionFailed, AugmentationObstruction):
             continue
         return spec

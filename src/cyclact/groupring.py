@@ -29,7 +29,9 @@ class GroupRingElement:
         _check_modulus(m)
         coeffs = tuple(coeffs)
         if len(coeffs) != m:
-            raise PreconditionFailed(f"coefficients must be a list of length {m}")
+            raise PreconditionFailed(
+                f"coefficients must be a list of length {_int_text(m)}"
+            )
         for c in coeffs:
             if type(c) is not int:
                 raise PreconditionFailed(f"coefficient {c!r} is not an integer")
@@ -98,13 +100,26 @@ class GroupRingElement:
             return _trusted(self.m, tuple(other * a for a in self.coeffs))
         self._require_same(other)
         m = self.m
+        # the outer loop runs over the sparser factor; one with a single
+        # nonzero coefficient (1, +-g^k, an integer) rotates and scales
+        xs, ys = self.coeffs, other.coeffs
+        zeros, y_zeros = xs.count(0), ys.count(0)
+        if zeros < y_zeros:
+            xs, ys, zeros = ys, xs, y_zeros
+        if zeros == m - 1:
+            for i, a in enumerate(xs):
+                if a:
+                    break
+            rotated = ys[m - i :] + ys[: m - i]
+            return _trusted(m, rotated if a == 1 else tuple([a * b for b in rotated]))
         out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % m] += a * b
+        # g^i * y has y's coefficients from index m - i on, cyclically
+        yy = ys + ys
+        for i, a in enumerate(xs):
+            if a:
+                for k, b in enumerate(yy[m - i : 2 * m - i]):
+                    if b:
+                        out[k] += a * b
         return _trusted(m, tuple(out))
 
     def __rmul__(self, other):
@@ -181,7 +196,19 @@ class GroupRingElement:
 
 def _check_modulus(m: int) -> None:
     if type(m) is not int or m < 2:
-        raise PreconditionFailed(f"modulus must be an integer >= 2, got {m!r}")
+        got = _int_text(m) if type(m) is int else repr(m)
+        raise PreconditionFailed(f"modulus must be an integer >= 2, got {got}")
+
+
+def _int_text(n: int) -> str:
+    """n for an error message; past 64 bits, its size in bits.
+
+    str fails past the interpreter's int-to-string digit limit.
+    """
+    bits = n.bit_length()
+    if bits <= 64:
+        return str(n)
+    return f"<{'negative ' if n < 0 else ''}{bits}-bit integer>"
 
 
 _new_element = object.__new__
@@ -427,11 +454,22 @@ def ideal_express(
     elems: Sequence[GroupRingElement], target: GroupRingElement
 ) -> Optional[list[GroupRingElement]]:
     """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
+    return express_on(shift_lattice(elems), target)
+
+
+def express_on(
+    lattice: ZLattice, target: GroupRingElement
+) -> Optional[list[GroupRingElement]]:
+    """ideal_express on lattice = shift_lattice(elems), built by the caller.
+
+    One lattice built with its transform then answers both membership
+    (lattice.contains) and expression, from one Hermite form.
+    """
     m = target.m
-    combo = shift_lattice(elems).express(target.coeffs)
+    combo = lattice.express(target.coeffs)
     if combo is None:
         return None
-    return [_trusted(m, tuple(combo[i * m : (i + 1) * m])) for i in range(len(elems))]
+    return [_trusted(m, tuple(combo[i : i + m])) for i in range(0, len(combo), m)]
 
 
 def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:

@@ -24,6 +24,10 @@ def row_hnf_transform(
     with nearest-integer quotients (Cohen, GTM 138, section 2.4): each round
     leaves every other entry at most half the pivot in size, which keeps U
     small.
+
+    A row operation touches only the pivot row's nonzero entries, updating
+    the other row in place: U starts as the identity, so its part of a
+    working row stays mostly zeros.
     """
     n = len(rows)
     for r in rows:
@@ -35,6 +39,7 @@ def row_hnf_transform(
         list(r) + ([0] * i + [1] + [0] * (n - 1 - i) if transform else [])
         for i, r in enumerate(rows)
     ]
+    width = ncols + (n if transform else 0)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -43,21 +48,30 @@ def row_hnf_transform(
             piv = min(live, key=lambda i: abs(w[i][col]))
             p = w[piv]
             b = p[col]
+            # rows from `row` on are zero before col
+            support = [(j, p[j]) for j in range(col, width) if p[j]]
             for i in live:
-                q = (2 * w[i][col] + b) // (2 * b)
+                wi = w[i]
+                q = (2 * wi[col] + b) // (2 * b)
                 if i != piv and q:
-                    w[i] = [x - q * y for x, y in zip(w[i], p)]
+                    for j, y in support:
+                        wi[j] -= q * y
             live = [i for i in live if w[i][col]]
         if not live:
             continue
         w[live[0]], w[row] = w[row], w[live[0]]
-        if w[row][col] < 0:
-            w[row] = [-x for x in w[row]]
         p = w[row]
+        if p[col] < 0:
+            for j in range(col, width):
+                p[j] = -p[j]
+        support = [(j, p[j]) for j in range(col, width) if p[j]]
+        b = p[col]
         for i in range(row):
-            q = w[i][col] // p[col]
+            wi = w[i]
+            q = wi[col] // b
             if q:
-                w[i] = [x - q * y for x, y in zip(w[i], p)]
+                for j, y in support:
+                    wi[j] -= q * y
         pivots.append(col)
         row += 1
     h = [r[:ncols] for r in w]

@@ -323,3 +323,39 @@ def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):
     assert code == 1
     assert json.loads(out)["error"] == error
     assert err == ""
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["ring", "mul", "--m", "abc", "--x", "[1]", "--y", "[1]"], "abc"),
+        (["ring", "mul", "--m", HUGE, "--x", "[1]", "--y", "[1]"], HUGE),
+        (["census", "--n", "8", "--m", "7", "--g", "zzz"], "zzz"),
+        (["lagrangian", "solve", "--branch", "odd-m", "--spec", "{}"], None),
+        (["lagrangian", "sweep", "--branch", "qqq", "--m", "3"], "qqq"),
+        (["ring", "mul", "--m", "3", "--x", "[1,0,0]", "--y", "[1,0,0]", "--www"],
+         "--www"),
+    ],
+    ids=["junk-m", "huge-m", "junk-g", "missing-m", "bad-branch", "unknown-flag"],
+)
+def test_malformed_command_lines_exit_one_with_an_error_document(capsys, argv, bad):
+    # exit 2 is census's "no symmetry", and the usage text is not a document
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "detail"}
+    assert doc["error"] == "PreconditionFailed"
+    assert err == ""
+    if bad is None:
+        assert "required" in doc["detail"]
+    else:
+        assert bad not in doc["detail"]
+        assert len(doc["detail"]) < 200
+    # without --json the summary goes to stderr, the document still to stdout
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and json.loads(out) == doc
+    assert err.startswith("error: PreconditionFailed")

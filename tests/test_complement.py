@@ -422,12 +422,13 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
 
 
 def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
-    # odd-m: the unit-ideal check of validate and the normalization, whose
-    # transform also gives the source's Bezout pair; even-m adds the
+    # odd-m: the normalization alone, which decides validate's unit-ideal
+    # test and whose transform gives the source's Bezout pair; even-m adds
+    # one form of (a2, s, b2) for both the unit-ideal test and the
     # three-term solve; even-n decides everything by augmentations
     budgets = [
-        (Branch.ODD_M_SKEW, (3, 5, 7), 2),
-        (Branch.EVEN_M_SKEW, (2, 4), 3),
+        (Branch.ODD_M_SKEW, (3, 5, 7), 1),
+        (Branch.EVEN_M_SKEW, (2, 4), 2),
         (Branch.EVEN_N_SYM, (2, 3, 4), 0),
     ]
     rng = random.Random(61)
@@ -449,3 +450,50 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
         calls.clear()
         solve(spec)
         assert len(calls) <= budget, (spec.to_json(), len(calls))
+
+
+def _unit_ideal_failures(m):
+    """(a2, b2) with lambda(v2, v2) = 0 but (a2, s, b2) a proper ideal."""
+    g = GroupRingElement.gen(m)
+    one = GroupRingElement.one(m)
+    zero = GroupRingElement.zero(m)
+    sym = one + g + g.conj()
+    return [
+        (zero, zero),  # a2 = b2 = 0, which the normalization calls Degenerate
+        (GroupRingElement.integer(m, m), zero),  # l = m
+        (one - g, zero),  # l = 0
+        (zero, GroupRingElement.integer(m, 2 * m)),  # l = 2m
+        # l = 1, but Lambda / (s, 2 - g) = Z / (2^m - 1)
+        (2 * one - g, zero),
+        (2 * one - g, (2 * one - g) * sym),
+        (zero, 2 * one - g),
+    ]
+
+
+def test_solve_rejects_a_proper_unit_ideal_as_validate_does():
+    # the skew solvers answer validate's unit-ideal test from their own
+    # Hermite forms; the error class and message must stay validate's
+    cases = 0
+    for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
+        for m in moduli:
+            a1 = GroupRingElement(m, [1] + [0] * (m - 1))
+            for a2, b2 in _unit_ideal_failures(m):
+                spec = EmbeddingSpec(m, branch, a1, a2, b2)
+                v2 = spec.vectors()[1]
+                assert lambda_eval(spec.module(), v2, v2).is_zero()
+                with pytest.raises(PreconditionFailed) as by_validate:
+                    spec.validate()
+                with pytest.raises(PreconditionFailed) as by_solve:
+                    solve(spec)
+                assert type(by_solve.value) is type(by_validate.value)
+                assert str(by_solve.value) == str(by_validate.value)
+                assert "must generate the unit ideal" in str(by_solve.value)
+                cases += 1
+    assert cases == 42
+
+
+def test_spec_with_a_modulus_past_the_digit_limit_is_a_precondition_failure():
+    spec = {"branch": "odd-m", "a1": [], "a2": [], "b2": []}
+    for m in (10**5000, -(10**5000)):
+        with pytest.raises(PreconditionFailed, match="16610-bit"):
+            EmbeddingSpec.from_json(dict(spec, m=m))

@@ -509,3 +509,52 @@ def test_ideal_normalize_accepts_exactly_the_ideals_prime_to_the_norm():
         want = NormData(GroupRingElement.geometric(m, l), v, l, (1 + b * l) // m, b)
         assert ideal_normalize(gens) == want
     assert accepted >= 100
+
+
+def test_modulus_errors_report_bits_past_the_digit_limit():
+    # str of a 5,000-digit modulus passes the int-to-string digit limit;
+    # the error must still be PreconditionFailed, with the size in bits
+    huge = 10**5000
+    with pytest.raises(PreconditionFailed, match="negative 16610-bit"):
+        GroupRingElement(-huge, [])
+    with pytest.raises(PreconditionFailed, match="length <16610-bit"):
+        GroupRingElement(huge, [])
+    with pytest.raises(PreconditionFailed, match="16610-bit"):
+        GroupRingElement.norm(-huge)
+    # small moduli are still reported by value
+    with pytest.raises(PreconditionFailed, match="got -3$"):
+        GroupRingElement(-3, [])
+    with pytest.raises(PreconditionFailed, match="length 3$"):
+        GroupRingElement(3, [1])
+
+
+def _operand(rng, m, shape):
+    """A coefficient tuple of the given sparsity: monomial, sparse or dense."""
+    c = [0] * m
+    if shape == "zero":
+        return tuple(c)
+    if shape in ("one", "monomial", "integer"):
+        k = 0 if shape != "monomial" else rng.randrange(m)
+        c[k] = 1 if shape == "one" else rng.choice([-1, 1, -3, 2, 7])
+        return tuple(c)
+    if shape == "sparse":
+        for k in rng.sample(range(m), rng.randint(2, max(2, m // 2))):
+            c[k] = rng.choice([-2, -1, 1, 3])
+        return tuple(c)
+    bound = 2**80 if shape == "wide" else 4
+    return tuple(rng.randint(-bound, bound) for _ in range(m))
+
+
+def test_product_matches_the_plain_convolution_on_every_sparsity():
+    # the product loops over the sparser factor and rotates by a monomial;
+    # each pairing of operand shapes, both ways round, against the oracle
+    shapes = ("zero", "one", "integer", "monomial", "sparse", "dense", "wide")
+    rng = random.Random(67)
+    for m in range(2, 14):
+        for sx in shapes:
+            for sy in shapes:
+                for _ in range(2):
+                    xs, ys = _operand(rng, m, sx), _operand(rng, m, sy)
+                    got = GroupRingElement(m, xs) * GroupRingElement(m, ys)
+                    assert got.coeffs == poly_mul_fold(m, xs, ys), (m, sx, sy)
+                    assert type(got.coeffs) is tuple and len(got.coeffs) == m

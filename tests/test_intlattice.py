@@ -148,3 +148,31 @@ def test_det_int_matches_fraction_gaussian():
 def test_det_int_rejects_nonsquare():
     with pytest.raises(ValueError):
         det_int([[1, 2, 3], [4, 5, 6]])
+
+
+def test_identity_heavy_rows_keep_the_transform_and_the_form():
+    # rows that are mostly unit vectors, with a few dense rows, zero rows
+    # and repeats: the row updates touch only the pivot row's nonzero
+    # entries, so a skipped entry would show in U, H or the pivots
+    rng = random.Random(71)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        rows = []
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            rows.append([rng.choice([1, -1, 1, 2, -3]) if j == i else 0 for j in range(n)])
+        rows += _random_rows(rng, rng.randint(0, 3), n, -40, 40)
+        rows += [list(r) for r in rng.sample(rows, min(2, len(rows)))]
+        rows += [[0] * n for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        before = [list(r) for r in rows]
+        k = len(rows)
+        H, U, pivots = row_hnf_transform(rows, n)
+        assert rows == before
+        assert transform_certifies(rows, H, U)
+        assert abs(fraction_det(U)) == 1 and len(U) == k
+        for i in range(k):
+            got = [sum(U[i][j] * rows[j][c] for j in range(k)) for c in range(n)]
+            assert got == list(H[i])
+        H2, U2, pivots2 = row_hnf_transform(rows, n, transform=False)
+        assert (H2, pivots2, U2) == (H, pivots, [])
+        assert tuple(tuple(r) for r in H[: len(pivots)]) == naive_hnf(rows, n)
