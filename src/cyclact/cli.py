@@ -258,12 +258,17 @@ def _cmd_selftest(args) -> int:
     return 1 if summary.failed else 0
 
 
+class _Usage(Exception):
+    """-h/--help was given; main emits the help text as a document."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with its errors raised as PreconditionFailed, not exit 2.
+    """argparse that ends in one JSON document, never in its own exit.
 
     Exit 2 is census's "no symmetry", so a malformed command line ends like
     any other bad input: exit 1 with one error document. argparse quotes
     the offending text after these markers; the detail stops at them.
+    Help is raised as _Usage, not printed, and exits 0 with a usage document.
     """
 
     _ECHOES = (
@@ -279,6 +284,9 @@ class _Parser(argparse.ArgumentParser):
             if at >= 0:
                 message = message[: at + len(marker)]
         raise PreconditionFailed(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise _Usage(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,6 +392,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
+    except _Usage as exc:
+        _emit(args, {"usage": str(exc)}, lambda: str(exc))
+        return 0
     except CyclactError as exc:
         name = type(exc).__name__
         _emit(args, {"error": name, "detail": str(exc)}, lambda: f"error: {name}: {exc}")

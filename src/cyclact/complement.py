@@ -130,8 +130,7 @@ class EmbeddingSpec:
         """validate, up to the skew branches' unit-ideal test.
 
         The skew solvers answer that test, in validate's order and with its
-        message, from a Hermite form they build anyway; the sampler's
-        random arm has answered it before drawing a1.
+        message, from a Hermite form they build anyway.
         """
         _check_modulus_parity(self.branch, self.m)
         Q = self.module()
@@ -592,58 +591,43 @@ def _skew_pair_sample(
 
 
 def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
-    """Random valid EmbeddingSpec for the branch.
+    """Random EmbeddingSpec for the branch, valid by construction.
 
-    Skew branches mix a constructive generator (high acceptance, covers
-    nontrivial ideal factors u) with a fully random rejection arm. A modulus
-    below 2 or of the wrong parity for the branch raises PreconditionFailed
-    before anything is drawn.
+    A modulus below 2 or of the wrong parity raises PreconditionFailed
+    before anything is drawn. No spec is checked after: solve validates.
+    - even-n: aug a2 = +-1 and aug b2 = 0, or swapped, so the augmentations
+      have gcd 1 and aug lambda(v2, v2) = 2 aug(a2) aug(b2) = 0.
+    - skew, constructive (three draws in four): (a2, b2) = u*(w1, w2) with
+      (w1, w2) unimodular and w1*conj(w2) symmetric, so lambda(v2, v2) = 0,
+      and u*v + a*s = 1 puts 1 in (a2, s, b2).
+    - skew, random (for input diversity, the one arm with Hermite forms): b2
+      is in the kernel of b -> a2*conj(b) - conj(a2)*b, so lambda(v2, v2) =
+      0; the arm draws again unless (a2, s, b2) is the unit ideal.
     """
     _check_modulus_parity(branch, m)
+    if branch is Branch.EVEN_N_SYM:
+        one = GroupRingElement.one(m)
+        g = GroupRingElement.gen(m)
+        a2 = one + (one - g) * _random_element(rng, m)
+        b2 = (one - g) * _random_element(rng, m)
+        style = rng.randrange(4)
+        if style & 1:
+            a2 = -a2
+        if style & 2:
+            a2, b2 = b2, a2
+        return EmbeddingSpec(m, branch, _random_element(rng, m), a2, b2)
     s = GroupRingElement.norm(m)
-    one = GroupRingElement.one(m)
-    g = GroupRingElement.gen(m)
-    for attempt in range(500):
-        ideal_settled = False
-        if branch is Branch.EVEN_N_SYM:
-            w1 = _random_element(rng, m)
-            w2 = _random_element(rng, m)
-            a2 = one + (one - g) * w1
-            b2 = (one - g) * w2
-            style = rng.randrange(4)
-            if style & 1:
-                a2 = -a2
-            if style & 2:
-                a2, b2 = b2, a2
-            a1 = _random_element(rng, m)
-            spec = EmbeddingSpec(m, branch, a1, a2, b2)
-        elif rng.randrange(4) == 0:
-            # fully random arm, kept for input diversity
-            a2 = _random_element(rng, m)
-            if a2.is_zero():
-                continue
-            b2 = _skew_kernel_sample(rng, a2)
-            if not ideal_contains_one([a2, s, b2]):
-                continue
-            a1 = _random_element(rng, m)
-            spec = EmbeddingSpec(m, branch, a1, a2, b2)
-            # validate would rebuild the lattice just built
-            ideal_settled = True
-        else:
-            w1, w2 = _skew_pair_sample(rng, m)
-            ls = [l for l in range(1, m) if math.gcd(l, m) == 1]
-            u = GroupRingElement.geometric(m, rng.choice(ls))
-            a1 = _random_element(rng, m)
-            spec = EmbeddingSpec(m, branch, a1, u * w1, u * w2)
-        try:
-            if ideal_settled:
-                spec._check_before_ideal()
-            else:
-                spec.validate()
-        except (PreconditionFailed, AugmentationObstruction):
+    while rng.randrange(4) == 0:
+        a2 = _random_element(rng, m)
+        if a2.is_zero():
             continue
-        return spec
-    raise PreconditionFailed(f"could not sample a valid spec for m={m}")
+        b2 = _skew_kernel_sample(rng, a2)
+        if ideal_contains_one([a2, s, b2]):
+            return EmbeddingSpec(m, branch, _random_element(rng, m), a2, b2)
+    w1, w2 = _skew_pair_sample(rng, m)
+    ls = [l for l in range(1, m) if math.gcd(l, m) == 1]
+    u = GroupRingElement.geometric(m, rng.choice(ls))
+    return EmbeddingSpec(m, branch, _random_element(rng, m), u * w1, u * w2)
 
 
 @dataclass(frozen=True)

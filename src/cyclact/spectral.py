@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .errors import BadIndex, OddModulus, PreconditionFailed
@@ -164,7 +163,10 @@ def parse_class(m: int, text: str) -> CohomologyClass:
                     pos += 1
                 if start == pos:
                     raise BadIndex(f"cannot parse exponent in {part!r}")
-                exp = int(chunk[start:pos])
+                try:
+                    exp = int(chunk[start:pos])
+                except ValueError:  # past the digit limit, or not ASCII digits
+                    raise BadIndex(f"cannot parse a {pos - start}-digit exponent") from None
             if var == "x":
                 i += exp
             elif var == "y":
@@ -189,19 +191,19 @@ def steenrod_square(k: int, c: CohomologyClass) -> CohomologyClass:
     """Degree-k component of the total square, by the Cartan formula.
 
     Generator values: Sq(x) = x + x^2 (the square vanishes in TRUNC) and
-    Sq(y) = y + y^2, so Sq^1 y = 0 holds by construction.
+    Sq(y) = y + y^2, so Sq^1 y = 0 holds by construction. The Cartan
+    formula gives Sq^k x^i = C(i, k) x^(i+k), and by Lucas's theorem C(n, k)
+    is odd iff the bits of k lie within those of n.
     """
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
-    if k == 0:
-        return c
     out = CohomologyClass.zero(c.m)
     for i, j in c.terms:
         if c.case is RingCase.POLY:
-            if comb(i, k) % 2 == 1:
+            if k & ~i == 0:
                 out = out + CohomologyClass.monomial(c.m, i + k, 0)
         else:
-            if k % 2 == 0 and comb(j, k // 2) % 2 == 1:
+            if k % 2 == 0 and (k // 2) & ~j == 0:
                 out = out + CohomologyClass.monomial(c.m, i, j + k // 2)
     return out
 

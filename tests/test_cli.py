@@ -316,6 +316,9 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
          "PreconditionFailed"),
         (["lagrangian", "sweep", "--branch", "odd-m", "--m", "40", "--count", "1"],
          "PreconditionFailed"),
+        # an exponent past the interpreter's digit limit for int()
+        (["ahss", "sq", "--m", "2", "--k", "1", "--class", "x^" + "9" * 5000],
+         "BadIndex"),
     ],
 )
 def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):
@@ -323,6 +326,8 @@ def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):
     assert code == 1
     assert json.loads(out)["error"] == error
     assert err == ""
+    # the detail names the problem, it does not echo a long input back
+    assert len(out) < 300
 
 
 HUGE = "9" * 5000
@@ -359,3 +364,25 @@ def test_malformed_command_lines_exit_one_with_an_error_document(capsys, argv, b
     code, out, err = run(capsys, *argv)
     assert code == 1 and json.loads(out) == doc
     assert err.startswith("error: PreconditionFailed")
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["--help"], "usage: cyclact [-h]"),
+        (["ring", "mul", "-h"], "usage: cyclact ring mul [-h] --m M --x X --y Y"),
+    ],
+    ids=["top-level", "subcommand"],
+)
+def test_help_is_one_usage_document(capsys, argv, first_line):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert set(doc) == {"usage"}
+    assert doc["usage"].startswith(first_line)
+    assert err == ""
+    # without --json the text is on stderr too, the document still on stdout
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out) == doc
+    assert err == doc["usage"]

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cyclact import intlattice
+from cyclact import complement, intlattice
 from cyclact.complement import (
     Branch,
     EmbeddingSpec,
@@ -249,18 +249,38 @@ def test_trace_json_has_the_declared_sections():
     assert all(set(s) == {"name", "kind", "matrix"} for s in payload["steps"])
 
 
-def test_sampled_specs_always_validate():
+def test_sampled_specs_always_validate(monkeypatch):
+    # sample_spec runs no check of its own: each arm's spec is valid by
+    # construction, so validate() must pass on every draw, at every modulus
+    # of the branch's parity in 2..13, from both skew arms
+    kernel_draws = []
+    kernel_sample = complement._skew_kernel_sample
+
+    def recorded(rng, a2):
+        kernel_draws.append(kernel_sample(rng, a2))
+        return kernel_draws[-1]
+
+    monkeypatch.setattr(complement, "_skew_kernel_sample", recorded)
     rng = random.Random(7)
     plans = [
-        (Branch.ODD_M_SKEW, 5),
-        (Branch.ODD_M_SKEW, 9),
-        (Branch.EVEN_M_SKEW, 4),
-        (Branch.EVEN_N_SYM, 4),
+        (Branch.ODD_M_SKEW, range(3, 14, 2)),
+        (Branch.EVEN_M_SKEW, range(2, 14, 2)),
+        (Branch.EVEN_N_SYM, range(2, 14)),
     ]
-    for branch, m in plans:
-        for _ in range(25):
-            spec = sample_spec(branch, m, rng)
-            spec.validate()
+    from_random_arm = 0
+    for branch, moduli in plans:
+        for m in moduli:
+            drawn_before, accepted_before = len(kernel_draws), from_random_arm
+            for _ in range(40):
+                spec = sample_spec(branch, m, rng)
+                spec.validate()
+                from_random_arm += bool(kernel_draws) and spec.b2 is kernel_draws[-1]
+            if branch is not Branch.EVEN_N_SYM:
+                # the random arm drew, and the constructive arm returned specs;
+                # above m = 8 the random arm's draws are rarely a unit ideal
+                assert len(kernel_draws) > drawn_before, (branch, m)
+                assert from_random_arm - accepted_before < 40, (branch, m)
+    assert from_random_arm > 0
 
 
 def test_even_n_unit_ideal_is_an_augmentation_gcd():

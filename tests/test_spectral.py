@@ -1,5 +1,10 @@
+import json
+import math
+import time
+
 import pytest
 
+from cyclact.cli import main
 from cyclact.errors import OddModulus, PreconditionFailed
 from cyclact.spectral import (
     COMPUTED,
@@ -76,6 +81,40 @@ def test_steenrod_squares_truncated_case():
     assert steenrod_square(2, y * y).is_zero()
     assert steenrod_square(4, y * y) == CohomologyClass.monomial(4, 0, 4)
     assert steenrod_square(3, xy).is_zero()
+
+
+def test_steenrod_square_parity_is_the_binomial_parity():
+    # Sq^k x^i = C(i, k) x^(i+k) in POLY, Sq^2k x y^j = C(j, k) x y^(j+k) in TRUNC
+    for n in range(64):
+        xn = CohomologyClass.monomial(2, n, 0)
+        xyn = CohomologyClass.monomial(4, 1, n)
+        for k in range(64):
+            odd = math.comb(n, k) % 2 == 1
+            assert steenrod_square(k, xn).is_zero() is not odd
+            if odd:
+                assert steenrod_square(k, xn) == CohomologyClass.monomial(2, n + k, 0)
+            assert steenrod_square(2 * k, xyn).is_zero() is not odd
+            if odd:
+                assert steenrod_square(2 * k, xyn) == CohomologyClass.monomial(
+                    4, 1, n + k
+                )
+            if k:
+                assert steenrod_square(2 * k - 1, xyn).is_zero()
+
+
+def test_steenrod_square_of_a_large_exponent_is_fast(capsys):
+    t0 = time.perf_counter()
+    code = main(
+        ["--json", "ahss", "sq", "--m", "2", "--k", "5000000", "--class", "x^10000000"]
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    # C(2k, k) is even for k > 0: k + k carries in binary (Kummer)
+    assert json.loads(capsys.readouterr().out)["square"]["terms"] == []
+    assert elapsed < 2.0
+    # no carries in 2^22 + 2^23, so C(2^23 + 2^22, 2^22) is odd
+    big = CohomologyClass.monomial(2, 2**23 + 2**22, 0)
+    assert steenrod_square(2**22, big) == CohomologyClass.monomial(2, 2**24, 0)
 
 
 def test_steenrod_cartan_formula_on_products():
