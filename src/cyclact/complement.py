@@ -342,16 +342,6 @@ def rank2_vector_isometry(
     raise SearchExhausted("no shear aligns the completions' mu classes")
 
 
-def _pull_back(U_std, inverses) -> tuple[RingVector, ...]:
-    out = []
-    for w in U_std:
-        v = w
-        for inv in inverses:
-            v = inv * v
-        out.append(v)
-    return tuple(out)
-
-
 def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
     a_el = GroupRingElement.integer(Q.m, a_int)
     w1 = Q.vector({"e2": -a_el, "f1": GroupRingElement.one(Q.m)})
@@ -359,27 +349,24 @@ def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
     return w1, w2
 
 
-def _skew_transport(
-    Q: QuadraticModule, v2: RingVector, parity: Optional[int], normalized
-):
-    """Transport v2's normalized (e2, f2) coefficients to (v, s).
+def _skew_transport(Q: QuadraticModule, v2: RingVector, normalized):
+    """Transport v2's normalized (e2, f2) coefficients to (v2', s).
 
     normalized is _normalize([v2[1], v2[3]], bezout=True): the ideal
     (a2, b2) as u*Lambda, the quotients x = (a2/u, b2/u) and x's Bezout
-    pair from the normalization's Hermite form. x is moved onto y = (v, s)
-    from the companion identity u*v + a*s = 1, with the parity of aug(v)
-    chosen as in NormData.positive_variant; the identity is y's pair
-    (u, a). Returns the ideal data, the ambient transport Phi, Phi * v2,
-    and the standard complement of the normalized pair pulled back by
-    Phi^-1.
+    pair from the normalization's Hermite form. x is moved onto y = (v2', s)
+    from the companion identity u*v2' + a2'*s = 1
+    (NormData.positive_variant); the identity is y's pair (u, a2'). Returns
+    the ideal data, the ambient transport Phi, Phi * v2, and the standard
+    complement of the normalized pair.
     """
     m = Q.m
     norm, quotients, pair_x = normalized
     Q1 = _block_module(Q)
     x = RingVector(quotients)
-    v_t, a_t, _ = norm.positive_variant(parity)
+    v_t, a_t, _ = norm.positive_variant()
     y = RingVector([v_t, GroupRingElement.norm(m)])
-    # mu(y) = [aug(v)*s], the class of g^(m/2) for odd aug(v) and even m
+    # mu(y) = [aug(v2')*s], the class of g^(m/2) for odd aug(v2') and even m
     if mu_eval(Q1, x) != mu_eval(Q1, y):
         raise ParityObstruction(
             "reduced coefficient product has even middle coefficient"
@@ -387,9 +374,33 @@ def _skew_transport(
     pair_y = (norm.u, GroupRingElement.integer(m, a_t))
     M2 = rank2_vector_isometry(Q1, x, y, pair_x, pair_y)
     Phi = _embed_block(Q, M2, (1, 3))
-    Phi_inv = _embed_block(Q, isometry_inverse(Q1, M2), (1, 3))
-    U = _pull_back(_standard_complement(Q, a_t), [Phi_inv])
-    return norm, Phi, Phi * v2, U
+    return norm, Phi, Phi * v2, _standard_complement(Q, a_t)
+
+
+def _finish(spec, Q, S, steps, v2n, U_std, norm=None, h=None) -> SolverTrace:
+    """Pull the normalized complement back to S's coordinates and certify it.
+
+    Every ambient step is an isometry (the transport Phi, the shears, the
+    swap and the negation), so its inverse is isometry_inverse, in closed
+    form; the complement of the normalized pair goes back through them in
+    reverse order. Basis steps change S's basis, not S, and are skipped.
+    No step moves v1 = e1.
+    """
+    U = U_std
+    for step in reversed(steps):
+        if step.kind == "ambient":
+            inv = isometry_inverse(Q, step.matrix)
+            U = [inv * w for w in U]
+    U = tuple(U)
+    return SolverTrace(
+        branch=spec.branch,
+        steps=tuple(steps),
+        norm=norm,
+        h=h,
+        normalized_S=(S[0], v2n),
+        U=U,
+        certificate=verify_lagrangian_complement(Q, S, U),
+    )
 
 
 def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
@@ -403,16 +414,9 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
         normalized = _normalize([v2[1], v2[3]], bezout=True)
     except (Degenerate, PreconditionFailed):
         raise PreconditionFailed(_SKEW_NOT_UNIT) from None
-    norm, Phi, v2n, U = _skew_transport(Q, v2, None, normalized)
-    return SolverTrace(
-        branch=spec.branch,
-        steps=(TraceStep("vector-transport", "ambient", Phi),),
-        norm=norm,
-        h=None,
-        normalized_S=(v1, v2n),
-        U=U,
-        certificate=verify_lagrangian_complement(Q, (v1, v2), U),
-    )
+    norm, Phi, v2n, U_std = _skew_transport(Q, v2, normalized)
+    steps = [TraceStep("vector-transport", "ambient", Phi)]
+    return _finish(spec, Q, (v1, v2), steps, v2n, U_std, norm)
 
 
 def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
@@ -461,21 +465,9 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
         normalized = _normalize([v2[1], v2[3]], bezout=True)
     except PreconditionFailed as exc:
         raise NormalizationFailed(str(exc)) from exc
-    norm, Phi, v2n, U = _skew_transport(Q, v2, 1, normalized)
+    norm, Phi, v2n, U_std = _skew_transport(Q, v2, normalized)
     steps.append(TraceStep("vector-transport", "ambient", Phi))
-    U = _pull_back(
-        U,
-        [transvection(Q, ("e1", "f2"), -r_el), transvection(Q, ("e2", "f1"), -t_el)],
-    )
-    return SolverTrace(
-        branch=spec.branch,
-        steps=tuple(steps),
-        norm=norm,
-        h=head.coeffs[0],
-        normalized_S=(v1, v2n),
-        U=U,
-        certificate=verify_lagrangian_complement(Q, (v1, v2_in), U),
-    )
+    return _finish(spec, Q, (v1, v2_in), steps, v2n, U_std, norm, head.coeffs[0])
 
 
 def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
@@ -488,17 +480,14 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     one = GroupRingElement.one(m)
     zero = GroupRingElement.zero(m)
     steps = []
-    inverses = []
 
     if v2[1].aug() == 0:
         swap = _embed_block(Q, RingMatrix([[zero, one], [one, zero]]), (1, 3))
         steps.append(TraceStep("swap-e2-f2", "ambient", swap))
-        inverses.append(swap)
         v2 = swap * v2
     if v2[1].aug() == -1:
         neg = _embed_block(Q, RingMatrix([[-one, zero], [zero, -one]]), (1, 3))
         steps.append(TraceStep("negate-block-2", "ambient", neg))
-        inverses.append(neg)
         v2 = neg * v2
     if v2[1].aug() != 1:
         raise AugmentationObstruction(
@@ -508,18 +497,7 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     a = divide_by_one_minus_gen(v2[1] - one)
     w1 = Q.vector({"e2": a, "f1": one})
     w2 = Q.vector({"e1": -a.conj(), "f2": one})
-    inverses.reverse()
-    U = _pull_back([w1, w2], inverses)
-    cert = verify_lagrangian_complement(Q, (v1, v2_in), U)
-    return SolverTrace(
-        branch=spec.branch,
-        steps=tuple(steps),
-        norm=None,
-        h=None,
-        normalized_S=(v1, v2),
-        U=U,
-        certificate=cert,
-    )
+    return _finish(spec, Q, (v1, v2_in), steps, v2, (w1, w2))
 
 
 _SOLVERS = {

@@ -16,7 +16,7 @@ from operator import add, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
-from .intlattice import ZLattice, det_int
+from .intlattice import ZLattice
 
 
 class GroupRingElement:
@@ -283,19 +283,23 @@ class UnitCheck(NamedTuple):
 
 
 def is_unit(x: GroupRingElement) -> UnitCheck:
-    """Unit test: determinant of the multiplication matrix equals +-1.
+    """Unit test by one Hermite form, after two screens.
 
     A trivial unit +-gen^k is answered directly with its inverse
-    +-gen^(-k), the only one, since inverses in a commutative ring are
-    unique.
+    +-gen^(-k). Augmentation is a ring map onto Z, so a unit has
+    augmentation +-1 and anything else is rejected at once. Otherwise x is
+    a unit iff 1 lies in x*Lambda, and the one r with r*x = 1 is the
+    inverse: inverses in a commutative ring are unique.
     """
     support = [i for i, c in enumerate(x.coeffs) if c]
     if len(support) == 1 and x.coeffs[support[0]] in (1, -1):
         return UnitCheck(True, x.conj())
-    if det_int(mult_matrix(x)) not in (1, -1):
+    if x.aug() not in (1, -1):
         return UnitCheck(False, None)
-    inv = exact_divide(GroupRingElement.one(x.m), x).quotient
-    return UnitCheck(True, inv)
+    combo = ideal_express([x], GroupRingElement.one(x.m))
+    if combo is None:
+        return UnitCheck(False, None)
+    return UnitCheck(True, combo[0])
 
 
 class FormParameterKind(enum.Enum):
@@ -355,7 +359,7 @@ class NormData:
     """Output of ideal normalization.
 
     u = 1 + gen + ... + gen^(l-1) generates the ideal; gcd(l, m) = 1;
-    a*m - b*l = 1 with b > 0; and u*v = 1 - a*s with
+    a*m - b*l = 1 with 0 < b < m; and u*v = 1 - a*s with
     v = -gen*(1 + gen^l + ... + gen^((b-1)l)).
     """
 
@@ -371,7 +375,8 @@ class NormData:
 
     def verify(self) -> bool:
         m = self.m
-        if math.gcd(self.l, m) != 1 or self.b <= 0:
+        # positive_variant's closed form needs b in one period
+        if math.gcd(self.l, m) != 1 or not 0 < self.b < m:
             return False
         if self.a * m - self.b * self.l != 1:
             return False
@@ -396,30 +401,15 @@ class NormData:
                 return q
         raise NotDivisible(f"a {x.bits()}-bit element is not a multiple of u")
 
-    def positive_variant(self, parity: Optional[int] = None) -> tuple[GroupRingElement, int, int]:
-        """The companion identity u*v2 + a2*s = 1 with b2*l + a2*m = 1, b2 > 0.
+    def positive_variant(self) -> tuple[GroupRingElement, int, int]:
+        """The companion identity u*v2 + a2*s = 1 with b2*l + a2*m = 1, 0 < b2 < m.
 
-        v2 = 1 + gen^l + ... + gen^((b2-1)l) and aug(v2) = b2. For odd m the
-        optional parity (0 or 1) selects b2's parity via b2 -> b2 + m; for
-        even m the parity of b2 is forced.
+        v2 = 1 + gen^l + ... + gen^((b2-1)l) and aug(v2) = b2, in closed
+        form from (v, a, b): b2 = m - b. As gcd(l, m) = 1 the full stride
+        sum over m terms is s, and gen^(b2*l) = gen turns its last b terms
+        into -v, so v2 = s + v. Then u*s = l*s gives a2 = a - l.
         """
-        m = self.m
-        b2 = pow(self.l, -1, m)
-        if b2 == 0:
-            b2 = m
-        if parity is not None:
-            if m % 2 == 0:
-                if b2 % 2 != parity:
-                    raise ValueError("parity of b2 is forced when m is even")
-            elif b2 % 2 != parity % 2:
-                b2 += m
-        a2 = (1 - b2 * self.l) // m
-        assert b2 * self.l + a2 * m == 1
-        c = [0] * m
-        for j in range(b2):
-            c[(j * self.l) % m] += 1
-        v2 = GroupRingElement(m, c)
-        return v2, a2, b2
+        return self.v + GroupRingElement.norm(self.m), self.a - self.l, self.m - self.b
 
     def to_json(self) -> dict:
         return {
@@ -519,8 +509,6 @@ def _normalize(
     if math.gcd(l, m) != 1:
         raise PreconditionFailed(_NOT_WHOLE)
     b = (-pow(l, -1, m)) % m
-    if b == 0:
-        b = m
     a = (1 + b * l) // m
     assert a * m - b * l == 1
     c = [0] * m

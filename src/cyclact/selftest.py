@@ -369,7 +369,9 @@ def run_selftest(scope: str = "all", seed: int = 0, jobs: int = 1) -> RunSummary
         # resident memory, which a serial run and `import cyclact` never need
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker up front, so no more
+        # workers than suites
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             results = list(pool.map(run_suite, names, [seed] * len(names)))
     else:
         results = [run_suite(n, seed) for n in names]

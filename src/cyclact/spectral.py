@@ -153,7 +153,7 @@ def parse_class(m: int, text: str) -> CohomologyClass:
         while pos < len(chunk):
             var = chunk[pos]
             if var not in ("x", "y", "1"):
-                raise BadIndex(f"cannot parse monomial {part!r}")
+                raise BadIndex(f"cannot parse a {len(part)}-character monomial")
             pos += 1
             exp = 1
             if pos < len(chunk) and chunk[pos] == "^":
@@ -162,7 +162,7 @@ def parse_class(m: int, text: str) -> CohomologyClass:
                 while pos < len(chunk) and chunk[pos].isdigit():
                     pos += 1
                 if start == pos:
-                    raise BadIndex(f"cannot parse exponent in {part!r}")
+                    raise BadIndex(f"no exponent after '^' in a {len(part)}-character monomial")
                 try:
                     exp = int(chunk[start:pos])
                 except ValueError:  # past the digit limit, or not ASCII digits

@@ -319,6 +319,11 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
         # an exponent past the interpreter's digit limit for int()
         (["ahss", "sq", "--m", "2", "--k", "1", "--class", "x^" + "9" * 5000],
          "BadIndex"),
+        # a long monomial with a bad character, and a '^' with no digits
+        (["ahss", "sq", "--m", "2", "--k", "1", "--class", "x^1z" + "1" * 5000],
+         "BadIndex"),
+        (["ahss", "sq", "--m", "2", "--k", "1", "--class", "x^" + "a" * 3000],
+         "BadIndex"),
     ],
 )
 def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):

@@ -22,8 +22,10 @@ from cyclact.errors import (
 )
 from cyclact.forms import (
     QuadraticModule,
+    RingMatrix,
     RingVector,
     isometry_check,
+    isometry_inverse,
     lambda_eval,
     mu_eval,
     verify_lagrangian_complement,
@@ -146,6 +148,20 @@ def test_even_n_branch_augmentation_obstruction():
     spec = spec_of(4, Branch.EVEN_N_SYM, [0], [1, -1], [0])
     with pytest.raises(AugmentationObstruction):
         solve_even_n(spec)
+
+
+def test_even_n_swap_and_negation_are_their_own_isometry_inverse():
+    # a2 of augmentation 0 is swapped with b2, then negated to augmentation 1
+    for m in range(2, 8):
+        spec = spec_of(m, Branch.EVEN_N_SYM, [1], [1, -1], [-1])
+        Q = spec.module()
+        trace = solve_even_n(spec)
+        assert [s.name for s in trace.steps] == ["swap-e2-f2", "negate-block-2"]
+        for step in trace.steps:
+            assert isometry_check(Q, step.matrix)
+            assert isometry_inverse(Q, step.matrix) == step.matrix
+            assert step.matrix * step.matrix == RingMatrix.identity(Q.dim, m)
+        assert trace.replay()
 
 
 def test_solve_dispatches_on_branch():

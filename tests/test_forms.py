@@ -188,6 +188,18 @@ def test_transvection_inverse_and_composition():
             assert M * transvection(Q, base, -c) == RingMatrix.identity(Q.dim, m)
 
 
+def test_isometry_inverse_of_a_cross_transvection_negates_its_parameter():
+    # the even-m solver's shears T and R are pulled back this way
+    rng = random.Random(16)
+    for m in range(2, 9):
+        for Q in (tilde(m), minus(m)):
+            for base in (("e1", "f2"), ("e2", "f1")):
+                c = rand_el(rng, m)
+                M = transvection(Q, base, c)
+                assert isometry_check(Q, M)
+                assert isometry_inverse(Q, M) == transvection(Q, base, -c)
+
+
 def test_transvection_shear_requires_admissible_parameter():
     m = 4
     Q = tilde(m)

@@ -234,18 +234,30 @@ def test_positive_variant_identity():
     assert norm.u * v_t + s * a_t == GroupRingElement.one(m)
 
 
-def test_positive_variant_parity_control():
-    m = 5
-    norm = ideal_normalize([el(m, 2), el(m, 1, -1)])
-    v_t, a_t, b_t = norm.positive_variant(parity=1)
-    assert b_t % 2 == 1
-    s = GroupRingElement.norm(m)
-    assert norm.u * v_t + s * a_t == GroupRingElement.one(m)
-    # even modulus forces odd b_t regardless
-    norm = ideal_normalize([el(4, 1, 1, 1)])
-    v_t, a_t, b_t = norm.positive_variant()
-    assert b_t % 2 == 1
-    assert norm.u * v_t + GroupRingElement.norm(4) * a_t == GroupRingElement.one(4)
+def test_positive_variant_is_the_stride_sum():
+    # the closed form (v + s, a - l, m - b) against the definition:
+    # b2*l + a2*m = 1 with 0 < b2 < m, v2 = 1 + g^l + ... + g^((b2-1)l)
+    for m in range(2, 31):
+        s = GroupRingElement.norm(m)
+        # l past m too: the augmentation need not be reduced mod m
+        for l in range(1, 2 * m):
+            if math.gcd(l, m) != 1:
+                continue
+            norm = ideal_normalize([GroupRingElement.geometric(m, l)])
+            b2 = next(b for b in range(1, m) if (b * l) % m == 1)
+            a2 = (1 - b2 * l) // m
+            v2 = GroupRingElement.zero(m)
+            for j in range(b2):
+                v2 = v2 + GroupRingElement.gen(m, j * l)
+            assert norm.positive_variant() == (v2, a2, b2)
+            assert norm.u * v2 + s * a2 == GroupRingElement.one(m)
+            # even modulus forces odd b2
+            if m % 2 == 0:
+                assert b2 % 2 == 1
+            # b shifted by a period keeps every identity but leaves that range
+            shifted = NormData(norm.u, norm.v - s, l, norm.a + l, norm.b + m)
+            assert norm.verify() and not shifted.verify()
+            assert shifted.u * shifted.v == GroupRingElement.one(m) - s * shifted.a
 
 
 def test_param_reduce_classes():
@@ -304,15 +316,42 @@ def test_param_reduce_is_idempotent(x):
         assert param_reduce(cls.rep, kind) == cls
 
 
+def _check_unit_against_det(x):
+    ok, inv = is_unit(x)
+    assert ok == (det_int(mult_matrix(x)) in (1, -1))
+    if ok:
+        assert x * inv == GroupRingElement.one(x.m)
+    else:
+        assert inv is None
+    return ok
+
+
 def test_unit_check_against_det():
     rng = random.Random(12)
     for _ in range(40):
         m = rng.randint(2, 7)
-        x = GroupRingElement(m, [rng.randint(-2, 2) for _ in range(m)])
-        ok, inv = is_unit(x)
-        assert ok == (det_int(mult_matrix(x)) in (1, -1))
-        if ok:
-            assert x * inv == GroupRingElement.one(m)
+        _check_unit_against_det(
+            GroupRingElement(m, [rng.randint(-2, 2) for _ in range(m)])
+        )
+    # augmentation +-1 passes the screen, but 2 - g (det 2^m - 1) and its
+    # multiples are no units
+    for m in range(2, 13):
+        one, g = GroupRingElement.one(m), GroupRingElement.gen(m)
+        x = one * 2 - g
+        for y in (x, x * (one + g - g.conj()), -x * x, x.conj() * g):
+            assert y.aug() in (1, -1)
+            assert not _check_unit_against_det(y)
+    # Bass units u_k^phi(m) + ((1 - k^phi(m))/m)*s are units
+    for m in range(2, 13):
+        phi = sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+        for k in range(1, m):
+            if math.gcd(k, m) != 1:
+                continue
+            x = GroupRingElement.one(m)
+            for _ in range(phi):
+                x = x * GroupRingElement.geometric(m, k)
+            x = x + GroupRingElement.norm(m) * ((1 - k**phi) // m)
+            assert _check_unit_against_det(x)
 
 
 def _rand(rng, m, h=3):

@@ -37,6 +37,33 @@ def test_parallel_run_matches_serial():
     assert serial.key() == parallel.key()
 
 
+def test_pool_has_no_more_workers_than_suites(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    summary = run_selftest("all", seed=2, jobs=1000)
+    assert sizes == [len(SCOPES)]
+    assert summary.key() == run_selftest("all", seed=2, jobs=1).key()
+    run_selftest("all", seed=2, jobs=2)
+    assert sizes == [len(SCOPES), 2]
+
+
 def test_single_suite_is_deterministic_and_named():
     r1 = run_suite("ring", 7)
     r2 = run_suite("ring", 7)
