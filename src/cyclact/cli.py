@@ -216,9 +216,10 @@ def _cmd_census(args) -> int:
     if args.pontryagin:
         try:
             pont = tuple(int(t) for t in args.pontryagin.split(","))
-        except ValueError:
+        except ValueError:  # not an integer, or past the digit limit
             raise PreconditionFailed(
-                f"--pontryagin must be comma-separated integers, got {args.pontryagin!r}"
+                "--pontryagin must be comma-separated integers; cannot parse a "
+                f"{len(args.pontryagin)}-character list"
             ) from None
     report = classification(ActionQuery(args.n, args.m, args.g, pont))
     human = [f"exists: {report.exists} ({report.reason})"]

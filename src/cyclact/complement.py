@@ -50,7 +50,6 @@ from .groupring import (
     param_reduce,
     shift_lattice,
 )
-from .intlattice import ZLattice
 
 
 class Branch(enum.Enum):
@@ -515,25 +514,6 @@ def _random_element(rng: random.Random, m: int, lo: int = -2, hi: int = 2) -> Gr
     return GroupRingElement(m, [rng.randint(lo, hi) for _ in range(m)])
 
 
-def _skew_kernel_sample(rng: random.Random, a2: GroupRingElement) -> GroupRingElement:
-    """Random b2 with a2 * conj(b2) symmetric, from the integer kernel."""
-    m = a2.m
-    rows = []
-    for j in range(m):
-        gj = GroupRingElement.gen(m, j)
-        img = a2 * gj.conj() - a2.conj() * gj
-        rows.append(img.coeffs)
-    # the kernel's Hermite basis depends on the lattice alone, not on how
-    # the elimination reached it
-    ker = ZLattice(ZLattice(rows, m).kernel(), m, transform=False).basis()
-    combo = [rng.randint(-2, 2) for _ in ker]
-    coeffs = [0] * m
-    for c, row in zip(combo, ker):
-        for i in range(m):
-            coeffs[i] += c * row[i]
-    return GroupRingElement(m, coeffs)
-
-
 def _random_symmetric(rng: random.Random, m: int) -> GroupRingElement:
     t = _random_element(rng, m, -1, 1)
     k = GroupRingElement.integer(m, rng.randint(-1, 1))
@@ -572,15 +552,15 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
     """Random EmbeddingSpec for the branch, valid by construction.
 
     A modulus below 2 or of the wrong parity raises PreconditionFailed
-    before anything is drawn. No spec is checked after: solve validates.
+    before anything is drawn. No spec is checked after and no Hermite form
+    runs: solve validates.
     - even-n: aug a2 = +-1 and aug b2 = 0, or swapped, so the augmentations
       have gcd 1 and aug lambda(v2, v2) = 2 aug(a2) aug(b2) = 0.
-    - skew, constructive (three draws in four): (a2, b2) = u*(w1, w2) with
-      (w1, w2) unimodular and w1*conj(w2) symmetric, so lambda(v2, v2) = 0,
-      and u*v + a*s = 1 puts 1 in (a2, s, b2).
-    - skew, random (for input diversity, the one arm with Hermite forms): b2
-      is in the kernel of b -> a2*conj(b) - conj(a2)*b, so lambda(v2, v2) =
-      0; the arm draws again unless (a2, s, b2) is the unit ideal.
+    - skew: (a2, b2) = u*(w1, w2), u = geometric(m, l) with l in [1, m)
+      coprime to m, (w1, w2) unimodular and w1*conj(w2) symmetric, so
+      lambda(v2, v2) = 0 and u*v + a*s = 1 puts 1 in (a2, s, b2). Every
+      valid skew spec is such a pair with l = gcd(aug a2, aug b2) (see
+      _normalize; u*conj(u) is no zero divisor); l > m gives larger u.
     """
     _check_modulus_parity(branch, m)
     if branch is Branch.EVEN_N_SYM:
@@ -594,14 +574,6 @@ def sample_spec(branch: Branch, m: int, rng: random.Random) -> EmbeddingSpec:
         if style & 2:
             a2, b2 = b2, a2
         return EmbeddingSpec(m, branch, _random_element(rng, m), a2, b2)
-    s = GroupRingElement.norm(m)
-    while rng.randrange(4) == 0:
-        a2 = _random_element(rng, m)
-        if a2.is_zero():
-            continue
-        b2 = _skew_kernel_sample(rng, a2)
-        if ideal_contains_one([a2, s, b2]):
-            return EmbeddingSpec(m, branch, _random_element(rng, m), a2, b2)
     w1, w2 = _skew_pair_sample(rng, m)
     ls = [l for l in range(1, m) if math.gcd(l, m) == 1]
     u = GroupRingElement.geometric(m, rng.choice(ls))
@@ -634,6 +606,8 @@ class SweepReport:
 
 def run_sweep(branch: Branch, m: int, count: int, seed: int) -> SweepReport:
     """Solve `count` random specs; certificates are verified inside solve."""
+    if count < 0:
+        raise PreconditionFailed("a sweep count must be nonnegative")
     rng = random.Random(seed)
     solved = 0
     exhausted = 0

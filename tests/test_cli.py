@@ -324,6 +324,13 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
          "BadIndex"),
         (["ahss", "sq", "--m", "2", "--k", "1", "--class", "x^" + "a" * 3000],
          "BadIndex"),
+        # a long residue list, and a residue past the digit limit for int()
+        (["census", "--n", "4", "--m", "7", "--g", "6", "--pontryagin", "1," + "x" * 5000],
+         "PreconditionFailed"),
+        (["census", "--n", "4", "--m", "7", "--g", "6", "--pontryagin", "9" * 5000],
+         "PreconditionFailed"),
+        (["lagrangian", "sweep", "--branch", "odd-m", "--m", "5", "--count", "-3"],
+         "PreconditionFailed"),
     ],
 )
 def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):

@@ -33,6 +33,7 @@ from cyclact.forms import (
 from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
+    _normalize,
     ideal_contains_one,
     ideal_express,
 )
@@ -266,37 +267,93 @@ def test_trace_json_has_the_declared_sections():
 
 
 def test_sampled_specs_always_validate(monkeypatch):
-    # sample_spec runs no check of its own: each arm's spec is valid by
-    # construction, so validate() must pass on every draw, at every modulus
-    # of the branch's parity in 2..13, from both skew arms
-    kernel_draws = []
-    kernel_sample = complement._skew_kernel_sample
+    # sample_spec runs no check and no Hermite form of its own: each spec is
+    # valid by construction, so validate() must pass on every draw, at every
+    # modulus of the branch's parity in 2..13
+    real = intlattice.row_hnf_transform
+    calls = []
 
-    def recorded(rng, a2):
-        kernel_draws.append(kernel_sample(rng, a2))
-        return kernel_draws[-1]
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(complement, "_skew_kernel_sample", recorded)
+    monkeypatch.setattr(intlattice, "row_hnf_transform", counted)
     rng = random.Random(7)
     plans = [
         (Branch.ODD_M_SKEW, range(3, 14, 2)),
         (Branch.EVEN_M_SKEW, range(2, 14, 2)),
         (Branch.EVEN_N_SYM, range(2, 14)),
     ]
-    from_random_arm = 0
     for branch, moduli in plans:
         for m in moduli:
-            drawn_before, accepted_before = len(kernel_draws), from_random_arm
             for _ in range(40):
+                before = len(calls)
                 spec = sample_spec(branch, m, rng)
+                assert len(calls) == before, (branch, m)
                 spec.validate()
-                from_random_arm += bool(kernel_draws) and spec.b2 is kernel_draws[-1]
-            if branch is not Branch.EVEN_N_SYM:
-                # the random arm drew, and the constructive arm returned specs;
-                # above m = 8 the random arm's draws are rarely a unit ideal
-                assert len(kernel_draws) > drawn_before, (branch, m)
-                assert from_random_arm - accepted_before < 40, (branch, m)
-    assert from_random_arm > 0
+    # validate's unit-ideal test is a Hermite form, so the counter was live
+    assert calls
+
+
+def _kernel_specs(branch, m, rng, count):
+    """Skew specs drawn without the sampler's u_l * (w1, w2) construction.
+
+    b2 is a small combination of the Hermite basis of the kernel of
+    b -> a2*conj(b) - conj(a2)*b, so lambda(v2, v2) = 0; a draw is kept
+    when (a2, s, b2) is the unit ideal.
+    """
+    s = GroupRingElement.norm(m)
+    specs = []
+    for _ in range(400):
+        a2 = el(m, *(rng.randint(-2, 2) for _ in range(m)))
+        if a2.is_zero():
+            continue
+        rows = []
+        for j in range(m):
+            gj = GroupRingElement.gen(m, j)
+            rows.append((a2 * gj.conj() - a2.conj() * gj).coeffs)
+        ker = ZLattice(ZLattice(rows, m).kernel(), m, transform=False).basis()
+        b2 = el(m)
+        for row in ker:
+            b2 = b2 + rng.randint(-2, 2) * el(m, *row)
+        if ideal_contains_one([a2, s, b2]):
+            a1 = el(m, *(rng.randint(-2, 2) for _ in range(m)))
+            specs.append(EmbeddingSpec(m, branch, a1, a2, b2))
+            if len(specs) == count:
+                return specs
+    raise AssertionError(f"too few kernel specs at {branch.value} m={m}")
+
+
+def test_every_valid_skew_spec_is_a_geometric_multiple_of_a_unimodular_pair():
+    # the sampler draws only u_l * (w1, w2); specs reached another way must
+    # have that shape too, with l = gcd(aug a2, aug b2)
+    rng = random.Random(29)
+    for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
+        for m in moduli:
+            for spec in _kernel_specs(branch, m, rng, 4):
+                data, (w1, w2), (p, q) = _normalize([spec.a2, spec.b2], bezout=True)
+                l = math.gcd(spec.a2.aug(), spec.b2.aug())
+                assert data.u == GroupRingElement.geometric(m, l)
+                assert (data.u * w1, data.u * w2) == (spec.a2, spec.b2)
+                assert p * w1 + q * w2 == GroupRingElement.one(m)
+                sym = w1 * w2.conj()
+                assert sym == sym.conj()
+                assert solve(spec).replay()
+
+
+def test_specs_with_l_past_the_modulus_solve():
+    # the sampler keeps l < m for small certificates; u_l * (w1, w2) with
+    # l in [m, 3m) coprime to m is valid too and must certify
+    rng = random.Random(31)
+    for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
+        for m in moduli:
+            for l in range(m, 3 * m):
+                if math.gcd(l, m) != 1:
+                    continue
+                w1, w2 = complement._skew_pair_sample(rng, m)
+                u = GroupRingElement.geometric(m, l)
+                a1 = el(m, *(rng.randint(-2, 2) for _ in range(m)))
+                assert solve(EmbeddingSpec(m, branch, a1, u * w1, u * w2)).replay()
 
 
 def test_even_n_unit_ideal_is_an_augmentation_gcd():
@@ -321,33 +378,6 @@ def test_even_n_unit_ideal_is_an_augmentation_gcd():
                     spec.validate()
 
 
-def test_sampled_specs_do_not_depend_on_the_kernel_basis(monkeypatch):
-    # b2 is drawn on the kernel's Hermite basis, so a different unimodular
-    # basis from the elimination draws the same specs
-    plans = [(Branch.ODD_M_SKEW, 5), (Branch.ODD_M_SKEW, 7), (Branch.EVEN_M_SKEW, 4)]
-
-    def draw():
-        rng = random.Random(21)
-        return [sample_spec(b, m, rng).to_json() for b, m in plans for _ in range(8)]
-
-    want = draw()
-    kernel = ZLattice.kernel
-    mixed_bases = []
-
-    def mixed(self):
-        ker = kernel(self)
-        # add twice each row to the one after it, then reverse the order:
-        # a unimodular change of basis
-        out = [ker[0]] if ker else []
-        out += [[a + 2 * b for a, b in zip(r, q)] for r, q in zip(ker[1:], ker)]
-        mixed_bases.append(len(out) > 1)
-        return out[::-1]
-
-    monkeypatch.setattr(ZLattice, "kernel", mixed)
-    assert draw() == want
-    assert any(mixed_bases)
-
-
 def test_run_sweep_solves_everything_and_is_deterministic():
     r1 = run_sweep(Branch.ODD_M_SKEW, 5, 25, seed=11)
     assert r1.solved == 25
@@ -361,6 +391,9 @@ def test_run_sweep_solves_everything_and_is_deterministic():
     assert r3.solved == 15 and r3.failures == ()
     r4 = run_sweep(Branch.EVEN_N_SYM, 3, 15, seed=3)
     assert r4.solved == 15 and r4.failures == ()
+    assert run_sweep(Branch.ODD_M_SKEW, 5, 0, seed=3).solved == 0
+    with pytest.raises(PreconditionFailed, match="nonnegative"):
+        run_sweep(Branch.ODD_M_SKEW, 5, -3, seed=3)
 
 
 def _isotropic_walk(rng, Q):
