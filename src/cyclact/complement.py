@@ -22,10 +22,9 @@ from .errors import (
     Degenerate,
     DimensionMismatch,
     ModulusMismatch,
-    NormalizationFailed,
-    ParityObstruction,
     PreconditionFailed,
     SearchExhausted,
+    value_text,
 )
 from .forms import (
     ComplementCertificate,
@@ -45,10 +44,8 @@ from .groupring import (
     NormData,
     _normalize,
     divide_by_one_minus_gen,
-    express_on,
     ideal_contains_one,
     param_reduce,
-    shift_lattice,
 )
 
 
@@ -62,7 +59,9 @@ class Branch(enum.Enum):
         for b in Branch:
             if b.value == name:
                 return b
-        raise PreconditionFailed(f"unknown branch {name!r}")
+        raise PreconditionFailed(
+            f"unknown branch: {value_text(name)}; expected odd-m, even-m or even-n"
+        )
 
 
 _BRANCH_FORM = {
@@ -169,7 +168,7 @@ class EmbeddingSpec:
             raise PreconditionFailed(f"spec is missing {', '.join(missing)}")
         m = obj["m"]
         if type(m) is not int:
-            raise PreconditionFailed(f"modulus must be an integer, got {m!r}")
+            raise PreconditionFailed(f"modulus must be an integer, got {value_text(m)}")
 
         def coerce(val) -> GroupRingElement:
             if isinstance(val, dict):
@@ -187,12 +186,9 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One recorded transformation: an ambient isometry or a basis change.
+    """One recorded ambient isometry, acting on vectors as v -> matrix * v.
 
-    Ambient steps act on vectors as v -> matrix * v. Basis steps carry a
-    2x2 matrix B acting on the pair (v_1, v_2) by column operations:
-    new_v_j = sum_i B[i][j] * v_i. Basis steps change the chosen basis of
-    S, not the submodule S itself.
+    kind is "ambient" for every step the solvers record.
     """
 
     name: str
@@ -208,7 +204,6 @@ class SolverTrace:
     branch: Branch
     steps: tuple[TraceStep, ...]
     norm: Optional[NormData]
-    h: Optional[int]
     normalized_S: tuple[RingVector, ...]
     U: tuple[RingVector, ...]
     certificate: ComplementCertificate
@@ -217,14 +212,7 @@ class SolverTrace:
         """Re-apply the recorded steps to the input S and compare."""
         vs = list(self.certificate.S)
         for step in self.steps:
-            if step.kind == "ambient":
-                vs = [step.matrix * v for v in vs]
-            else:
-                B = step.matrix
-                vs = [
-                    _vector_sum([vs[i].scaled(B.rows[i][j]) for i in range(len(vs))])
-                    for j in range(len(vs))
-                ]
+            vs = [step.matrix * v for v in vs]
         return tuple(vs) == self.normalized_S
 
     def to_json(self) -> dict:
@@ -232,18 +220,13 @@ class SolverTrace:
             "branch": self.branch.value,
             "steps": [s.to_json() for s in self.steps],
             "normData": self.norm.to_json() if self.norm is not None else None,
-            "h": self.h,
+            # v2's e1 coefficient as h*s is not computed, as the complement
+            # does not depend on it; the key stays, always null
+            "h": None,
             "normalizedS": [v.to_json() for v in self.normalized_S],
             "U": [v.to_json() for v in self.U],
             "certificate": self.certificate.to_json(),
         }
-
-
-def _vector_sum(vs: Sequence[RingVector]) -> RingVector:
-    total = vs[0]
-    for v in vs[1:]:
-        total = total + v
-    return total
 
 
 def _embed_block(Q: QuadraticModule, M2: RingMatrix, pos: tuple[int, int]) -> RingMatrix:
@@ -348,57 +331,84 @@ def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
     return w1, w2
 
 
-def _skew_transport(Q: QuadraticModule, v2: RingVector, normalized):
-    """Transport v2's normalized (e2, f2) coefficients to (v2', s).
-
-    normalized is _normalize([v2[1], v2[3]], bezout=True): the ideal
-    (a2, b2) as u*Lambda, the quotients x = (a2/u, b2/u) and x's Bezout
-    pair from the normalization's Hermite form. x is moved onto y = (v2', s)
-    from the companion identity u*v2' + a2'*s = 1
-    (NormData.positive_variant); the identity is y's pair (u, a2'). Returns
-    the ideal data, the ambient transport Phi, Phi * v2, and the standard
-    complement of the normalized pair.
-    """
-    m = Q.m
-    norm, quotients, pair_x = normalized
-    Q1 = _block_module(Q)
-    x = RingVector(quotients)
-    v_t, a_t, _ = norm.positive_variant()
-    y = RingVector([v_t, GroupRingElement.norm(m)])
-    # mu(y) = [aug(v2')*s], the class of g^(m/2) for odd aug(v2') and even m
-    if mu_eval(Q1, x) != mu_eval(Q1, y):
-        raise ParityObstruction(
-            "reduced coefficient product has even middle coefficient"
-        )
-    pair_y = (norm.u, GroupRingElement.integer(m, a_t))
-    M2 = rank2_vector_isometry(Q1, x, y, pair_x, pair_y)
-    Phi = _embed_block(Q, M2, (1, 3))
-    return norm, Phi, Phi * v2, _standard_complement(Q, a_t)
-
-
-def _finish(spec, Q, S, steps, v2n, U_std, norm=None, h=None) -> SolverTrace:
+def _finish(spec, Q, S, steps, v2n, U_std, norm=None) -> SolverTrace:
     """Pull the normalized complement back to S's coordinates and certify it.
 
-    Every ambient step is an isometry (the transport Phi, the shears, the
-    swap and the negation), so its inverse is isometry_inverse, in closed
-    form; the complement of the normalized pair goes back through them in
-    reverse order. Basis steps change S's basis, not S, and are skipped.
-    No step moves v1 = e1.
+    Every step is an isometry (the shear, the transport Phi, the swap and
+    the negation), so its inverse is isometry_inverse, in closed form; the
+    complement of the normalized pair goes back through them in reverse
+    order.
     """
     U = U_std
     for step in reversed(steps):
-        if step.kind == "ambient":
-            inv = isometry_inverse(Q, step.matrix)
-            U = [inv * w for w in U]
+        inv = isometry_inverse(Q, step.matrix)
+        U = [inv * w for w in U]
     U = tuple(U)
     return SolverTrace(
         branch=spec.branch,
         steps=tuple(steps),
         norm=norm,
-        h=h,
         normalized_S=(S[0], v2n),
         U=U,
         certificate=verify_lagrangian_complement(Q, S, U),
+    )
+
+
+def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
+    """Lagrangian complement for both skew branches.
+
+    The (e2, f2) coefficients x of v2 are normalized (_normalize with
+    bezout set: the ideal (a2, b2) as u*Lambda, the quotients and their
+    Bezout pair, from one Hermite form) and transported onto y = (v2', s),
+    from the companion identity u*v2' + a2'*s = 1 (NormData.positive_variant),
+    whose pair is (u, a2'). The complement of the result never sees a1:
+    v1 = e1 lies in S, and U's lambda, U's mu and the e1 row of det[S | U]
+    do not read the e1 coefficient of v2.
+
+    The transport needs mu(x) = mu(y) = [aug(v2')*s] = [s], aug(v2') being
+    odd for even m. Under TILDE a symmetric class is its coefficient at
+    g^(m/2) mod 2, or 0 for odd m. For N = u*conj(u) and c symmetric the
+    terms k and m - k of (N*c)_(m/2) agree, so it is N_0*c_(m/2) +
+    N_(m/2)*c_0 mod 2; N_0 = l mod 2 and N_(m/2) is even, so [N*c] = [c]
+    for odd l. The (e2, f2) block's own class [a2*conj(b2)] therefore
+    decides, before normalizing. Under odd m it is always [s] = 0. Under
+    even m a wrong class is flipped by one shear with parameter 1: shear-T
+    on (e2, f1) adds s to a2 and moves the class by aug(b2)*[s], shear-R on
+    (e1, f2) subtracts s from b2 and moves it by aug(a2)*[s]. As
+    l = gcd(aug a2, aug b2) is odd, one of the two applies. Neither changes
+    the ideal (a2, s, b2).
+    """
+    Q, v1, v2_in = spec._check_before_ideal()
+    m = spec.m
+    one = GroupRingElement.one(m)
+    s = GroupRingElement.norm(m)
+    v2 = v2_in
+    steps = []
+    if param_reduce(v2[1] * v2[3].conj(), Q.kind) != param_reduce(s, Q.kind):
+        if v2[3].aug() % 2:
+            shear = TraceStep("shear-T", "ambient", transvection(Q, ("e2", "f1"), one))
+        else:
+            shear = TraceStep("shear-R", "ambient", transvection(Q, ("e1", "f2"), one))
+        steps.append(shear)
+        v2 = shear.matrix * v2
+    # (a2, b2) + (s) = Lambda, validate's unit-ideal test, holds iff the
+    # normalization succeeds; a2 = b2 = 0 fails it as Degenerate
+    try:
+        norm, quotients, pair_x = _normalize([v2[1], v2[3]], bezout=True)
+    except (Degenerate, PreconditionFailed):
+        raise PreconditionFailed(_SKEW_NOT_UNIT) from None
+    v_t, a_t, _ = norm.positive_variant()
+    M2 = rank2_vector_isometry(
+        _block_module(Q),
+        RingVector(quotients),
+        RingVector([v_t, s]),
+        pair_x,
+        (norm.u, GroupRingElement.integer(m, a_t)),
+    )
+    Phi = _embed_block(Q, M2, (1, 3))
+    steps.append(TraceStep("vector-transport", "ambient", Phi))
+    return _finish(
+        spec, Q, (v1, v2_in), steps, Phi * v2, _standard_complement(Q, a_t), norm
     )
 
 
@@ -406,67 +416,14 @@ def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the odd-modulus skew branch."""
     if spec.branch is not Branch.ODD_M_SKEW:
         raise PreconditionFailed("spec branch is not odd-m")
-    Q, v1, v2 = spec._check_before_ideal()
-    # (a2, b2) + (s) = Lambda, validate's unit-ideal test, holds iff the
-    # normalization succeeds; a2 = b2 = 0 fails it as Degenerate
-    try:
-        normalized = _normalize([v2[1], v2[3]], bezout=True)
-    except (Degenerate, PreconditionFailed):
-        raise PreconditionFailed(_SKEW_NOT_UNIT) from None
-    norm, Phi, v2n, U_std = _skew_transport(Q, v2, normalized)
-    steps = [TraceStep("vector-transport", "ambient", Phi)]
-    return _finish(spec, Q, (v1, v2), steps, v2n, U_std, norm)
+    return _solve_skew(spec)
 
 
 def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for the even-modulus skew branch."""
     if spec.branch is not Branch.EVEN_M_SKEW:
         raise PreconditionFailed("spec branch is not even-m")
-    Q, v1, v2_in = spec._check_before_ideal()
-    m = spec.m
-    s = GroupRingElement.norm(m)
-    # one Hermite form of (a2, s, b2) answers validate's unit-ideal test
-    # and the three-term solve below, as the basis change v2 -> v1 + v2
-    # leaves a2 and b2 as they are
-    ideal = shift_lattice([v2_in[1], s, v2_in[3]])
-    if not ideal.contains(GroupRingElement.one(m).coeffs):
-        raise PreconditionFailed(_SKEW_NOT_UNIT)
-    steps = []
-
-    # Ensure the mu class of v2 is [g^half]; a basis change v2 -> v1 + v2
-    # shifts the class by [lambda(v1, v2)] = [s] = [g^half].
-    target_class = param_reduce(GroupRingElement.gen(m, m // 2), Q.kind)
-    v2 = v2_in
-    if mu_eval(Q, v2) != target_class:
-        one = GroupRingElement.one(m)
-        zero = GroupRingElement.zero(m)
-        B = RingMatrix([[one, one], [zero, one]])
-        steps.append(TraceStep("mix-v1-into-v2", "basis", B))
-        v2 = v1 + v2
-        if mu_eval(Q, v2) != target_class:
-            raise ParityObstruction("mu class of v2 cannot be normalized")
-
-    combo = express_on(ideal, -v2[0])
-    if combo is None:
-        raise NormalizationFailed("coefficient equation has no solution")
-    r_el, _k_el, t_el = combo
-    T = transvection(Q, ("e2", "f1"), t_el)
-    steps.append(TraceStep("shear-T", "ambient", T))
-    v2 = T * v2
-    R = transvection(Q, ("e1", "f2"), r_el)
-    steps.append(TraceStep("shear-R", "ambient", R))
-    v2 = R * v2
-
-    head = v2[0]
-    if any(c != head.coeffs[0] for c in head.coeffs):
-        raise NormalizationFailed("e1 coefficient did not reduce to a norm multiple")
-    try:
-        normalized = _normalize([v2[1], v2[3]], bezout=True)
-    except PreconditionFailed as exc:
-        raise NormalizationFailed(str(exc)) from exc
-    norm, Phi, v2n, U_std = _skew_transport(Q, v2, normalized)
-    steps.append(TraceStep("vector-transport", "ambient", Phi))
-    return _finish(spec, Q, (v1, v2_in), steps, v2n, U_std, norm, head.coeffs[0])
+    return _solve_skew(spec)
 
 
 def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:

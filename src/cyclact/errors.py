@@ -52,11 +52,19 @@ class SearchExhausted(CyclactError):
 
 
 class NormalizationFailed(CyclactError):
-    """Ideal normalization precondition failed inside a solver."""
+    """Ideal normalization precondition failed inside a solver.
+
+    No solver raises it: every skew solve that passes validate's unit-ideal
+    test normalizes. It stays in the public taxonomy.
+    """
 
 
 class ParityObstruction(CyclactError):
-    """The even-m quadratic-class match failed; must not occur on valid input."""
+    """The even-m quadratic-class match failed.
+
+    No solver raises it: one shear puts every valid even-m spec in the
+    class the transport needs. It stays in the public taxonomy.
+    """
 
 
 class AugmentationObstruction(CyclactError):
@@ -69,3 +77,20 @@ class OddModulus(CyclactError):
 
 class OutOfTable(CyclactError):
     """Requested a tabulated constant outside the tabulated range."""
+
+
+def value_text(value) -> str:
+    """An input value for an error message, never echoing long input.
+
+    An int up to 64 bits is written out and a longer one is named by its
+    size in bits, as str fails past the interpreter's int-to-string digit
+    limit. A string is named by its length, anything else by its type.
+    """
+    if type(value) is int:
+        bits = value.bit_length()
+        if bits <= 64:
+            return str(value)
+        return f"<{'negative ' if value < 0 else ''}{bits}-bit integer>"
+    if isinstance(value, str):
+        return f"a {len(value)}-character string"
+    return f"a {type(value).__name__}"

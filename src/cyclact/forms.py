@@ -25,6 +25,7 @@ from .errors import (
     PreconditionFailed,
     RankTooLarge,
     ZeroVector,
+    value_text,
 )
 from .groupring import (
     FormParameterKind,
@@ -301,11 +302,15 @@ class QuadraticModule:
 
 
 def _parse_label(label: str, rank: int) -> tuple[str, int]:
-    if len(label) < 2 or label[0] not in ("e", "f") or not label[1:].isdigit():
-        raise BadIndex(f"bad basis label {label!r}")
-    idx = int(label[1:])
+    """(letter, index - 1) of a label e<index> or f<index>, 1 <= index <= rank."""
+    if label[:1] not in ("e", "f") or not label[1:].isdecimal():
+        raise BadIndex(f"bad basis label: {value_text(label)}")
+    digits = label[1:].lstrip("0")
+    # an index with more digits than rank is out of range, and int() fails
+    # past the interpreter's digit limit
+    idx = int(digits) if 0 < len(digits) <= len(str(rank)) else 0
     if not 1 <= idx <= rank:
-        raise BadIndex(f"basis label {label!r} out of range for rank {rank}")
+        raise BadIndex(f"a basis label index is out of range for rank {rank}")
     return label[0], idx - 1
 
 
@@ -399,7 +404,7 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
     if parameter.m != Q.m:
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
     if len(base) != 2:
-        raise BadIndex(f"base must be a pair of basis labels, got {base!r}")
+        raise BadIndex(f"base must be a pair of basis labels, got {len(base)}")
     ub, ui = _parse_label(base[0], Q.rank)
     wb, wi = _parse_label(base[1], Q.rank)
     if ub == wb:

@@ -15,7 +15,13 @@ from itertools import accumulate
 from operator import add, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
+from .errors import (
+    Degenerate,
+    ModulusMismatch,
+    NotDivisible,
+    PreconditionFailed,
+    value_text,
+)
 from .intlattice import ZLattice
 
 
@@ -30,11 +36,13 @@ class GroupRingElement:
         coeffs = tuple(coeffs)
         if len(coeffs) != m:
             raise PreconditionFailed(
-                f"coefficients must be a list of length {_int_text(m)}"
+                f"coefficients must be a list of length {value_text(m)}"
             )
         for c in coeffs:
             if type(c) is not int:
-                raise PreconditionFailed(f"coefficient {c!r} is not an integer")
+                raise PreconditionFailed(
+                    f"coefficients must be integers, got {value_text(c)}"
+                )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -196,19 +204,9 @@ class GroupRingElement:
 
 def _check_modulus(m: int) -> None:
     if type(m) is not int or m < 2:
-        got = _int_text(m) if type(m) is int else repr(m)
-        raise PreconditionFailed(f"modulus must be an integer >= 2, got {got}")
-
-
-def _int_text(n: int) -> str:
-    """n for an error message; past 64 bits, its size in bits.
-
-    str fails past the interpreter's int-to-string digit limit.
-    """
-    bits = n.bit_length()
-    if bits <= 64:
-        return str(n)
-    return f"<{'negative ' if n < 0 else ''}{bits}-bit integer>"
+        raise PreconditionFailed(
+            f"modulus must be an integer >= 2, got {value_text(m)}"
+        )
 
 
 _new_element = object.__new__
@@ -444,19 +442,8 @@ def ideal_express(
     elems: Sequence[GroupRingElement], target: GroupRingElement
 ) -> Optional[list[GroupRingElement]]:
     """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
-    return express_on(shift_lattice(elems), target)
-
-
-def express_on(
-    lattice: ZLattice, target: GroupRingElement
-) -> Optional[list[GroupRingElement]]:
-    """ideal_express on lattice = shift_lattice(elems), built by the caller.
-
-    One lattice built with its transform then answers both membership
-    (lattice.contains) and expression, from one Hermite form.
-    """
     m = target.m
-    combo = lattice.express(target.coeffs)
+    combo = shift_lattice(elems).express(target.coeffs)
     if combo is None:
         return None
     return [_trusted(m, tuple(combo[i : i + m])) for i in range(0, len(combo), m)]

@@ -116,9 +116,9 @@ def test_ring_mul_past_the_digit_limit_is_an_error_document(capsys, flags):
 
 
 def test_lagrangian_solve_past_the_digit_limit_is_an_error_document(capsys):
-    # a1 at the digit limit parses; the solve's output doubles it
+    # a2 at the digit limit parses; the transport matrix has a larger entry
     big = int("9" * sys.get_int_max_str_digits())
-    spec = json.dumps({"a1": [big, 0], "a2": [1, 0], "b2": [0, 1]})
+    spec = json.dumps({"a1": [0, 0], "a2": [big, big], "b2": [1, 0]})
     code, out, _ = run(
         capsys, "--json", "lagrangian", "solve", "--branch", "even-m", "--m", "2",
         "--spec", spec,
@@ -299,6 +299,9 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
     assert json.loads(out)["error"] == "RankTooLarge"
 
 
+LONG = "x" * 3000
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -331,6 +334,33 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
          "PreconditionFailed"),
         (["lagrangian", "sweep", "--branch", "odd-m", "--m", "5", "--count", "-3"],
          "PreconditionFailed"),
+        # a long string as the spec's branch or modulus, as a coefficient,
+        # and as an element's modulus
+        (["lagrangian", "solve", "--m", "3", "--branch", "odd-m", "--spec",
+          json.dumps({"branch": LONG, "a1": [0, 0, 0], "a2": [1, 0, 0], "b2": [0, 0, 0]})],
+         "PreconditionFailed"),
+        (["lagrangian", "solve", "--m", "3", "--branch", "odd-m", "--spec",
+          json.dumps({"m": LONG, "a1": [0, 0, 0], "a2": [1, 0, 0], "b2": [0, 0, 0]})],
+         "PreconditionFailed"),
+        (["lagrangian", "solve", "--m", "3", "--branch", "odd-m", "--spec",
+          json.dumps({"a1": [LONG, 0, 0], "a2": [1, 0, 0], "b2": [0, 0, 0]})],
+         "PreconditionFailed"),
+        (["ring", "mul", "--m", "3", "--x", json.dumps({"m": LONG, "coeffs": [1, 0, 0]}),
+          "--y", "[1,0,0]"],
+         "PreconditionFailed"),
+        # long basis labels: a bad letter, an index out of range, an index
+        # past the digit limit for int(), and one label with no comma
+        (["form", "transvection", "--m", "3", "--base", "e1,g" + "1" * 3000, "--c", "[1,0,0]"],
+         "BadIndex"),
+        (["form", "transvection", "--m", "3", "--base", "e1,f" + "1" * 3000, "--c", "[1,0,0]"],
+         "BadIndex"),
+        (["form", "transvection", "--m", "3", "--base", "e1,f" + "1" * 5000, "--c", "[1,0,0]"],
+         "BadIndex"),
+        (["form", "transvection", "--m", "3", "--base", LONG, "--c", "[1,0,0]"],
+         "BadIndex"),
+        # a digit that int() does not read
+        (["form", "transvection", "--m", "3", "--base", "e1,f\u00b2", "--c", "[1,0,0]"],
+         "BadIndex"),
     ],
 )
 def test_bad_inputs_exit_one_with_an_error_document(capsys, argv, error):

@@ -36,6 +36,7 @@ from cyclact.groupring import (
     _normalize,
     ideal_contains_one,
     ideal_express,
+    param_reduce,
 )
 from cyclact.intlattice import ZLattice
 
@@ -85,38 +86,57 @@ def test_odd_branch_preconditions():
         solve_odd_m(spec_of(4, Branch.ODD_M_SKEW, [0], [1], [0]))
 
 
-def _assert_even_m_facts(spec, trace):
-    # the e1 coefficient of the normalized v2 is h times the norm element,
-    # U is Lagrangian, and S + U is certified as the whole module
+def test_norm_multiplier_keeps_the_tilde_class():
+    # the skew solver reads the (e2, f2) block's mu class before dividing by
+    # u: for symmetric c and N = u*conj(u) with l odd, [N*c] = [c]
+    rng = random.Random(17)
+    tilde = FormParameterKind.TILDE
+    for m in range(2, 13, 2):
+        for l in range(1, 3 * m):
+            if math.gcd(l, m) != 1:
+                continue
+            u = GroupRingElement.geometric(m, l)
+            N = u * u.conj()
+            for _ in range(5):
+                t = el(m, *(rng.randint(-3, 3) for _ in range(m)))
+                c = t + t.conj() + el(m, rng.randint(-3, 3))
+                c = c + rng.randint(-3, 3) * GroupRingElement.gen(m, m // 2)
+                assert param_reduce(N * c, tilde) == param_reduce(c, tilde)
+
+
+_EVEN_M_SHAPES = (
+    # a2*conj(b2) = g is already in the class of s: no shear
+    spec_of(2, Branch.EVEN_M_SKEW, [0], [1], [0, 1]),
+    # class 0 and aug(b2) odd: shear-T adds s to a2
+    spec_of(2, Branch.EVEN_M_SKEW, [1], [1], [1]),
+    # class 0 and aug(b2) even: shear-R subtracts s from b2
+    spec_of(4, Branch.EVEN_M_SKEW, [1, 1, 1, 1], [1], [0]),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, steps",
+    zip(_EVEN_M_SHAPES, (["vector-transport"], ["shear-T", "vector-transport"],
+                         ["shear-R", "vector-transport"])),
+    ids=["no-shear", "shear-T", "shear-R"],
+)
+def test_even_m_shapes_certify_and_replay(spec, steps):
     m = spec.m
-    assert trace.normalized_S[1][0] == trace.h * GroupRingElement.norm(m)
     Q = spec.module()
+    trace = solve_even_m(spec)
+    assert [s.name for s in trace.steps] == steps
+    assert all(s.kind == "ambient" and isometry_check(Q, s.matrix) for s in trace.steps)
+    # after the shear, the block's class is the class of s
+    v2 = spec.vectors()[1]
+    for step in trace.steps[:-1]:
+        v2 = step.matrix * v2
+    block = param_reduce(v2[1] * v2[3].conj(), Q.kind)
+    assert block == param_reduce(GroupRingElement.norm(m), Q.kind)
     assert all(lambda_eval(Q, u, w).is_zero() for u in trace.U for w in trace.U)
     assert all(mu_eval(Q, u).is_zero() for u in trace.U)
     verify_lagrangian_complement(Q, spec.vectors(), trace.U)
     assert trace.replay()
-
-
-def test_even_m_branch_small_modulus():
-    spec = spec_of(2, Branch.EVEN_M_SKEW, [0], [1], [0, 1])
-    trace = solve_even_m(spec)
-    assert [s.name for s in trace.steps] == [
-        "shear-T", "shear-R", "vector-transport",
-    ]
-    _assert_even_m_facts(spec, trace)
-
-
-def test_even_m_branch_with_basis_mixing():
-    # mu of v2 lands in the nonzero class, so v1 is mixed into v2 first
-    spec = EmbeddingSpec(
-        4, Branch.EVEN_M_SKEW, GroupRingElement.norm(4), el(4, 1), el(4, 0)
-    )
-    trace = solve_even_m(spec)
-    assert [s.name for s in trace.steps] == [
-        "mix-v1-into-v2", "shear-T", "shear-R", "vector-transport",
-    ]
-    assert trace.steps[0].kind == "basis"
-    _assert_even_m_facts(spec, trace)
+    assert trace.to_json()["h"] is None
 
 
 def test_even_m_branch_rejects_odd_modulus():
@@ -491,13 +511,12 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
 
 
 def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
-    # odd-m: the normalization alone, which decides validate's unit-ideal
-    # test and whose transform gives the source's Bezout pair; even-m adds
-    # one form of (a2, s, b2) for both the unit-ideal test and the
-    # three-term solve; even-n decides everything by augmentations
+    # a skew solve runs the normalization alone, which decides validate's
+    # unit-ideal test and whose transform gives the source's Bezout pair;
+    # even-n decides everything by augmentations
     budgets = [
         (Branch.ODD_M_SKEW, (3, 5, 7), 1),
-        (Branch.EVEN_M_SKEW, (2, 4), 2),
+        (Branch.EVEN_M_SKEW, (2, 4, 6), 1),
         (Branch.EVEN_N_SYM, (2, 3, 4), 0),
     ]
     rng = random.Random(61)
@@ -507,6 +526,9 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
         for m in moduli
         for _ in range(15)
     ]
+    # the sampler's even-m specs all take a shear; these take none, one
+    # shear-T and one shear-R
+    cases += [(spec, 1) for spec in _EVEN_M_SHAPES]
     real = intlattice.row_hnf_transform
     calls = []
 
@@ -518,7 +540,7 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
     for spec, budget in cases:
         calls.clear()
         solve(spec)
-        assert len(calls) <= budget, (spec.to_json(), len(calls))
+        assert len(calls) == budget, (spec.to_json(), len(calls))
 
 
 def _unit_ideal_failures(m):
