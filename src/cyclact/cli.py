@@ -9,12 +9,13 @@ exists and 3 when the query falls outside the classified range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .census import ActionQuery, classification
 from .complement import Branch, EmbeddingSpec, run_sweep, solve
-from .errors import CyclactError, PreconditionFailed
+from .errors import CyclactError, PreconditionFailed, value_text
 from .forms import (
     QuadraticModule,
     RingMatrix,
@@ -161,8 +162,18 @@ def _cmd_lagrangian(args) -> int:
         obj = _json(text)
         if not isinstance(obj, dict):
             raise PreconditionFailed("a spec must be a JSON object")
-        obj.setdefault("m", args.m)
-        obj.setdefault("branch", args.branch)
+        # the flags are required: a spec key may repeat one, not contradict it;
+        # a non-integer "m" is left to from_json's type check
+        m = obj.setdefault("m", args.m)
+        if type(m) is int and m != args.m:
+            raise PreconditionFailed(
+                f'spec key "m" is {value_text(m)} but --m is {value_text(args.m)}'
+            )
+        branch = Branch.from_cli(obj.setdefault("branch", args.branch))
+        if branch is not Branch.from_cli(args.branch):
+            raise PreconditionFailed(
+                f'spec key "branch" is {branch.value} but --branch is {args.branch}'
+            )
         trace = solve(EmbeddingSpec.from_json(obj))
         human = [
             f"branch: {trace.branch.value}",
@@ -376,6 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on the first call and kept for the process.
+
+    Parsing reads the parser and never changes it, so one parser serves
+    every call; build_parser still returns a fresh one for other callers.
+    """
+    return build_parser()
+
+
 _DISPATCH = {
     "ring": _cmd_ring,
     "form": _cmd_form,
@@ -391,7 +412,7 @@ def main(argv=None) -> int:
     # what _emit reads of the arguments, should they not parse
     args = argparse.Namespace(json="--json" in argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except _Usage as exc:
         _emit(args, {"usage": str(exc)}, lambda: str(exc))

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from cyclact import cli
 from cyclact.cli import main
 from cyclact.groupring import GroupRingElement
 
@@ -96,6 +97,38 @@ def test_lagrangian_solve_merges_flags_into_spec(capsys):
     assert doc["trace"]["branch"] == "odd-m"
     assert doc["trace"]["U"][0][2]["coeffs"] == [1, 0, 0]
     assert "U:" in err
+
+
+SOLVE_ODD_M_3 = ["lagrangian", "solve", "--branch", "odd-m", "--m", "3", "--spec"]
+ODD_M_3_SPEC = {"a1": [0, 0, 0], "a2": [1, 0, 0], "b2": [0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "keys, detail",
+    [
+        ({"m": 5}, 'spec key "m" is 5 but --m is 3'),
+        ({"m": 2**100}, 'spec key "m" is <101-bit integer> but --m is 3'),
+        ({"branch": "even-n"}, 'spec key "branch" is even-n but --branch is odd-m'),
+        # a whole spec for another branch and modulus: the flags do not yield
+        ({"m": 2, "branch": "even-n", "a1": [0, 0], "a2": [1, 0], "b2": [0, 0]},
+         'spec key "m" is 2 but --m is 3'),
+    ],
+    ids=["m", "huge-m", "branch", "other-spec"],
+)
+def test_lagrangian_solve_spec_keys_that_disagree_with_the_flags_exit_one(
+    capsys, keys, detail
+):
+    spec = json.dumps({**ODD_M_3_SPEC, **keys})
+    code, out, err = run(capsys, "--json", *SOLVE_ODD_M_3, spec)
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "PreconditionFailed", "detail": detail}
+
+
+def test_lagrangian_solve_spec_keys_that_agree_with_the_flags_solve(capsys):
+    plain = out_json(capsys, "--json", *SOLVE_ODD_M_3, json.dumps(ODD_M_3_SPEC))
+    spec = json.dumps({**ODD_M_3_SPEC, "m": 3, "branch": "odd-m"})
+    assert out_json(capsys, "--json", *SOLVE_ODD_M_3, spec) == plain
 
 
 def _assert_digit_limit_error(code, out):
@@ -428,3 +461,27 @@ def test_help_is_one_usage_document(capsys, argv, first_line):
     code, out, err = run(capsys, *argv)
     assert code == 0 and json.loads(out) == doc
     assert err == doc["usage"]
+
+
+def test_the_reused_parser_keeps_calls_independent(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    calls = [
+        ["ring", "mul", "--m", "abc", "--x", "[1]", "--y", "[1]"],
+        ["--help"],
+        ["--json", "ring", "mul", "--m", "3", "--x", "[1,2,0]", "--y", "[0,1,0]"],
+        ["census", "--n", "4", "--m", "3", "--g", "3", "--pontryagin", "0"],
+        ["--json", "ring", "divide", "--m", "4", "--x", "[1,1,1,1]", "--d", "[0,0,0,0]"],
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 0, 0, 2, 1]
+    again = [run(capsys, *argv) for argv in reversed(calls)]
+    assert again[::-1] == first
+    assert len(builds) == 1
