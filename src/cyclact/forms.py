@@ -15,6 +15,7 @@ sign/parameter pairings enforced by QuadraticModule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,6 +32,9 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     ParameterClass,
+    _conj_coeffs,
+    _dot_coeffs,
+    _trusted,
     ideal_contains_one,
     is_unit,
     param_reduce,
@@ -319,17 +323,46 @@ def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingEl
     Q._check_vector(x)
     Q._check_vector(y)
     r = Q.rank
-    ef = _dot(Q.m, x.coords[:r], [d.conj() for d in y.coords[r:]])
-    fe = _dot(Q.m, x.coords[r:], [c.conj() for c in y.coords[:r]])
-    return ef + fe if Q.eps == 1 else ef - fe
+    a = [c.coeffs for c in x.coords]
+    b = [_conj_coeffs(c.coeffs) for c in y.coords]
+    f = a[r:] if Q.eps == 1 else [tuple(map(neg, c)) for c in a[r:]]
+    return _trusted(Q.m, _dot_coeffs(Q.m, zip(a[:r] + f, b[r:] + b[:r])))
+
+
+def _mu_lift(Q: QuadraticModule, x: RingVector) -> GroupRingElement:
+    """sum a_i conj(b_i), the lift of mu(x); lambda(x, x) = L + eps * conj(L)."""
+    r = Q.rank
+    c = [v.coeffs for v in x.coords]
+    return _trusted(Q.m, _dot_coeffs(Q.m, zip(c[:r], map(_conj_coeffs, c[r:]))))
 
 
 def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
     """Quadratic refinement mu(x) = [sum a_i conj(b_i)] in Lambda/parameter."""
     Q._check_vector(x)
-    r = Q.rank
-    lift = _dot(Q.m, x.coords[:r], [b.conj() for b in x.coords[r:]])
-    return param_reduce(lift, Q.kind)
+    return param_reduce(_mu_lift(Q, x), Q.kind)
+
+
+def _gram_and_mu(
+    Q: QuadraticModule, U: Sequence[RingVector]
+) -> tuple[tuple[tuple[GroupRingElement, ...], ...], tuple[ParameterClass, ...]]:
+    """The table lambda(U[i], U[j]) and the classes mu(U[i]).
+
+    lambda is evaluated once per pair i < j; entry (j, i) is eps * conj of
+    entry (i, j). The diagonal and the mu classes come from each vector's
+    mu lift L, as lambda(u, u) = L + eps * conj(L).
+    """
+
+    def swapped(x: GroupRingElement) -> GroupRingElement:
+        return x.conj() if Q.eps == 1 else -x.conj()
+
+    lifts = [_mu_lift(Q, u) for u in U]
+    rows = [[None] * len(U) for _ in U]
+    for i, u in enumerate(U):
+        rows[i][i] = lifts[i] + swapped(lifts[i])
+        for j in range(i + 1, len(U)):
+            rows[i][j] = lambda_eval(Q, u, U[j])
+            rows[j][i] = swapped(rows[i][j])
+    return tuple(map(tuple, rows)), tuple(param_reduce(L, Q.kind) for L in lifts)
 
 
 def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
@@ -343,25 +376,18 @@ def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
 def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
     """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images.
 
-    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j). Both that value
-    and G[i][j] change to eps * conj(.) when i and j swap, so the entries
-    with i <= j decide. The diagonal follows from mu: lambda(x, x) is
-    L + eps * conj(L) for any lift L of mu(x), which vanishes when L lies
-    in the form parameter. So mu = 0 and the entries with i < j decide.
+    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j), the table
+    _gram_and_mu evaluates on pairs i < j and fills in by symmetry; G has
+    the same symmetry. The table's diagonal L + eps * conj(L) vanishes for
+    a lift L in the form parameter, so with mu = 0 the entries with i < j
+    decide.
     """
     if M.n != Q.dim:
         raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
     if M.m != Q.m:
         raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    G = Q.gram_matrix().rows
-    cols = [M.column(i) for i in range(Q.dim)]
-    if not all(mu_eval(Q, x).is_zero() for x in cols):
-        return False
-    for i, x in enumerate(cols):
-        for j in range(i + 1, Q.dim):
-            if lambda_eval(Q, x, cols[j]) != G[i][j]:
-                return False
-    return True
+    gram, mus = _gram_and_mu(Q, [M.column(i) for i in range(Q.dim)])
+    return all(c.is_zero() for c in mus) and gram == Q.gram_matrix().rows
 
 
 def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
@@ -520,16 +546,13 @@ def verify_lagrangian_complement(
         raise DimensionMismatch(f"need {Q.rank} vectors in S and in U")
     for v in list(S) + list(U):
         Q._check_vector(v)
-    gram = tuple(
-        tuple(lambda_eval(Q, u, w) for w in U) for u in U
-    )
+    gram, mus = _gram_and_mu(Q, U)
     for i, row in enumerate(gram):
         for j, val in enumerate(row):
             if not val.is_zero():
                 raise NotComplement(
                     "gram", f"lambda(U[{i}], U[{j}]) is nonzero ({val.bits()} bits)"
                 )
-    mus = tuple(mu_eval(Q, u) for u in U)
     for i, c in enumerate(mus):
         if not c.is_zero():
             raise NotComplement(

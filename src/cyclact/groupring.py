@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -74,7 +74,7 @@ class GroupRingElement:
     def integer(m: int, n: int) -> "GroupRingElement":
         _check_modulus(m)
         if type(n) is not int:
-            raise PreconditionFailed(f"integer {n!r} is not an int")
+            raise PreconditionFailed(f"an integer must be an int, got {value_text(n)}")
         return _trusted(m, (n,) + (0,) * (m - 1))
 
     @staticmethod
@@ -137,8 +137,7 @@ class GroupRingElement:
 
     def conj(self) -> "GroupRingElement":
         """Involution: coefficient at i moves to (m - i) mod m."""
-        c = self.coeffs
-        return _trusted(self.m, c[:1] + c[:0:-1])
+        return _trusted(self.m, _conj_coeffs(self.coeffs))
 
     def shift(self, j: int) -> "GroupRingElement":
         """Multiplication by gen^j."""
@@ -220,6 +219,38 @@ def _trusted(m: int, coeffs: tuple) -> GroupRingElement:
     _set_m(el, m)
     _set_coeffs(el, coeffs)
     return el
+
+
+def _conj_coeffs(c: tuple) -> tuple:
+    """The involution on a coefficient tuple: index i moves to -i mod len(c)."""
+    return c[:1] + c[:0:-1]
+
+
+def _dot_coeffs(m: int, pairs) -> tuple:
+    """Coefficients of sum_k a_k * b_k from pairs of coefficient tuples.
+
+    (a*b)_i = sum_j a_j * b_(i-j mod m), and b_(i-j) for j = 0..m-1 is
+    the window [m-1-i, 2m-1-i) of b doubled and reversed. So with A the
+    live a_k joined and B_i their b_k's windows joined, coefficient i is
+    one sum(map(mul, A, B_i)), its inner loop in C. A pair with a zero
+    factor is dropped; no pairs give zero.
+    """
+    A = ()
+    rs = []
+    for a, b in pairs:
+        if any(a) and any(b):
+            A += a
+            rs.append((b + b)[::-1])
+    if not rs:
+        return (0,) * m
+    out = []
+    for lo in range(m - 1, -1, -1):
+        hi = lo + m
+        B = ()
+        for r in rs:
+            B += r[lo:hi]
+        out.append(sum(map(mul, A, B)))
+    return tuple(out)
 
 
 def ring_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclact.errors import (
     BadIndex,
@@ -11,6 +13,7 @@ from cyclact.errors import (
     ZeroVector,
 )
 from cyclact.forms import (
+    _gram_and_mu,
     QuadraticModule,
     RingMatrix,
     RingVector,
@@ -25,7 +28,15 @@ from cyclact.forms import (
 )
 from cyclact.groupring import FormParameterKind, GroupRingElement, param_reduce
 
-from oracles import dense_ring_matmul, gram_inverse, is_isometry, leibniz_det
+from oracles import (
+    conj_coeffs,
+    dense_ring_matmul,
+    gram_inverse,
+    in_form_parameter,
+    is_isometry,
+    leibniz_det,
+    poly_mul_fold,
+)
 
 
 def el(m, *coeffs):
@@ -506,3 +517,147 @@ def test_isometry_check_agrees_with_the_definition():
             assert isometry_check(Q, cand) == want
             seen[want] += 1
     assert seen[True] >= 70 and seen[False] >= 130
+
+
+# --- the fused dot kernel against the dense oracles ---------------------------
+
+# small coefficients, and some above 2^64 so no product fits a machine word
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def coordinates(draw, m):
+    """A coefficient tuple: zero, a signed monomial, or dense."""
+    shape = draw(st.sampled_from(("zero", "monomial", "dense")))
+    if shape == "zero":
+        return (0,) * m
+    if shape == "monomial":
+        c = [0] * m
+        c[draw(st.integers(0, m - 1))] = draw(st.sampled_from((1, -1, 2, 3**50)))
+        return tuple(c)
+    return tuple(draw(st.lists(coefficients, min_size=m, max_size=m)))
+
+
+@st.composite
+def module_with_vectors(draw, count):
+    """(Q, vectors as lists of coefficient tuples), m = 2..16, ranks 1..3."""
+    m = draw(st.integers(2, 16))
+    eps, kind = draw(st.sampled_from(FORMS))
+    Q = QuadraticModule(m, draw(st.integers(1, 3)), eps, kind)
+    return Q, [[draw(coordinates(m)) for _ in range(Q.dim)] for _ in range(count)]
+
+
+def _ring_vector(m, coords):
+    return RingVector([GroupRingElement(m, c) for c in coords])
+
+
+def _oracle_sum(m, terms):
+    """sum sign * a * b over (sign, a, b), every product by poly_mul_fold."""
+    acc = (0,) * m
+    for sign, a, b in terms:
+        acc = tuple(s + sign * t for s, t in zip(acc, poly_mul_fold(m, a, b)))
+    return acc
+
+
+@settings(deadline=None)
+@given(module_with_vectors(2))
+def test_lambda_eval_matches_the_fold_oracle(case):
+    Q, (x, y) = case
+    m, r = Q.m, Q.rank
+    want = _oracle_sum(
+        m,
+        [(1, x[k], conj_coeffs(m, y[r + k])) for k in range(r)]
+        + [(Q.eps, x[r + k], conj_coeffs(m, y[k])) for k in range(r)],
+    )
+    assert lambda_eval(Q, _ring_vector(m, x), _ring_vector(m, y)).coeffs == want
+
+
+@settings(deadline=None)
+@given(module_with_vectors(1))
+def test_mu_eval_matches_the_fold_oracle(case):
+    Q, (x,) = case
+    m, r = Q.m, Q.rank
+    lift = _oracle_sum(m, [(1, x[k], conj_coeffs(m, x[r + k])) for k in range(r)])
+    got = mu_eval(Q, _ring_vector(m, x))
+    assert got == param_reduce(GroupRingElement(m, lift), Q.kind)
+    assert in_form_parameter(
+        m, tuple(a - b for a, b in zip(lift, got.rep.coeffs)), Q.kind.value
+    )
+
+
+@st.composite
+def matrix_cases(draw):
+    """(m, A, B, v) with A's first row holding at most one live entry."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return [[draw(coordinates(m)) for _ in range(n)] for _ in range(n)]
+
+    A, B = matrix(), matrix()
+    A[0] = [(0,) * m] * n
+    A[0][draw(st.integers(0, n - 1))] = draw(coordinates(m))
+    return m, A, B, [draw(coordinates(m)) for _ in range(n)]
+
+
+@settings(deadline=None)
+@given(matrix_cases())
+def test_ring_matrix_products_match_the_dense_oracle(case):
+    m, A, B, v = case
+
+    def ring_matrix(rows):
+        return RingMatrix([[GroupRingElement(m, c) for c in row] for row in rows])
+
+    got = ring_matrix(A) * ring_matrix(B)
+    assert _coeff_rows(got.rows) == dense_ring_matmul(m, A, B)
+    got = ring_matrix(A) * _ring_vector(m, v)
+    assert [c.coeffs for c in got.coords] == [
+        row[0] for row in dense_ring_matmul(m, A, [[c] for c in v])
+    ]
+
+
+@settings(deadline=None)
+@given(module_with_vectors(3))
+def test_verify_reads_the_full_lambda_table_off_half_of_it(case):
+    """The gram evidence, the mu classes and the first failure match a full
+    lambda_eval table, on U that is mostly not Lagrangian."""
+    Q, vectors = case
+    U = [_ring_vector(Q.m, x) for x in vectors[: Q.rank]]
+    table = [[lambda_eval(Q, u, w) for w in U] for u in U]
+    gram, mus = _gram_and_mu(Q, U)
+    assert [list(row) for row in gram] == table
+    assert list(mus) == [mu_eval(Q, u) for u in U]
+    S = [Q.e(i) for i in range(1, Q.rank + 1)]
+    nonzero = [
+        (i, j, x)
+        for i, row in enumerate(table)
+        for j, x in enumerate(row)
+        if not x.is_zero()
+    ]
+    odd = [(i, c) for i, c in enumerate(mus) if not c.is_zero()]
+    if nonzero:
+        i, j, x = nonzero[0]
+        want = f"gram: lambda(U[{i}], U[{j}]) is nonzero ({x.bits()} bits)"
+    elif odd:
+        i, c = odd[0]
+        want = f"mu: mu(U[{i}]) is nonzero ({c.rep.bits()}-bit representative)"
+    else:
+        return
+    with pytest.raises(NotComplement) as exc:
+        verify_lagrangian_complement(Q, S, U)
+    assert str(exc.value) == want
+
+
+def test_verify_certificates_carry_the_full_lambda_table():
+    rng = random.Random(14)
+    for Q in _modules():
+        for _ in range(2):
+            M = _random_isometry(rng, Q)
+            r = Q.rank
+            S = [M.column(i) for i in range(r)]
+            U = [M.column(r + i) for i in range(r)]
+            cert = verify_lagrangian_complement(Q, S, U)
+            assert [list(row) for row in cert.gram_evidence] == [
+                [lambda_eval(Q, u, w) for w in U] for u in U
+            ]
+            assert list(cert.mu_evidence) == [mu_eval(Q, u) for u in U]

@@ -499,6 +499,10 @@ def test_constructor_validates_instead_of_coercing():
     for n in (1.5, True, "1"):
         with pytest.raises(PreconditionFailed):
             GroupRingElement.integer(3, n)
+    # the message names a rejected value by its type or size, never echoes it
+    with pytest.raises(PreconditionFailed) as info:
+        GroupRingElement.integer(3, "x" * 100000)
+    assert str(info.value) == "an integer must be an int, got a 100000-character string"
     with pytest.raises(PreconditionFailed):
         GroupRingElement.norm(1)
 
