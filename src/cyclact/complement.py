@@ -359,7 +359,8 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
 
     The (e2, f2) coefficients x of v2 are normalized (_normalize with
     bezout set: the ideal (a2, b2) as u*Lambda, the quotients and their
-    Bezout pair, from one Hermite form) and transported onto y = (v2', s),
+    Bezout pair, from one Hermite form, the pair reduced by
+    nearest_bezout_pair) and transported onto y = (v2', s),
     from the companion identity u*v2' + a2'*s = 1 (NormData.positive_variant),
     whose pair is (u, a2'). The complement of the result never sees a1:
     v1 = e1 lies in S, and U's lambda, U's mu and the e1 row of det[S | U]

@@ -9,6 +9,7 @@ The norm element s = 1 + gen + ... + gen^(m-1) satisfies x*s = aug(x)*s.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionFailed,
     value_text,
 )
-from .intlattice import ZLattice
+from .intlattice import ZLattice, cramer_solve
 
 
 class GroupRingElement:
@@ -53,10 +54,14 @@ class GroupRingElement:
 
     @staticmethod
     def zero(m: int) -> "GroupRingElement":
+        if type(m) is int:
+            return _shared_integer(m, 0)
         return GroupRingElement.integer(m, 0)
 
     @staticmethod
     def one(m: int) -> "GroupRingElement":
+        if type(m) is int:
+            return _shared_integer(m, 1)
         return GroupRingElement.integer(m, 1)
 
     @staticmethod
@@ -219,6 +224,16 @@ def _trusted(m: int, coeffs: tuple) -> GroupRingElement:
     _set_m(el, m)
     _set_coeffs(el, coeffs)
     return el
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_integer(m: int, n: int) -> GroupRingElement:
+    """GroupRingElement.integer(m, n), built once per int m.
+
+    Elements are immutable, so GroupRingElement.zero and one hand every
+    caller the same instance. A bad m raises, and nothing is cached.
+    """
+    return GroupRingElement.integer(m, n)
 
 
 def _conj_coeffs(c: tuple) -> tuple:
@@ -513,8 +528,9 @@ def _normalize(
     1 = u*v + a*s lies in A + (s). Conversely A + (s) = Lambda forces
     A = u*Lambda; as u is not a zero divisor, u = u*t with t in the
     quotients' ideal gives t = 1. The quotients' ideal is one Hermite form.
-    With bezout set, that form keeps its transform, and ring coefficients
-    p_i with sum p_i * quotients[i] = 1 come back as well; otherwise None.
+    With bezout set, there are two generators, that form keeps its
+    transform, and the Bezout pair (p, q) of the quotients comes back as
+    well, reduced by nearest_bezout_pair; otherwise None.
     """
     if not generators:
         raise Degenerate("no generators")
@@ -539,12 +555,47 @@ def _normalize(
     if bezout:
         pair = ideal_express(quotients, GroupRingElement.one(m))
         whole = pair is not None
+        if whole:
+            pair = list(nearest_bezout_pair(*quotients, *pair))
     else:
         pair = None
         whole = ideal_contains_one(quotients)
     if not whole:
         raise PreconditionFailed(_NOT_WHOLE)
     return data, quotients, pair
+
+
+def nearest_bezout_pair(
+    x1: GroupRingElement,
+    x2: GroupRingElement,
+    p: GroupRingElement,
+    q: GroupRingElement,
+) -> tuple[GroupRingElement, GroupRingElement]:
+    """The Bezout pair of (x1, x2) that Babai round-off picks from (p, q).
+
+    Given p*x1 + q*x2 = 1, every pair with that property is
+    (p, q) - beta*(x2, -x1) for a beta in Lambda: if b1*x1 + b2*x2 = 0
+    then b1 = x2*t and b2 = -x1*t with t = q*b1 - p*b2. In the coefficient
+    inner product, the shifts gen^k*(x2, -x1) have as Gram matrix the
+    circulant of N = x1*conj(x1) + x2*conj(x2), and (p, q) pairs with them
+    as w = p*conj(x2) - q*conj(x1). So the real z with N*z = w gives the
+    nearest point of the syzygy span, and beta = floor(z + 1/2),
+    coefficientwise, is Babai's round-off (Combinatorica 6, 1986). N(zeta)
+    = |x1(zeta)|^2 + |x2(zeta)|^2 > 0 at every m-th root of unity, so
+    mult_matrix(N) is positive definite and one fraction-free solve gives
+    z = y/d with d > 0. Another Bezout pair of (x1, x2) moves z by an
+    element of Lambda and beta by the same, so the result depends on (x1, x2) alone,
+    and reducing it again changes nothing.
+    """
+    m = x1.m
+    c1, c2 = x1.coeffs, x2.coeffs
+    n = _dot_coeffs(m, ((c1, _conj_coeffs(c1)), (c2, _conj_coeffs(c2))))
+    w = _dot_coeffs(m, ((p.coeffs, _conj_coeffs(c2)), ((-q).coeffs, _conj_coeffs(c1))))
+    # N is symmetric, so the rows of mult_matrix(N) are N's own shifts
+    nn = n + n
+    d, y = cramer_solve([nn[m - i : 2 * m - i] for i in range(m)], w)
+    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in y]))
+    return p - beta * x2, q + beta * x1
 
 
 def divide_by_one_minus_gen(x: GroupRingElement) -> GroupRingElement:

@@ -1,4 +1,5 @@
-"""Exact integer lattice arithmetic: Hermite normal form, membership, kernels.
+"""Exact integer lattice arithmetic: Hermite normal form, membership, kernels,
+determinants and fraction-free solves.
 
 Everything here works on plain Python ints (arbitrary precision), never floats.
 Rows are lists of ints; a lattice is the set of integer combinations of its rows.
@@ -6,6 +7,7 @@ Rows are lists of ints; a lattice is the set of integer combinations of its rows
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Sequence
 
 
@@ -154,6 +156,38 @@ class ZLattice:
         return self.ncols == other.ncols and self.basis() == other.basis()
 
 
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free elimination of the n rows a, in place; det of their n x n part.
+
+    Bareiss's step a_ij <- (a_ij * a_kk - a_ik * a_kj) / a_(k-1)(k-1) keeps
+    every entry an integer minor of the input, so each division is exact
+    (Bareiss, Math. Comp. 22, 1968). Columns past n, if any, ride along. A
+    zero pivot is swapped for a nonzero entry below it; if there is none the
+    part is singular and 0 comes back at once. Otherwise a ends upper
+    triangular, a row permutation of an equivalent system, with
+    a[n-1][n-1] = +-det.
+    """
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k]
+        akk = pk[k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            # entries left of k are 0 in both rows and stay 0
+            a[i] = [(x * akk - aik * y) // prev for x, y in zip(a[i], pk)]
+        prev = akk
+    return sign * a[n - 1][n - 1]
+
+
 def det_int(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(mat)
@@ -161,24 +195,31 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
     for r in a:
         if len(r) != n:
             raise ValueError("matrix not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(a, n)
+
+
+def cramer_solve(mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """(d, y) with mat * y = d * rhs and d = det(mat), all integers.
+
+    y = adj(mat) * rhs, so by Cramer's rule every y_i is an integer. One
+    Bareiss elimination of [mat | rhs] gives d; back substitution on the
+    triangular rows then divides exactly, since d * x solves them for the
+    rational solution x. Raises ValueError on a non-square or singular
+    matrix.
+    """
+    n = len(mat)
+    if len(rhs) != n:
+        raise ValueError("right-hand side length mismatch")
+    a = [list(r) + [b] for r, b in zip(mat, rhs)]
+    for r in a:
+        if len(r) != n + 1:
+            raise ValueError("matrix not square")
+    d = _bareiss(a, n)
+    if d == 0:
+        raise ValueError("singular matrix")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ai = a[i]
+        t = d * ai[n] - sum(map(mul, ai[i + 1 : n], y[i + 1 :]))
+        y[i] = t // ai[i]
+    return d, y

@@ -117,6 +117,21 @@ def fraction_det(rows):
     return int(det)
 
 
+def fraction_solve(rows, rhs):
+    """The x with rows * x = rhs over Fraction, by Gauss-Jordan elimination."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if mat[r][col] != 0)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        mat[col] = [a / mat[col][col] for a in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return [r[n] for r in mat]
+
+
 def element_shifts(m, coeffs):
     """Coefficient rows of x, g*x, ..., g^(m-1)*x: the Z-span of the ideal (x)."""
     rows = []

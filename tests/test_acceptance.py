@@ -286,3 +286,22 @@ def test_criterion_10_bounded_coefficient_growth():
     report = run_sweep(Branch.EVEN_N_SYM, 101, 1, seed=0)
     assert report.solved == 1 and report.failures == ()
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_criterion_11_wide_moduli_certificates_stay_small():
+    # Babai round-off against the syzygies of each Bezout pair keeps U small
+    # as m grows: the largest U entry here measured 27 bits (odd-m m = 31),
+    # and 2,763 bits when the Hermite transform's pair was used as it came
+    t0 = time.perf_counter()
+    plans = [(Branch.ODD_M_SKEW, m) for m in (13, 21, 31)]
+    plans += [(Branch.EVEN_M_SKEW, m) for m in (12, 20)]
+    for branch, m in plans:
+        rng = random.Random(5)
+        for _ in range(10):
+            spec = sample_spec(branch, m, rng)
+            trace = solve(spec)
+            assert trace.replay()
+            verify_lagrangian_complement(spec.module(), spec.vectors(), trace.U)
+            bits = max(abs(c).bit_length() for v in trace.U for x in v.coords for c in x.coeffs)
+            assert bits <= 64, (branch, m, bits)
+    assert time.perf_counter() - t0 < 10.0

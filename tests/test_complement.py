@@ -1,6 +1,8 @@
 import math
 import random
 import time
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -36,9 +38,12 @@ from cyclact.groupring import (
     _normalize,
     ideal_contains_one,
     ideal_express,
+    nearest_bezout_pair,
     param_reduce,
 )
 from cyclact.intlattice import ZLattice
+
+from oracles import element_shifts, fraction_solve
 
 
 def el(m, *coeffs):
@@ -359,6 +364,33 @@ def test_every_valid_skew_spec_is_a_geometric_multiple_of_a_unimodular_pair():
                 sym = w1 * w2.conj()
                 assert sym == sym.conj()
                 assert solve(spec).replay()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12])
+def test_nearest_bezout_pair_depends_on_the_vector_alone(m):
+    # pins facts, not which pair comes out: the reduced pair is a Bezout
+    # pair, any pair of (x1, x2) reduces to it, and it reduces to itself
+    rng = random.Random(37 + m)
+    one = GroupRingElement.one(m)
+    for _ in range(10):
+        x1, x2 = complement._skew_pair_sample(rng, m)
+        p, q = ideal_express([x1, x2], one)
+        rp, rq = nearest_bezout_pair(x1, x2, p, q)
+        assert rp * x1 + rq * x2 == one
+        assert nearest_bezout_pair(x1, x2, rp, rq) == (rp, rq)
+        beta0 = el(m, *(rng.randint(-99, 99) for _ in range(m)))
+        assert nearest_bezout_pair(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
+        assert _normalize([x1, x2], bezout=True)[2] == [rp, rq]
+        # round-off leaves the pair's coordinates along the syzygy shifts
+        # g^k*(x2, -x1) in [-1/2, 1/2): projections from plain inner products
+        shifts = [
+            a + [-c for c in b]
+            for a, b in zip(element_shifts(m, x2.coeffs), element_shifts(m, x1.coeffs))
+        ]
+        pair = list(rp.coeffs + rq.coeffs)
+        gram = [[sum(map(mul, a, b)) for b in shifts] for a in shifts]
+        z = fraction_solve(gram, [sum(map(mul, pair, a)) for a in shifts])
+        assert all(-Fraction(1, 2) <= c < Fraction(1, 2) for c in z)
 
 
 def test_specs_with_l_past_the_modulus_solve():

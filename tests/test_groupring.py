@@ -505,6 +505,13 @@ def test_constructor_validates_instead_of_coercing():
     assert str(info.value) == "an integer must be an int, got a 100000-character string"
     with pytest.raises(PreconditionFailed):
         GroupRingElement.norm(1)
+    # zero and one are one shared instance per modulus, which is still checked
+    assert GroupRingElement.zero(4) is GroupRingElement.zero(4) == el(4)
+    assert GroupRingElement.one(4) is GroupRingElement.one(4) == el(4, 1)
+    for m in (True, 2.0, 1, [2], "2"):
+        for make in (GroupRingElement.zero, GroupRingElement.one):
+            with pytest.raises(PreconditionFailed):
+                make(m)
 
 
 def test_division_errors_report_bits_past_the_digit_limit():
