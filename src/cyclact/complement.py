@@ -45,6 +45,8 @@ from .groupring import (
     _normalize,
     divide_by_one_minus_gen,
     ideal_contains_one,
+    ideal_express,
+    nearest_bezout_pair,
     param_reduce,
 )
 
@@ -72,6 +74,21 @@ _BRANCH_FORM = {
 
 
 _SKEW_NOT_UNIT = "a2, b2 and the norm element must generate the unit ideal"
+
+
+def _skew_normalize(
+    a2: GroupRingElement, b2: GroupRingElement
+) -> tuple[NormData, list[GroupRingElement]]:
+    """_normalize of (a2, b2), every failure reported as _SKEW_NOT_UNIT.
+
+    (a2, b2) + (s) = Lambda, the skew branches' unit-ideal test, holds iff
+    this succeeds and the quotients generate Lambda; a2 = b2 = 0 fails it
+    as Degenerate.
+    """
+    try:
+        return _normalize([a2, b2])
+    except (Degenerate, PreconditionFailed):
+        raise PreconditionFailed(_SKEW_NOT_UNIT) from None
 
 
 def _check_modulus_parity(branch: Branch, m: int) -> None:
@@ -119,16 +136,16 @@ class EmbeddingSpec:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
         Q, v1, v2 = self._check_before_ideal()
         if self.branch is not Branch.EVEN_N_SYM:
-            s = GroupRingElement.norm(self.m)
-            if not ideal_contains_one([self.a2, s, self.b2]):
+            _, quotients = _skew_normalize(self.a2, self.b2)
+            if not ideal_contains_one(quotients):
                 raise PreconditionFailed(_SKEW_NOT_UNIT)
         return Q, v1, v2
 
     def _check_before_ideal(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """validate, up to the skew branches' unit-ideal test.
 
-        The skew solvers answer that test, in validate's order and with its
-        message, from a Hermite form they build anyway.
+        The skew solver answers that test, in validate's order and with its
+        message, from the Hermite form it builds for its Bezout pair.
         """
         _check_modulus_parity(self.branch, self.m)
         Q = self.module()
@@ -357,10 +374,10 @@ def _finish(spec, Q, S, steps, v2n, U_std, norm=None) -> SolverTrace:
 def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for both skew branches.
 
-    The (e2, f2) coefficients x of v2 are normalized (_normalize with
-    bezout set: the ideal (a2, b2) as u*Lambda, the quotients and their
-    Bezout pair, from one Hermite form, the pair reduced by
-    nearest_bezout_pair) and transported onto y = (v2', s),
+    The (e2, f2) coefficients x of v2 are normalized (_skew_normalize: the
+    ideal (a2, b2) as u*Lambda and the quotients, whose Bezout pair comes
+    from one Hermite form and is reduced by nearest_bezout_pair) and
+    transported onto y = (v2', s),
     from the companion identity u*v2' + a2'*s = 1 (NormData.positive_variant),
     whose pair is (u, a2'). The complement of the result never sees a1:
     v1 = e1 lies in S, and U's lambda, U's mu and the e1 row of det[S | U]
@@ -392,18 +409,16 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
             shear = TraceStep("shear-R", "ambient", transvection(Q, ("e1", "f2"), one))
         steps.append(shear)
         v2 = shear.matrix * v2
-    # (a2, b2) + (s) = Lambda, validate's unit-ideal test, holds iff the
-    # normalization succeeds; a2 = b2 = 0 fails it as Degenerate
-    try:
-        norm, quotients, pair_x = _normalize([v2[1], v2[3]], bezout=True)
-    except (Degenerate, PreconditionFailed):
-        raise PreconditionFailed(_SKEW_NOT_UNIT) from None
+    norm, quotients = _skew_normalize(v2[1], v2[3])
+    pair = ideal_express(quotients, one)
+    if pair is None:
+        raise PreconditionFailed(_SKEW_NOT_UNIT)
     v_t, a_t, _ = norm.positive_variant()
     M2 = rank2_vector_isometry(
         _block_module(Q),
         RingVector(quotients),
         RingVector([v_t, s]),
-        pair_x,
+        nearest_bezout_pair(*quotients, *pair),
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
     Phi = _embed_block(Q, M2, (1, 3))
@@ -457,15 +472,10 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     return _finish(spec, Q, (v1, v2_in), steps, v2, (w1, w2))
 
 
-_SOLVERS = {
-    Branch.ODD_M_SKEW: solve_odd_m,
-    Branch.EVEN_M_SKEW: solve_even_m,
-    Branch.EVEN_N_SYM: solve_even_n,
-}
-
-
 def solve(spec: EmbeddingSpec) -> SolverTrace:
-    return _SOLVERS[spec.branch](spec)
+    if spec.branch is Branch.EVEN_N_SYM:
+        return solve_even_n(spec)
+    return _solve_skew(spec)
 
 
 def _random_element(rng: random.Random, m: int, lo: int = -2, hi: int = 2) -> GroupRingElement:

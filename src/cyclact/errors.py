@@ -51,22 +51,6 @@ class SearchExhausted(CyclactError):
     """Constructive isometry transport found no isometry. Data, not a refutation."""
 
 
-class NormalizationFailed(CyclactError):
-    """Ideal normalization precondition failed inside a solver.
-
-    No solver raises it: every skew solve that passes validate's unit-ideal
-    test normalizes. It stays in the public taxonomy.
-    """
-
-
-class ParityObstruction(CyclactError):
-    """The even-m quadratic-class match failed.
-
-    No solver raises it: one shear puts every valid even-m spec in the
-    class the transport needs. It stays in the public taxonomy.
-    """
-
-
 class AugmentationObstruction(CyclactError):
     """Neither coefficient augmentation can be normalized to 1."""
 

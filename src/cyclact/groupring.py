@@ -327,23 +327,28 @@ class UnitCheck(NamedTuple):
 
 
 def is_unit(x: GroupRingElement) -> UnitCheck:
-    """Unit test by one Hermite form, after two screens.
+    """Unit test by one fraction-free solve, after two screens.
 
     A trivial unit +-gen^k is answered directly with its inverse
     +-gen^(-k). Augmentation is a ring map onto Z, so a unit has
-    augmentation +-1 and anything else is rejected at once. Otherwise x is
-    a unit iff 1 lies in x*Lambda, and the one r with r*x = 1 is the
-    inverse: inverses in a commutative ring are unique.
+    augmentation +-1 and anything else is rejected at once. Otherwise
+    cramer_solve on mult_matrix(x) gives x*y = d with d = det mult(x); x
+    is a unit iff d = +-1, and then d*y is its inverse. A singular matrix
+    means x is a zero divisor, so no unit.
     """
+    m = x.m
     support = [i for i, c in enumerate(x.coeffs) if c]
     if len(support) == 1 and x.coeffs[support[0]] in (1, -1):
         return UnitCheck(True, x.conj())
     if x.aug() not in (1, -1):
         return UnitCheck(False, None)
-    combo = ideal_express([x], GroupRingElement.one(x.m))
-    if combo is None:
+    try:
+        d, y = cramer_solve(mult_matrix(x), (1,) + (0,) * (m - 1))
+    except ValueError:
         return UnitCheck(False, None)
-    return UnitCheck(True, combo[0])
+    if d not in (1, -1):
+        return UnitCheck(False, None)
+    return UnitCheck(True, _trusted(m, tuple([d * c for c in y])))
 
 
 class FormParameterKind(enum.Enum):
@@ -512,13 +517,16 @@ def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     u = 1 + gen + ... + gen^(l-1) satisfies u*Lambda = A, and u*v = 1 - a*s.
     Raises PreconditionFailed when A + (s) is not Lambda.
     """
-    return _normalize(generators, bezout=False)[0]
+    data, quotients = _normalize(generators)
+    if not ideal_contains_one(quotients):
+        raise PreconditionFailed(_NOT_WHOLE)
+    return data
 
 
 def _normalize(
-    generators: Sequence[GroupRingElement], *, bezout: bool
-) -> tuple[NormData, list[GroupRingElement], Optional[list[GroupRingElement]]]:
-    """ideal_normalize, also returning the quotients generators[i] / u.
+    generators: Sequence[GroupRingElement],
+) -> tuple[NormData, list[GroupRingElement]]:
+    """ideal_normalize's data and the quotients generators[i] / u, unchecked.
 
     A + (s) = Lambda holds iff gcd(l, m) = 1 and the quotients generate
     Lambda. When gcd(l, m) = 1, u*Lambda has index |det mult(u)| = l and
@@ -527,10 +535,9 @@ def _normalize(
     (NormData.divide). If the quotients generate Lambda, A = u*Lambda and
     1 = u*v + a*s lies in A + (s). Conversely A + (s) = Lambda forces
     A = u*Lambda; as u is not a zero divisor, u = u*t with t in the
-    quotients' ideal gives t = 1. The quotients' ideal is one Hermite form.
-    With bezout set, there are two generators, that form keeps its
-    transform, and the Bezout pair (p, q) of the quotients comes back as
-    well, reduced by nearest_bezout_pair; otherwise None.
+    quotients' ideal gives t = 1. Raises Degenerate on no or only zero
+    generators and PreconditionFailed when gcd(l, m) > 1; whether the
+    quotients generate Lambda is left to the caller.
     """
     if not generators:
         raise Degenerate("no generators")
@@ -551,18 +558,7 @@ def _normalize(
     u = GroupRingElement.geometric(m, l)
     data = NormData(u=u, v=_trusted(m, tuple(c)), l=l, a=a, b=b)
     assert data.verify()
-    quotients = [data.divide(gx) for gx in generators]
-    if bezout:
-        pair = ideal_express(quotients, GroupRingElement.one(m))
-        whole = pair is not None
-        if whole:
-            pair = list(nearest_bezout_pair(*quotients, *pair))
-    else:
-        pair = None
-        whole = ideal_contains_one(quotients)
-    if not whole:
-        raise PreconditionFailed(_NOT_WHOLE)
-    return data, quotients, pair
+    return data, [data.divide(gx) for gx in generators]
 
 
 def nearest_bezout_pair(
@@ -591,9 +587,7 @@ def nearest_bezout_pair(
     c1, c2 = x1.coeffs, x2.coeffs
     n = _dot_coeffs(m, ((c1, _conj_coeffs(c1)), (c2, _conj_coeffs(c2))))
     w = _dot_coeffs(m, ((p.coeffs, _conj_coeffs(c2)), ((-q).coeffs, _conj_coeffs(c1))))
-    # N is symmetric, so the rows of mult_matrix(N) are N's own shifts
-    nn = n + n
-    d, y = cramer_solve([nn[m - i : 2 * m - i] for i in range(m)], w)
+    d, y = cramer_solve(mult_matrix(_trusted(m, n)), w)
     beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in y]))
     return p - beta * x2, q + beta * x1
 

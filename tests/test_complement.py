@@ -195,6 +195,18 @@ def test_solve_dispatches_on_branch():
     assert solve(spec).branch is Branch.ODD_M_SKEW
     spec = spec_of(3, Branch.EVEN_N_SYM, [0], [1], [0])
     assert solve(spec).branch is Branch.EVEN_N_SYM
+    # each branch's own solver refuses a spec of another branch
+    specs = {
+        solve_odd_m: spec_of(5, Branch.ODD_M_SKEW, [0], [1], [0]),
+        solve_even_m: spec_of(4, Branch.EVEN_M_SKEW, [0], [1], [0]),
+        solve_even_n: spec,
+    }
+    for solver, own in specs.items():
+        assert solver(own).branch is own.branch
+        for other in specs.values():
+            if other is not own:
+                with pytest.raises(PreconditionFailed, match="spec branch is not"):
+                    solver(other)
 
 
 def test_certificates_hold_for_all_branch_examples():
@@ -356,7 +368,8 @@ def test_every_valid_skew_spec_is_a_geometric_multiple_of_a_unimodular_pair():
     for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
         for m in moduli:
             for spec in _kernel_specs(branch, m, rng, 4):
-                data, (w1, w2), (p, q) = _normalize([spec.a2, spec.b2], bezout=True)
+                data, (w1, w2) = _normalize([spec.a2, spec.b2])
+                p, q = ideal_express([w1, w2], GroupRingElement.one(m))
                 l = math.gcd(spec.a2.aug(), spec.b2.aug())
                 assert data.u == GroupRingElement.geometric(m, l)
                 assert (data.u * w1, data.u * w2) == (spec.a2, spec.b2)
@@ -380,7 +393,8 @@ def test_nearest_bezout_pair_depends_on_the_vector_alone(m):
         assert nearest_bezout_pair(x1, x2, rp, rq) == (rp, rq)
         beta0 = el(m, *(rng.randint(-99, 99) for _ in range(m)))
         assert nearest_bezout_pair(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
-        assert _normalize([x1, x2], bezout=True)[2] == [rp, rq]
+        _, quotients = _normalize([x1, x2])
+        assert nearest_bezout_pair(*quotients, *ideal_express(quotients, one)) == (rp, rq)
         # round-off leaves the pair's coordinates along the syzygy shifts
         # g^k*(x2, -x1) in [-1/2, 1/2): projections from plain inner products
         shifts = [
@@ -613,6 +627,37 @@ def test_solve_rejects_a_proper_unit_ideal_as_validate_does():
                 assert "must generate the unit ideal" in str(by_solve.value)
                 cases += 1
     assert cases == 42
+
+
+def test_validate_and_solve_reject_the_same_seeded_skew_specs():
+    # (a2, b2) = t*(w1, w2) keeps lambda(v2, v2) = 0 for any t; the unit
+    # ideal holds for some t and fails for others
+    rng = random.Random(67)
+    outcomes = set()
+    for m in range(2, 10):
+        branch = Branch.ODD_M_SKEW if m % 2 else Branch.EVEN_M_SKEW
+        for _ in range(12):
+            w1, w2 = complement._skew_pair_sample(rng, m)
+            t = rng.choice([
+                el(m, *(rng.randint(-1, 2) for _ in range(m))),
+                GroupRingElement.geometric(m, rng.randrange(2 * m)),
+                GroupRingElement.integer(m, rng.choice([-1, 1, 2, 3])),
+            ])
+            a1 = el(m, *(rng.randint(-2, 2) for _ in range(m)))
+            spec = EmbeddingSpec(m, branch, a1, t * w1, t * w2)
+            try:
+                spec.validate()
+            except PreconditionFailed as exc:
+                assert str(exc) == complement._SKEW_NOT_UNIT
+                with pytest.raises(PreconditionFailed) as by_solve:
+                    solve(spec)
+                assert type(by_solve.value) is type(exc)
+                assert str(by_solve.value) == str(exc)
+                outcomes.add(False)
+            else:
+                assert solve(spec).replay()
+                outcomes.add(True)
+    assert outcomes == {True, False}
 
 
 def test_spec_with_a_modulus_past_the_digit_limit_is_a_precondition_failure():

@@ -341,17 +341,42 @@ def test_unit_check_against_det():
         for y in (x, x * (one + g - g.conj()), -x * x, x.conj() * g):
             assert y.aug() in (1, -1)
             assert not _check_unit_against_det(y)
-    # Bass units u_k^phi(m) + ((1 - k^phi(m))/m)*s are units
+    # 1 - g + g^2 = Phi_6(g) vanishes at the primitive 6th roots of unity:
+    # a zero divisor of augmentation 1, whose matrix is singular
+    phi6 = el(6, 1, -1, 1)
+    assert det_int(mult_matrix(phi6)) == 0
+    assert not _check_unit_against_det(phi6)
     for m in range(2, 13):
-        phi = sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
         for k in range(1, m):
-            if math.gcd(k, m) != 1:
-                continue
-            x = GroupRingElement.one(m)
-            for _ in range(phi):
-                x = x * GroupRingElement.geometric(m, k)
-            x = x + GroupRingElement.norm(m) * ((1 - k**phi) // m)
-            assert _check_unit_against_det(x)
+            if math.gcd(k, m) == 1:
+                assert _check_unit_against_det(_bass_unit(m, k))
+
+
+def _bass_unit(m, k):
+    """u_k^phi(m) + ((1 - k^phi(m))/m)*s with u_k = 1 + g + ... + g^(k-1): a unit."""
+    phi = sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+    x = GroupRingElement.one(m)
+    for _ in range(phi):
+        x = x * GroupRingElement.geometric(m, k)
+    return x + GroupRingElement.norm(m) * ((1 - k**phi) // m)
+
+
+def test_is_unit_is_fast_at_wide_moduli():
+    rng = random.Random(60)
+    t0 = time.perf_counter()
+    for m, k in ((60, 7), (100, 3)):
+        x = _bass_unit(m, k) * GroupRingElement.gen(m, 3)
+        ok, inv = is_unit(x)
+        assert ok and x * inv == GroupRingElement.one(m)
+        # g -> -1 is a ring map onto Z for even m, so a unit maps to +-1;
+        # y passes the augmentation screen but not this one
+        while True:
+            c = [rng.randint(-2, 2) for _ in range(m)]
+            c[0] += 1 - sum(c)
+            if sum(c[0::2]) - sum(c[1::2]) not in (1, -1):
+                break
+        assert is_unit(GroupRingElement(m, c)) == (False, None)
+    assert time.perf_counter() - t0 < 10.0
 
 
 def _rand(rng, m, h=3):
