@@ -187,8 +187,7 @@ def _cmd_lagrangian(args) -> int:
             lambda: "\n".join(human + [f"  {v!r}" for v in trace.U]),
         )
     else:
-        seed = args.sweep_seed if args.sweep_seed is not None else args.seed
-        report = run_sweep(Branch.from_cli(args.branch), args.m, args.count, seed)
+        report = run_sweep(Branch.from_cli(args.branch), args.m, args.count, args.seed)
         human = (
             f"sweep {report.branch.value} m={report.m}: {report.solved} solved, "
             f"{report.exhausted} search-exhausted, {len(report.failures)} failures"
@@ -249,9 +248,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    seed = args.st_seed if args.st_seed is not None else args.seed
-    jobs = args.st_jobs if args.st_jobs is not None else args.jobs
-    summary = run_selftest(args.scope, seed, jobs)
+    summary = run_selftest(args.scope, args.seed)
     lines = [
         f"selftest scope={summary.scope} seed={summary.seed}: "
         f"{summary.passed} passed, {summary.failed} failed, "
@@ -303,9 +300,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="cyclact")
-    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     p.add_argument("--json", action="store_true", help="suppress human output")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub = p.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="group ring arithmetic")
@@ -358,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--branch", required=True, choices=("odd-m", "even-m", "even-n"))
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=None, dest="sweep_seed")
+    sp.add_argument("--seed", type=int, default=0)
 
     ahss = sub.add_parser("ahss", help="cohomology and the 6-line report")
     ahss_sub = ahss.add_subparsers(dest="ahss_op", required=True)
@@ -382,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("ring", "forms", "lagrangian", "ahss", "census", "all"),
     )
-    st.add_argument("--seed", type=int, default=None, dest="st_seed")
-    st.add_argument("--jobs", type=int, default=None, dest="st_jobs")
+    st.add_argument("--seed", type=int, default=0)
     return p
 
 

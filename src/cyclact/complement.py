@@ -15,7 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .errors import (
     AugmentationObstruction,
@@ -205,11 +205,12 @@ class EmbeddingSpec:
 class TraceStep:
     """One recorded ambient isometry, acting on vectors as v -> matrix * v.
 
-    kind is "ambient" for every step the solvers record.
+    Every step the solvers record is ambient, so kind is a class constant;
+    it stays in the trace JSON under "kind".
     """
 
+    kind: ClassVar[str] = "ambient"
     name: str
-    kind: str
     matrix: RingMatrix
 
     def to_json(self) -> dict:
@@ -280,9 +281,9 @@ def rank2_vector_isometry(
     proves it primitive and completes it. Both vectors must be isotropic
     (lambda(x, x) = 0) with equal mu class; equal vectors give the
     identity. Each vector is completed to a standard hyperbolic pair,
-    (x, x') and (y, y'); y' is sheared by a multiple of y, picked in closed
-    form, until mu(y') = mu(x'); and M is the transport between the two
-    pair bases. If no shear aligns the classes, SearchExhausted is raised,
+    (x, x') and (y, y'); y' is sheared by c*y for the first c of up to
+    four (0, 1, g^(m/2), 1 + g^(m/2)) with mu(y') = mu(x'); and M is the
+    transport between the two pair bases. If no shear aligns the classes, SearchExhausted is raised,
     which is not a proof that no isometry exists.
     """
     if Q.rank != 1:
@@ -404,9 +405,9 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     steps = []
     if param_reduce(v2[1] * v2[3].conj(), Q.kind) != param_reduce(s, Q.kind):
         if v2[3].aug() % 2:
-            shear = TraceStep("shear-T", "ambient", transvection(Q, ("e2", "f1"), one))
+            shear = TraceStep("shear-T", transvection(Q, ("e2", "f1"), one))
         else:
-            shear = TraceStep("shear-R", "ambient", transvection(Q, ("e1", "f2"), one))
+            shear = TraceStep("shear-R", transvection(Q, ("e1", "f2"), one))
         steps.append(shear)
         v2 = shear.matrix * v2
     norm, quotients = _skew_normalize(v2[1], v2[3])
@@ -422,7 +423,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
     Phi = _embed_block(Q, M2, (1, 3))
-    steps.append(TraceStep("vector-transport", "ambient", Phi))
+    steps.append(TraceStep("vector-transport", Phi))
     return _finish(
         spec, Q, (v1, v2_in), steps, Phi * v2, _standard_complement(Q, a_t), norm
     )
@@ -455,11 +456,11 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
 
     if v2[1].aug() == 0:
         swap = _embed_block(Q, RingMatrix([[zero, one], [one, zero]]), (1, 3))
-        steps.append(TraceStep("swap-e2-f2", "ambient", swap))
+        steps.append(TraceStep("swap-e2-f2", swap))
         v2 = swap * v2
     if v2[1].aug() == -1:
         neg = _embed_block(Q, RingMatrix([[-one, zero], [zero, -one]]), (1, 3))
-        steps.append(TraceStep("negate-block-2", "ambient", neg))
+        steps.append(TraceStep("negate-block-2", neg))
         v2 = neg * v2
     if v2[1].aug() != 1:
         raise AugmentationObstruction(

@@ -1,9 +1,9 @@
 """Built-in smoke suites behind the `cyclact selftest` command.
 
 Each suite exercises one layer with seeded random data and returns a
-per-case tally. Summaries are deterministic for a fixed seed: the
-equality key excludes wall-clock time, so two runs with the same seed
-compare equal even across differing machine speeds or worker counts.
+per-case tally. Summaries are deterministic in (scope, seed): the
+equality key excludes wall-clock time, so two runs with the same scope
+and seed compare equal even across differing machine speeds.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class RunSummary:
         return self.passed + self.failed + self.skipped
 
     def key(self) -> tuple:
-        """Deterministic comparison key; wall-clock time is excluded."""
+        """Comparison key, fixed by (scope, seed); wall-clock time is excluded."""
         return (
             self.scope,
             self.seed,
@@ -356,7 +356,7 @@ def run_suite(name: str, seed: int) -> SuiteResult:
     return _SUITES[name](seed)
 
 
-def run_selftest(scope: str = "all", seed: int = 0, jobs: int = 1) -> RunSummary:
+def run_selftest(scope: str = "all", seed: int = 0) -> RunSummary:
     if scope == "all":
         names = list(SCOPES)
     elif scope in _SUITES:
@@ -364,16 +364,5 @@ def run_selftest(scope: str = "all", seed: int = 0, jobs: int = 1) -> RunSummary
     else:
         raise PreconditionFailed(f"unknown scope {scope!r}")
     start = time.monotonic()
-    if jobs > 1 and len(names) > 1:
-        # imported here: the process pool machinery costs about 2.5 MB of
-        # resident memory, which a serial run and `import cyclact` never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the fork start method starts every worker up front, so no more
-        # workers than suites
-        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            results = list(pool.map(run_suite, names, [seed] * len(names)))
-    else:
-        results = [run_suite(n, seed) for n in names]
-    results.sort(key=lambda s: s.name)
+    results = sorted((run_suite(n, seed) for n in names), key=lambda s: s.name)
     return RunSummary(scope, seed, tuple(results), time.monotonic() - start)

@@ -219,8 +219,7 @@ def d2_rank(m: int, p: int, twisted: bool = False) -> int:
     """Rank over Z/2 of Sq^2 (+ w2 cup when twisted): H^{p-2} -> H^p."""
     if p < 2:
         raise PreconditionFailed("p must be at least 2")
-    case = ring_case(m)  # raises OddModulus for odd m
-    del case
+    ring_case(m)  # raises OddModulus for odd m
     (c,) = cohomology_basis(m, p - 2)
     image = steenrod_square(2, c)
     if twisted:
@@ -405,9 +404,7 @@ def spin_line_report(m: int, twisted: bool = False) -> SpinLineReport:
     e3 = {}
     survivors = []
     for (p, q) in _SIX_LINE:
-        dim = _z2_dim(line[(p, q)]) if line[(p, q)] in ((), (2,)) else None
-        if dim is None:
-            raise PreconditionFailed(f"unexpected entry at {(p, q)}")
+        dim = _z2_dim(line[(p, q)])
         if dim == 0:
             e3[(p, q)] = ()
             continue

@@ -188,20 +188,19 @@ def test_json_flag_builds_no_summary(capsys, monkeypatch):
         json.loads(out)
 
 
-def test_lagrangian_sweep_seed_flag_overrides_global(capsys):
-    code1, out1, _ = run(
-        capsys, "--json", "lagrangian", "sweep", "--branch", "odd-m",
-        "--m", "5", "--count", "5", "--seed", "9",
-    )
-    code2, out2, _ = run(
-        capsys, "--seed", "9", "--json", "lagrangian", "sweep", "--branch",
-        "odd-m", "--m", "5", "--count", "5",
-    )
-    assert code1 == code2 == 0
-    d1, d2 = json.loads(out1), json.loads(out2)
-    d1["sweep"].pop("elapsedSeconds")
-    d2["sweep"].pop("elapsedSeconds")
-    assert d1 == d2
+def test_retired_flags_exit_one_without_echoing_the_value(capsys):
+    # --jobs is gone at both levels, and --seed belongs to the subcommands
+    for argv, value in (
+        (["--json", "--jobs", "2", "selftest"], "2"),
+        (["--json", "selftest", "--jobs", "2"], "2"),
+        (["--seed", "9", "--json", "selftest"], "9"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert set(doc) == {"error", "detail"}
+        assert value not in out
 
 
 def test_json_flag_silences_stderr(capsys):
@@ -263,12 +262,13 @@ def test_errors_become_json_and_exit_one(capsys):
 
 def test_selftest_smoke(capsys):
     doc = out_json(
-        capsys, "--seed", "5", "--json", "selftest", "--scope", "ring"
+        capsys, "--json", "selftest", "--scope", "ring", "--seed", "5"
     )
     body = doc["selftest"]
     assert body["fail"] == 0
     assert body["pass"] == body["total"]
     assert body["scope"] == "ring"
+    assert body["seed"] == 5
 
 
 def test_stdin_spec(capsys, monkeypatch):

@@ -9,59 +9,26 @@ def test_scopes_cover_the_five_suites():
 
 
 def test_all_suites_pass_with_default_seed():
-    summary = run_selftest("all", seed=0, jobs=1)
+    summary = run_selftest("all", seed=0)
     assert summary.failed == 0
     assert summary.passed == sum(len(s.cases) for s in summary.suites)
     assert {s.name for s in summary.suites} == set(SCOPES)
 
 
 def test_scope_restricts_to_one_suite():
-    summary = run_selftest("census", seed=3, jobs=1)
+    summary = run_selftest("census", seed=3)
     assert [s.name for s in summary.suites] == ["census"]
     assert summary.failed == 0
     with pytest.raises(PreconditionFailed):
-        run_selftest("nonsense", seed=0, jobs=1)
+        run_selftest("nonsense", seed=0)
 
 
 def test_same_seed_same_outcome():
-    a = run_selftest("forms", seed=17, jobs=1)
-    b = run_selftest("forms", seed=17, jobs=1)
+    a = run_selftest("forms", seed=17)
+    b = run_selftest("forms", seed=17)
     assert a.key() == b.key()
-    c = run_selftest("forms", seed=18, jobs=1)
+    c = run_selftest("forms", seed=18)
     assert c.key() != a.key()
-
-
-def test_parallel_run_matches_serial():
-    serial = run_selftest("all", seed=2, jobs=1)
-    parallel = run_selftest("all", seed=2, jobs=3)
-    assert serial.key() == parallel.key()
-
-
-def test_pool_has_no_more_workers_than_suites(monkeypatch):
-    # a fake pool records its size and maps serially, so no process starts
-    import concurrent.futures
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    summary = run_selftest("all", seed=2, jobs=1000)
-    assert sizes == [len(SCOPES)]
-    assert summary.key() == run_selftest("all", seed=2, jobs=1).key()
-    run_selftest("all", seed=2, jobs=2)
-    assert sizes == [len(SCOPES), 2]
 
 
 def test_single_suite_is_deterministic_and_named():
@@ -73,7 +40,7 @@ def test_single_suite_is_deterministic_and_named():
 
 
 def test_summary_json_shape():
-    payload = run_selftest("ahss", seed=1, jobs=1).to_json()
+    payload = run_selftest("ahss", seed=1).to_json()
     assert set(payload) == {
         "scope", "seed", "pass", "fail", "skipped", "total", "suites",
         "elapsedSeconds",
