@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .census import ActionQuery, classification
@@ -381,6 +382,63 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# argparse reads a token like these as a value, not as an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _unknown_option(parser: argparse.ArgumentParser, argv) -> str | None:
+    """The first option in argv that its parser does not know, up to any "=".
+
+    A token is an option as argparse reads one: longer than "-", starting
+    with "-", no space and no negative number. It is known if it names one
+    of the options of the parser it reaches, or abbreviates a long one; a
+    subcommand name moves on to that subcommand's parser, and "--" ends
+    the options.
+    """
+    for token in argv:
+        if token == "--":
+            return None
+        if token[:1] != "-" or len(token) == 1 or " " in token or _NEGATIVE.match(token):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction) and token in action.choices:
+                    parser = action.choices[token]
+            continue
+        name = token.partition("=")[0]
+        known = parser._option_string_actions
+        if name not in known and not (
+            name[:2] == "--" and any(o.startswith(name) for o in known)
+        ):
+            return name
+    return None
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """_parser().parse_args, with an "invalid choice" blamed where it arose.
+
+    argparse sets an unknown option before a subcommand aside and reads its
+    value as the subcommand, an "invalid choice". If argv holds an unknown
+    option, such an error names the first one instead: as typed up to 40
+    characters, by its length past that, never with its value. An unknown
+    option past the subcommand keeps argparse's "unrecognized arguments".
+    """
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+    except PreconditionFailed as exc:
+        name = None
+        if str(exc).endswith("invalid choice"):
+            name = _unknown_option(parser, argv)
+        if name is None:
+            raise
+        shown = name if len(name) <= 40 else f"of {len(name)} characters"
+        raise PreconditionFailed(f"{parser.prog}: unrecognized option {shown}") from None
+    # no option takes a list, but argparse before Python 3.12 stores the
+    # value of "--opt=--" as an empty one
+    if any(isinstance(value, list) for value in vars(args).values()):
+        raise PreconditionFailed(f"{parser.prog}: an option's value is missing")
+    return args
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built on the first call and kept for the process.
@@ -406,7 +464,7 @@ def main(argv=None) -> int:
     # what _emit reads of the arguments, should they not parse
     args = argparse.Namespace(json="--json" in argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         return _DISPATCH[args.command](args)
     except _Usage as exc:
         _emit(args, {"usage": str(exc)}, lambda: str(exc))

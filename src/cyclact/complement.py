@@ -48,6 +48,7 @@ from .groupring import (
     ideal_express,
     nearest_bezout_pair,
     param_reduce,
+    trivial_unit_inverse,
 )
 
 
@@ -342,26 +343,12 @@ def rank2_vector_isometry(
     raise SearchExhausted("no shear aligns the completions' mu classes")
 
 
-def _standard_complement(Q, a_int: int) -> tuple[RingVector, RingVector]:
-    a_el = GroupRingElement.integer(Q.m, a_int)
-    w1 = Q.vector({"e2": -a_el, "f1": GroupRingElement.one(Q.m)})
-    w2 = Q.vector({"e1": -a_el, "f2": GroupRingElement.one(Q.m)})
-    return w1, w2
+def _finish(spec, Q, S, steps, v2n, U, norm=None) -> SolverTrace:
+    """The trace of a solve, with its complement U certified against S.
 
-
-def _finish(spec, Q, S, steps, v2n, U_std, norm=None) -> SolverTrace:
-    """Pull the normalized complement back to S's coordinates and certify it.
-
-    Every step is an isometry (the shear, the transport Phi, the swap and
-    the negation), so its inverse is isometry_inverse, in closed form; the
-    complement of the normalized pair goes back through them in reverse
-    order.
+    U is already in S's coordinates; verify_lagrangian_complement checks
+    it independently of how the solver got it.
     """
-    U = U_std
-    for step in reversed(steps):
-        inv = isometry_inverse(Q, step.matrix)
-        U = [inv * w for w in U]
-    U = tuple(U)
     return SolverTrace(
         branch=spec.branch,
         steps=tuple(steps),
@@ -376,11 +363,14 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for both skew branches.
 
     The (e2, f2) coefficients x of v2 are normalized (_skew_normalize: the
-    ideal (a2, b2) as u*Lambda and the quotients, whose Bezout pair comes
-    from one Hermite form and is reduced by nearest_bezout_pair) and
-    transported onto y = (v2', s),
+    ideal (a2, b2) as u*Lambda and the quotients, whose Bezout pair is
+    reduced by nearest_bezout_pair) and transported onto y = (v2', s),
     from the companion identity u*v2' + a2'*s = 1 (NormData.positive_variant),
-    whose pair is (u, a2'). The complement of the result never sees a1:
+    whose pair is (u, a2'). The quotients' starting Bezout pair is
+    (x_i^-1, 0) or (0, x_i^-1) when a quotient x_i is a trivial unit
+    (trivial_unit_inverse), else it comes from one Hermite form, which also
+    decides validate's unit-ideal test; the reduced pair depends on the
+    quotients alone. The complement of the result never sees a1:
     v1 = e1 lies in S, and U's lambda, U's mu and the e1 row of det[S | U]
     do not read the e1 coefficient of v2.
 
@@ -396,36 +386,65 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     (e1, f2) subtracts s from b2 and moves it by aug(a2)*[s]. As
     l = gcd(aug a2, aug b2) is odd, one of the two applies. Neither changes
     the ideal (a2, s, b2).
+
+    Every step is the identity outside the (e2, f2) block or two shear
+    entries, so v2's images and the pull-back of the standard complement
+    are closed forms; the 4x4 step matrices are built for the trace alone,
+    and replay re-checks the images against them. Shear-T maps v2 =
+    (a1, a2, s, b2) to (a1 + b2, a2 + s, s, b2) and shear-R to
+    (a1 + a2, a2, s, b2 - s); the inverse of either is the same
+    transvection with parameter -1. The transport Phi embeds M2 with
+    M2*x = y, and (a2, b2) = u*x, so Phi*v2 = (a1, u*v2', s, l*s). The
+    standard complement (-a2'*e2 + f1, -a2'*e1 + f2) has block parts
+    (-a2', 0) and (0, 1), which go back through M2's isometry inverse.
     """
     Q, v1, v2_in = spec._check_before_ideal()
     m = spec.m
+    zero = GroupRingElement.zero(m)
     one = GroupRingElement.one(m)
     s = GroupRingElement.norm(m)
-    v2 = v2_in
+    a1, a2, b2 = spec.a1, spec.a2, spec.b2
     steps = []
-    if param_reduce(v2[1] * v2[3].conj(), Q.kind) != param_reduce(s, Q.kind):
-        if v2[3].aug() % 2:
-            shear = TraceStep("shear-T", transvection(Q, ("e2", "f1"), one))
+    shear = None
+    if param_reduce(a2 * b2.conj(), Q.kind) != param_reduce(s, Q.kind):
+        if b2.aug() % 2:
+            shear, base = "shear-T", ("e2", "f1")
+            a1, a2 = a1 + b2, a2 + s
         else:
-            shear = TraceStep("shear-R", transvection(Q, ("e1", "f2"), one))
-        steps.append(shear)
-        v2 = shear.matrix * v2
-    norm, quotients = _skew_normalize(v2[1], v2[3])
-    pair = ideal_express(quotients, one)
-    if pair is None:
-        raise PreconditionFailed(_SKEW_NOT_UNIT)
+            shear, base = "shear-R", ("e1", "f2")
+            a1, b2 = a1 + a2, b2 - s
+        steps.append(TraceStep(shear, transvection(Q, base, one)))
+    norm, (x1, x2) = _skew_normalize(a2, b2)
+    if (inverse := trivial_unit_inverse(x1)) is not None:
+        pair = (inverse, zero)
+    elif (inverse := trivial_unit_inverse(x2)) is not None:
+        pair = (zero, inverse)
+    else:
+        pair = ideal_express([x1, x2], one)
+        if pair is None:
+            raise PreconditionFailed(_SKEW_NOT_UNIT)
     v_t, a_t, _ = norm.positive_variant()
+    Q1 = _block_module(Q)
     M2 = rank2_vector_isometry(
-        _block_module(Q),
-        RingVector(quotients),
+        Q1,
+        RingVector([x1, x2]),
         RingVector([v_t, s]),
-        nearest_bezout_pair(*quotients, *pair),
+        nearest_bezout_pair(x1, x2, *pair),
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
-    Phi = _embed_block(Q, M2, (1, 3))
-    steps.append(TraceStep("vector-transport", Phi))
+    steps.append(TraceStep("vector-transport", _embed_block(Q, M2, (1, 3))))
+    v2n = RingVector([a1, norm.u * v_t, s, norm.l * s])
+    (p00, p01), (p10, p11) = isometry_inverse(Q1, M2).rows
+    U = [
+        [zero, p00 * -a_t, one, p10 * -a_t],
+        [GroupRingElement.integer(m, -a_t), p01, zero, p11],
+    ]
+    if shear == "shear-T":  # e1 -= f2, e2 -= f1
+        U = [[w0 - w3, w1 - w2, w2, w3] for w0, w1, w2, w3 in U]
+    elif shear == "shear-R":  # e1 -= e2, f2 += f1
+        U = [[w0 - w1, w1, w2, w3 + w2] for w0, w1, w2, w3 in U]
     return _finish(
-        spec, Q, (v1, v2_in), steps, Phi * v2, _standard_complement(Q, a_t), norm
+        spec, Q, (v1, v2_in), steps, v2n, tuple(RingVector(w) for w in U), norm
     )
 
 
@@ -468,9 +487,13 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
         )
 
     a = divide_by_one_minus_gen(v2[1] - one)
-    w1 = Q.vector({"e2": a, "f1": one})
-    w2 = Q.vector({"e1": -a.conj(), "f2": one})
-    return _finish(spec, Q, (v1, v2_in), steps, v2, (w1, w2))
+    U = [Q.vector({"e2": a, "f1": one}), Q.vector({"e1": -a.conj(), "f2": one})]
+    # the complement of the normalized pair goes back through each step's
+    # isometry inverse, in reverse order
+    for step in reversed(steps):
+        inv = isometry_inverse(Q, step.matrix)
+        U = [inv * w for w in U]
+    return _finish(spec, Q, (v1, v2_in), steps, v2, tuple(U))
 
 
 def solve(spec: EmbeddingSpec) -> SolverTrace:

@@ -284,7 +284,7 @@ class QuadraticModule:
         """Build a vector from {"e1": elem, "f2": elem, ...} coefficients."""
         c = [GroupRingElement.zero(self.m)] * self.dim
         for label, val in coeffs.items():
-            block, idx = _parse_label(label, self.rank)
+            block, idx = _label_index(label, self.rank)
             c[idx if block == "e" else self.rank + idx] = val
         return RingVector(c)
 
@@ -316,6 +316,18 @@ def _parse_label(label: str, rank: int) -> tuple[str, int]:
     if not 1 <= idx <= rank:
         raise BadIndex(f"a basis label index is out of range for rank {rank}")
     return label[0], idx - 1
+
+
+def _label_index(label, rank: int) -> tuple[str, int]:
+    """_parse_label, answered from _CANONICAL_LABELS when the label is there.
+
+    A table hit counts only below rank; any other label is parsed, so its
+    result or error is _parse_label's.
+    """
+    hit = _CANONICAL_LABELS.get(label) if isinstance(label, str) else None
+    if hit is not None and hit[1] < rank:
+        return hit
+    return _parse_label(label, rank)
 
 
 def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingElement:
@@ -431,8 +443,8 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
     if len(base) != 2:
         raise BadIndex(f"base must be a pair of basis labels, got {len(base)}")
-    ub, ui = _parse_label(base[0], Q.rank)
-    wb, wi = _parse_label(base[1], Q.rank)
+    ub, ui = _label_index(base[0], Q.rank)
+    wb, wi = _label_index(base[1], Q.rank)
     if ub == wb:
         raise BadIndex("base must pair an e-label with an f-label")
     if ub == "f":
@@ -472,6 +484,12 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
 # ring_det memoizes one minor per column subset, 2^n of them at rank n.
 # In-package callers stay at rank 8 or below (certificates have rank 2r).
 RING_DET_MAX_RANK = 16
+
+# _parse_label's result for each canonical label e1..ek, f1..fk with
+# k = RING_DET_MAX_RANK, built once; nothing is added to it later
+_CANONICAL_LABELS = {
+    f"{b}{i}": (b, i - 1) for b in "ef" for i in range(1, RING_DET_MAX_RANK + 1)
+}
 
 
 def ring_det(M: RingMatrix) -> GroupRingElement:

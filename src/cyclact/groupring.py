@@ -326,20 +326,32 @@ class UnitCheck(NamedTuple):
     inverse: Optional[GroupRingElement]
 
 
+def trivial_unit_inverse(x: GroupRingElement) -> Optional[GroupRingElement]:
+    """+-gen^(-k) when x is the trivial unit +-gen^k, else None.
+
+    x is one iff it has a single nonzero coefficient, and that is +-1; its
+    inverse is then its conjugate.
+    """
+    c = x.coeffs
+    if c.count(0) == x.m - 1 and (1 in c or -1 in c):
+        return x.conj()
+    return None
+
+
 def is_unit(x: GroupRingElement) -> UnitCheck:
     """Unit test by one fraction-free solve, after two screens.
 
     A trivial unit +-gen^k is answered directly with its inverse
-    +-gen^(-k). Augmentation is a ring map onto Z, so a unit has
-    augmentation +-1 and anything else is rejected at once. Otherwise
-    cramer_solve on mult_matrix(x) gives x*y = d with d = det mult(x); x
-    is a unit iff d = +-1, and then d*y is its inverse. A singular matrix
-    means x is a zero divisor, so no unit.
+    +-gen^(-k) (trivial_unit_inverse). Augmentation is a ring map onto Z,
+    so a unit has augmentation +-1 and anything else is rejected at once.
+    Otherwise cramer_solve on mult_matrix(x) gives x*y = d with
+    d = det mult(x); x is a unit iff d = +-1, and then d*y is its inverse.
+    A singular matrix means x is a zero divisor, so no unit.
     """
     m = x.m
-    support = [i for i, c in enumerate(x.coeffs) if c]
-    if len(support) == 1 and x.coeffs[support[0]] in (1, -1):
-        return UnitCheck(True, x.conj())
+    inverse = trivial_unit_inverse(x)
+    if inverse is not None:
+        return UnitCheck(True, inverse)
     if x.aug() not in (1, -1):
         return UnitCheck(False, None)
     try:

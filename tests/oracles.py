@@ -243,3 +243,19 @@ def is_isometry(m, rank, eps, kind, M):
         if not in_form_parameter(m, lift, kind):
             return False
     return True
+
+
+def pull_back(Q, steps, U):
+    """The generic pull-back: U <- inverse(step) * U over the steps in reverse.
+
+    Q, steps (each with a .matrix) and U (vectors of elements) come from
+    the package, read as coefficient tuples; each inverse is gram_inverse
+    and each product dense. Returns one tuple of coefficient tuples per
+    vector of U.
+    """
+    m = Q.m
+    cols = [[x.coeffs for x in row] for row in zip(*[v.coords for v in U])]
+    for step in reversed(steps):
+        M = [[x.coeffs for x in row] for row in step.matrix.rows]
+        cols = dense_ring_matmul(m, gram_inverse(m, Q.rank, Q.eps, M), cols)
+    return tuple(tuple(col) for col in zip(*cols))

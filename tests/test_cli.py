@@ -203,6 +203,31 @@ def test_retired_flags_exit_one_without_echoing_the_value(capsys):
         assert value not in out
 
 
+def test_an_unknown_option_is_named_without_its_value(capsys):
+    # argparse would read the value as the subcommand: "invalid choice"
+    for argv, detail in (
+        (["--json", "--jobs", "2", "selftest"], "cyclact: unrecognized option --jobs"),
+        (["--json", "--jobs=2", "2", "selftest"], "cyclact: unrecognized option --jobs"),
+        (["--seed", "9", "--json", "selftest"], "cyclact: unrecognized option --seed"),
+        (["--json", "--" + "x" * 4998, "7", "selftest"],
+         "cyclact: unrecognized option of 5000 characters"),
+        # past the subcommand, or with no unknown option: argparse's detail
+        (["--json", "selftest", "--jobs=2"], "cyclact: unrecognized arguments"),
+        (["--json", "selftest", "--scope", "bogus"],
+         "cyclact selftest: argument --scope: invalid choice"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "PreconditionFailed", "detail": detail}
+    # an abbreviated option and a negative number are no unknown options
+    doc = out_json(capsys, "--json", "lagrangian", "sweep", "--branch", "odd-m",
+                   "--m", "5", "--cou", "2")
+    assert doc["sweep"]["count"] == 2
+    code, out, _ = run(capsys, "--json", "ring", "aug", "--m", "-3", "--x", "[1]")
+    assert code == 1 and "option" not in json.loads(out)["detail"]
+
+
 def test_json_flag_silences_stderr(capsys):
     code, out, err = run(capsys, "ahss", "report", "--m", "4")
     assert code == 0 and err != ""
@@ -418,8 +443,11 @@ HUGE = "9" * 5000
         (["lagrangian", "sweep", "--branch", "qqq", "--m", "3"], "qqq"),
         (["ring", "mul", "--m", "3", "--x", "[1,0,0]", "--y", "[1,0,0]", "--www"],
          "--www"),
+        # Python 3.11's argparse stores the value of "--gens=--" as []
+        (["ring", "normalize", "--m", "3", "--gens=--"], "--gens=--"),
     ],
-    ids=["junk-m", "huge-m", "junk-g", "missing-m", "bad-branch", "unknown-flag"],
+    ids=["junk-m", "huge-m", "junk-g", "missing-m", "bad-branch", "unknown-flag",
+         "double-dash-value"],
 )
 def test_malformed_command_lines_exit_one_with_an_error_document(capsys, argv, bad):
     # exit 2 is census's "no symmetry", and the usage text is not a document

@@ -43,7 +43,7 @@ from cyclact.groupring import (
 )
 from cyclact.intlattice import ZLattice
 
-from oracles import element_shifts, fraction_solve
+from oracles import dense_ring_matmul, element_shifts, fraction_solve, pull_back
 
 
 def el(m, *coeffs):
@@ -142,6 +142,49 @@ def test_even_m_shapes_certify_and_replay(spec, steps):
     verify_lagrangian_complement(Q, spec.vectors(), trace.U)
     assert trace.replay()
     assert trace.to_json()["h"] is None
+
+
+def _block_quotients(spec, trace):
+    """A skew solve's normalized quotients: v2's (e2, f2) block after the shear, over u."""
+    v2 = spec.vectors()[1]
+    for step in trace.steps[:-1]:
+        v2 = step.matrix * v2
+    return trace.norm.divide(v2[1]), trace.norm.divide(v2[3])
+
+
+def _trivial_unit(x):
+    return [c for c in x.coeffs if c] in ([1], [-1])
+
+
+def test_skew_closed_forms_match_the_generic_pull_back():
+    # the solver maps v2 and pulls the standard complement back in closed
+    # form; the oracle multiplies by every step matrix and its inverse
+    rng = random.Random(71)
+    specs = [
+        sample_spec(branch, m, rng)
+        for branch, moduli in (
+            (Branch.ODD_M_SKEW, (3, 5, 7, 9)),
+            (Branch.EVEN_M_SKEW, (2, 4, 6, 8)),
+        )
+        for m in moduli
+        for _ in range(6)
+    ] + list(_EVEN_M_SHAPES)
+    trivial = set()
+    for spec in specs:
+        m = spec.m
+        Q = spec.module()
+        trace = solve(spec)
+        a_t = GroupRingElement.integer(m, trace.norm.positive_variant()[1])
+        one = GroupRingElement.one(m)
+        U_std = (Q.vector({"e2": -a_t, "f1": one}), Q.vector({"e1": -a_t, "f2": one}))
+        assert tuple(map(coords, trace.U)) == pull_back(Q, trace.steps, U_std)
+        v2 = [[c.coeffs] for c in spec.vectors()[1].coords]
+        for step in trace.steps:
+            M = [[x.coeffs for x in row] for row in step.matrix.rows]
+            v2 = dense_ring_matmul(m, M, v2)
+        assert coords(trace.normalized_S[1]) == tuple(c for (c,) in v2)
+        trivial.add(any(map(_trivial_unit, _block_quotients(spec, trace))))
+    assert trivial == {True, False}
 
 
 def test_even_m_branch_rejects_odd_modulus():
@@ -395,6 +438,11 @@ def test_nearest_bezout_pair_depends_on_the_vector_alone(m):
         assert nearest_bezout_pair(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
         _, quotients = _normalize([x1, x2])
         assert nearest_bezout_pair(*quotients, *ideal_express(quotients, one)) == (rp, rq)
+        for i, x in enumerate(quotients):
+            if _trivial_unit(x):
+                start = [GroupRingElement.zero(m)] * 2
+                start[i] = x.conj()
+                assert nearest_bezout_pair(*quotients, *start) == (rp, rq)
         # round-off leaves the pair's coordinates along the syzygy shifts
         # g^k*(x2, -x1) in [-1/2, 1/2): projections from plain inner products
         shifts = [
@@ -557,12 +605,13 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
 
 
 def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
-    # a skew solve runs the normalization alone, which decides validate's
-    # unit-ideal test and whose transform gives the source's Bezout pair;
+    # a skew solve runs one form, which decides validate's unit-ideal test
+    # and whose transform gives the quotients' Bezout pair, unless a
+    # quotient is a trivial unit and gives the pair itself: then none.
     # even-n decides everything by augmentations
     budgets = [
-        (Branch.ODD_M_SKEW, (3, 5, 7), 1),
-        (Branch.EVEN_M_SKEW, (2, 4, 6), 1),
+        (Branch.ODD_M_SKEW, (3, 5, 7), None),
+        (Branch.EVEN_M_SKEW, (2, 4, 6), None),
         (Branch.EVEN_N_SYM, (2, 3, 4), 0),
     ]
     rng = random.Random(61)
@@ -574,7 +623,7 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
     ]
     # the sampler's even-m specs all take a shear; these take none, one
     # shear-T and one shear-R
-    cases += [(spec, 1) for spec in _EVEN_M_SHAPES]
+    cases += [(spec, None) for spec in _EVEN_M_SHAPES]
     real = intlattice.row_hnf_transform
     calls = []
 
@@ -583,10 +632,16 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(intlattice, "row_hnf_transform", counted)
+    skew_budgets = set()
     for spec, budget in cases:
         calls.clear()
-        solve(spec)
-        assert len(calls) == budget, (spec.to_json(), len(calls))
+        trace = solve(spec)
+        forms = len(calls)
+        if budget is None:
+            budget = 0 if any(map(_trivial_unit, _block_quotients(spec, trace))) else 1
+            skew_budgets.add(budget)
+        assert forms == budget, (spec.to_json(), forms)
+    assert skew_budgets == {0, 1}
 
 
 def _unit_ideal_failures(m):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from cyclact.errors import (
 )
 from cyclact.forms import (
     _gram_and_mu,
+    _label_index,
+    _parse_label,
     QuadraticModule,
     RingMatrix,
     RingVector,
@@ -76,6 +79,19 @@ def test_basis_vectors_and_labels():
         Q.vector({"e3": el(3, 1)})
     with pytest.raises(BadIndex):
         Q.vector({"x1": el(3, 1)})
+    # e1..e16 and f1..f16 come from a table and any other label is parsed:
+    # both routes give the same index or raise the same error
+    labels = ["e1", "f2", "e16", "f17", "e01", "f002", "e0", "g1", "e", "E1", "e1 ",
+              "e" + "9" * 5000, ["e1"]]
+    for rank in (1, 2, 16, 17):
+        for label in labels:
+            try:
+                want = _parse_label(label, rank)
+            except BadIndex as exc:
+                with pytest.raises(BadIndex, match=f"^{re.escape(str(exc))}$"):
+                    _label_index(label, rank)
+            else:
+                assert _label_index(label, rank) == want
 
 
 def test_lambda_on_basis_pairs():
