@@ -413,20 +413,20 @@ def _unknown_option(parser: argparse.ArgumentParser, argv) -> str | None:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """_parser().parse_args, with an "invalid choice" blamed where it arose.
+    """_parser().parse_args, with an unknown option named where it arose.
 
     argparse sets an unknown option before a subcommand aside and reads its
-    value as the subcommand, an "invalid choice". If argv holds an unknown
-    option, such an error names the first one instead: as typed up to 40
-    characters, by its length past that, never with its value. An unknown
-    option past the subcommand keeps argparse's "unrecognized arguments".
+    value as the subcommand, an "invalid choice"; past the subcommand it
+    reports "unrecognized arguments" without saying which. If argv holds an
+    unknown option, either error names the first one instead: as typed up
+    to 40 characters, by its length past that, never with its value.
     """
     parser = _parser()
     try:
         args = parser.parse_args(argv)
     except PreconditionFailed as exc:
         name = None
-        if str(exc).endswith("invalid choice"):
+        if str(exc).endswith(("invalid choice", "unrecognized arguments")):
             name = _unknown_option(parser, argv)
         if name is None:
             raise

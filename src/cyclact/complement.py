@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import add, neg
 from typing import ClassVar, Optional, Sequence
 
 from .errors import (
@@ -31,10 +32,10 @@ from .forms import (
     QuadraticModule,
     RingMatrix,
     RingVector,
+    _lift_coeffs,
     isometry_check,
     isometry_inverse,
     lambda_eval,
-    mu_eval,
     transvection,
     verify_lagrangian_complement,
 )
@@ -42,7 +43,10 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    _conj_coeffs,
+    _dot_coeffs,
     _normalize,
+    _trusted,
     divide_by_one_minus_gen,
     ideal_contains_one,
     ideal_express,
@@ -261,12 +265,16 @@ def _block_module(Q: QuadraticModule) -> QuadraticModule:
     return QuadraticModule(Q.m, 1, Q.eps, Q.kind)
 
 
-def _complete_pair(Q1, x, p, q):
-    """Given p*x1 + q*x2 = 1, return x' with (x, x') a standard pair."""
-    eps = Q1.eps
-    z = RingVector([eps * q.conj(), p.conj()])
-    d0 = -(z[0] * z[1].conj())
-    return z + x.scaled(d0)
+def _bezout_coeffs(Q: QuadraticModule, name: str, pair) -> tuple[tuple, tuple]:
+    """The coefficient tuples of a Bezout pair: two elements of Q's modulus."""
+    if len(pair) != 2:
+        raise DimensionMismatch(f"{name} Bezout pair has {len(pair)} entries, not 2")
+    if not all(isinstance(c, GroupRingElement) for c in pair):
+        raise PreconditionFailed(f"{name} Bezout pair entries must be group ring elements")
+    for c in pair:
+        if c.m != Q.m:
+            raise ModulusMismatch(f"{name} Bezout pair has m={c.m} vs module m={Q.m}")
+    return pair[0].coeffs, pair[1].coeffs
 
 
 def rank2_vector_isometry(
@@ -279,43 +287,69 @@ def rank2_vector_isometry(
     """Isometry M of a rank-1 hyperbolic block with M * source = target.
 
     Each vector x comes with a Bezout pair (p, q), p*x1 + q*x2 = 1, which
-    proves it primitive and completes it. Both vectors must be isotropic
-    (lambda(x, x) = 0) with equal mu class; equal vectors give the
-    identity. Each vector is completed to a standard hyperbolic pair,
-    (x, x') and (y, y'); y' is sheared by c*y for the first c of up to
-    four (0, 1, g^(m/2), 1 + g^(m/2)) with mu(y') = mu(x'); and M is the
-    transport between the two pair bases. If no shear aligns the classes, SearchExhausted is raised,
-    which is not a proof that no isometry exists.
+    proves it primitive and completes it; each pair must be two elements of
+    Q's modulus (DimensionMismatch, PreconditionFailed or ModulusMismatch
+    otherwise). Both vectors must be isotropic (lambda(x, x) = 0) with equal
+    mu class; equal vectors give the identity. Each vector is completed to
+    a standard hyperbolic pair, (x, x') and (y, y'); y' is sheared by c*y
+    for the first c of up to four (0, 1, g^(m/2), 1 + g^(m/2)) with
+    mu(y') = mu(x'); and M is the transport [y, y'] * [x, x']^-1 between
+    the two pair bases. If no shear aligns the classes, SearchExhausted is
+    raised, which is not a proof that no isometry exists.
+
+    The 2 x 2 algebra runs on coefficient tuples: every Bezout check, mu
+    lift, entry of M and coordinate of M * x is one sum of products, one
+    call of the fused kernel, as is the product in each coordinate of a
+    completion or shear. lambda(x, x) and mu(x) both come from x's mu
+    lift L, as lambda(x, x) = L + eps * conj(L).
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
     Q._check_vector(source)
     Q._check_vector(target)
-    m = Q.m
-    one = GroupRingElement.one(m)
-    for name, vec, (p, q) in (
-        ("source", source, source_pair),
-        ("target", target, target_pair),
-    ):
-        if p * vec[0] + q * vec[1] != one:
+    pairs = (
+        _bezout_coeffs(Q, "source", source_pair),
+        _bezout_coeffs(Q, "target", target_pair),
+    )
+    m, eps = Q.m, Q.eps
+    one = GroupRingElement.one(m).coeffs
+    x, y = (tuple(c.coeffs for c in v.coords) for v in (source, target))
+    for name, (x1, x2), (p, q) in zip(("source", "target"), (x, y), pairs):
+        if _dot_coeffs(m, ((p, x1), (q, x2))) != one:
             raise PreconditionFailed(
                 f"{name} Bezout pair does not satisfy p*x1 + q*x2 = 1"
             )
-    lam = lambda_eval(Q, source, source)
-    if lam != lambda_eval(Q, target, target):
+
+    def signed(c: tuple) -> tuple:
+        return c if eps == 1 else tuple(map(neg, c))
+
+    def mu(v):
+        return param_reduce(_trusted(m, _lift_coeffs(Q, v)), Q.kind)
+
+    def plus(a: tuple, c: tuple, v: tuple) -> tuple:
+        """a + c*v."""
+        return tuple(map(add, a, _dot_coeffs(m, ((c, v),))))
+
+    lifts = [_lift_coeffs(Q, v) for v in (x, y)]
+    lam_x, lam_y = (tuple(map(add, L, signed(_conj_coeffs(L)))) for L in lifts)
+    if lam_x != lam_y:
         raise PreconditionFailed("lambda(x, x) differs between source and target")
-    if mu_eval(Q, source) != mu_eval(Q, target):
+    if mu(x) != mu(y):
         raise PreconditionFailed("mu classes differ between source and target")
-    if source == target:
+    if x == y:
         return RingMatrix.identity(2, m)
-    if not lam.is_zero():
+    if any(lam_x):
         raise PreconditionFailed(
             "source vector is not isotropic: lambda(x, x) must vanish"
         )
 
-    x, y = source, target
-    xp = _complete_pair(Q, x, *source_pair)
-    yp = _complete_pair(Q, y, *target_pair)
+    def completion(v, p, q):
+        """x' = z + d*x with z = (eps*conj(q), conj(p)) and d = -z0*conj(z1)."""
+        z = (signed(_conj_coeffs(q)), _conj_coeffs(p))
+        d = tuple(map(neg, _dot_coeffs(m, ((z[0], p),))))
+        return tuple(plus(zi, d, vi) for zi, vi in zip(z, v))
+
+    xp, yp = (completion(v, *pair) for v, pair in zip((x, y), pairs))
     # A shear y' -> y' + c*y with conj(c) = -eps*c keeps (y, y') a standard
     # pair and moves mu(y') by [c*conj(c)*mu~(y)] - [c], where mu~(y) is the
     # lift a*conj(b) of mu(y). As y is isotropic, mu~(y) is antisymmetric
@@ -323,21 +357,31 @@ def rank2_vector_isometry(
     # are symmetric and the move depends only on the parities of c_0 and
     # c_(m/2), so one c per parity pattern reaches every class any shear
     # reaches. The first c that aligns the classes is taken.
-    shears = [GroupRingElement.zero(m)]
-    if Q.eps == -1:
+    shears = [GroupRingElement.zero(m).coeffs]
+    if eps == -1:
         shears.append(one)
         if m % 2 == 0:
-            g_half = GroupRingElement.gen(m, m // 2)
-            shears += [g_half, one + g_half]
-    want = mu_eval(Q, xp)
+            g_half = GroupRingElement.gen(m, m // 2).coeffs
+            shears += [g_half, tuple(map(add, one, g_half))]
+    want = mu(xp)
     for c in shears:
-        yc = yp + y.scaled(c)
-        if mu_eval(Q, yc) == want:
+        yc = tuple(plus(w, c, v) for w, v in zip(yp, y))
+        if mu(yc) == want:
             # (x, x') and (y, yc) are standard pairs, so both column
-            # matrices preserve the Gram matrix
-            Bx = RingMatrix.from_columns([x, xp])
-            M = RingMatrix.from_columns([y, yc]) * isometry_inverse(Q, Bx)
-            if M * x == y and isometry_check(Q, M):
+            # matrices preserve the Gram matrix, and [x, x']^-1 is
+            # isometry_inverse's entry shuffle of [x, x']
+            inv = (
+                (_conj_coeffs(xp[1]), signed(_conj_coeffs(xp[0]))),
+                (signed(_conj_coeffs(x[1])), _conj_coeffs(x[0])),
+            )
+            rows = [
+                [_dot_coeffs(m, ((y[i], inv[0][j]), (yc[i], inv[1][j]))) for j in (0, 1)]
+                for i in (0, 1)
+            ]
+            M = RingMatrix([[_trusted(m, e) for e in row] for row in rows])
+            if all(
+                _dot_coeffs(m, zip(row, x)) == yi for row, yi in zip(rows, y)
+            ) and isometry_check(Q, M):
                 return M
             break
     raise SearchExhausted("no shear aligns the completions' mu classes")

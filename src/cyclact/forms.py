@@ -330,28 +330,38 @@ def _label_index(label, rank: int) -> tuple[str, int]:
     return _parse_label(label, rank)
 
 
+def _lambda_coeffs(Q: QuadraticModule, x: Sequence[tuple], y: Sequence[tuple]) -> tuple:
+    """lambda(x, y) from the coordinates of x and y as coefficient tuples."""
+    r = Q.rank
+    b = [_conj_coeffs(t) for t in y]
+    f = x[r:] if Q.eps == 1 else [tuple(map(neg, t)) for t in x[r:]]
+    return _dot_coeffs(Q.m, zip([*x[:r], *f], b[r:] + b[:r]))
+
+
+def _lift_coeffs(Q: QuadraticModule, c: Sequence[tuple]) -> tuple:
+    """L = sum a_i conj(b_i), the lift of mu(x), from x's coefficient tuples.
+
+    lambda(x, x) = L + eps * conj(L).
+    """
+    r = Q.rank
+    return _dot_coeffs(Q.m, zip(c[:r], map(_conj_coeffs, c[r:])))
+
+
+def _coords(x: RingVector) -> list[tuple]:
+    return [c.coeffs for c in x.coords]
+
+
 def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingElement:
     """Sesquilinear value lambda(x, y)."""
     Q._check_vector(x)
     Q._check_vector(y)
-    r = Q.rank
-    a = [c.coeffs for c in x.coords]
-    b = [_conj_coeffs(c.coeffs) for c in y.coords]
-    f = a[r:] if Q.eps == 1 else [tuple(map(neg, c)) for c in a[r:]]
-    return _trusted(Q.m, _dot_coeffs(Q.m, zip(a[:r] + f, b[r:] + b[:r])))
-
-
-def _mu_lift(Q: QuadraticModule, x: RingVector) -> GroupRingElement:
-    """sum a_i conj(b_i), the lift of mu(x); lambda(x, x) = L + eps * conj(L)."""
-    r = Q.rank
-    c = [v.coeffs for v in x.coords]
-    return _trusted(Q.m, _dot_coeffs(Q.m, zip(c[:r], map(_conj_coeffs, c[r:]))))
+    return _trusted(Q.m, _lambda_coeffs(Q, _coords(x), _coords(y)))
 
 
 def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
     """Quadratic refinement mu(x) = [sum a_i conj(b_i)] in Lambda/parameter."""
     Q._check_vector(x)
-    return param_reduce(_mu_lift(Q, x), Q.kind)
+    return param_reduce(_trusted(Q.m, _lift_coeffs(Q, _coords(x))), Q.kind)
 
 
 def _gram_and_mu(
@@ -367,12 +377,14 @@ def _gram_and_mu(
     def swapped(x: GroupRingElement) -> GroupRingElement:
         return x.conj() if Q.eps == 1 else -x.conj()
 
-    lifts = [_mu_lift(Q, u) for u in U]
+    m = Q.m
+    cs = [_coords(u) for u in U]
+    lifts = [_trusted(m, _lift_coeffs(Q, c)) for c in cs]
     rows = [[None] * len(U) for _ in U]
-    for i, u in enumerate(U):
+    for i, c in enumerate(cs):
         rows[i][i] = lifts[i] + swapped(lifts[i])
         for j in range(i + 1, len(U)):
-            rows[i][j] = lambda_eval(Q, u, U[j])
+            rows[i][j] = _trusted(m, _lambda_coeffs(Q, c, cs[j]))
             rows[j][i] = swapped(rows[i][j])
     return tuple(map(tuple, rows)), tuple(param_reduce(L, Q.kind) for L in lifts)
 
@@ -388,18 +400,27 @@ def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
 def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
     """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images.
 
-    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j), the table
-    _gram_and_mu evaluates on pairs i < j and fills in by symmetry; G has
-    the same symmetry. The table's diagonal L + eps * conj(L) vanishes for
-    a lift L in the form parameter, so with mu = 0 the entries with i < j
-    decide.
+    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j). Entry (j, i) is
+    eps * conj of entry (i, j), and G has the same symmetry. The diagonal
+    L + eps * conj(L) vanishes for a lift L in the form parameter, so with
+    mu = 0 on every column the entries with i < j decide. There G is 1 at
+    (e_i, f_i) and 0 elsewhere. Each mu lift and each entry is one fused
+    kernel call on the columns' coefficient tuples.
     """
     if M.n != Q.dim:
         raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
     if M.m != Q.m:
         raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    gram, mus = _gram_and_mu(Q, [M.column(i) for i in range(Q.dim)])
-    return all(c.is_zero() for c in mus) and gram == Q.gram_matrix().rows
+    r, n = Q.rank, Q.dim
+    one, zero = GroupRingElement.one(Q.m).coeffs, GroupRingElement.zero(Q.m).coeffs
+    cols = [[row[j].coeffs for row in M.rows] for j in range(n)]
+    return all(
+        param_reduce(_trusted(Q.m, _lift_coeffs(Q, c)), Q.kind).is_zero() for c in cols
+    ) and all(
+        _lambda_coeffs(Q, cols[i], cols[j]) == (one if j == i + r else zero)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
@@ -496,39 +517,41 @@ def ring_det(M: RingMatrix) -> GroupRingElement:
     """Determinant over the group ring, division-free.
 
     Expansion along rows with minors memoized on the column subset; row k
-    always expands over the columns remaining in the mask. Memory grows as
-    2^n, so a matrix above RING_DET_MAX_RANK raises RankTooLarge.
+    always expands over the columns remaining in the mask. Each expansion
+    is one fused kernel call, sum of signed entry times minor, on
+    coefficient tuples; a zero entry's minor is never computed. Memory
+    grows as 2^n, so a matrix above RING_DET_MAX_RANK raises RankTooLarge.
     """
-    n = M.n
+    n, m = M.n, M.m
     if n > RING_DET_MAX_RANK:
         raise RankTooLarge(
             f"ring_det supports rank at most {RING_DET_MAX_RANK}, got {n}"
         )
-    cache: dict[int, GroupRingElement] = {0: GroupRingElement.one(M.m)}
+    rows = [[x.coeffs for x in r] for r in M.rows]
+    cache: dict[int, tuple] = {0: GroupRingElement.one(m).coeffs}
 
-    def minor_det(mask: int) -> GroupRingElement:
+    def minor_det(mask: int) -> tuple:
         got = cache.get(mask)
         if got is not None:
             return got
         k = bin(mask).count("1") - 1
-        total = GroupRingElement.zero(M.m)
+        terms = []
         # expanding along row k of the (k+1)-row submatrix: the cofactor
         # sign for the t-th surviving column is (-1)^(k+t)
-        sign = 1 if k % 2 == 0 else -1
+        positive = k % 2 == 0
         rest = mask
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            entry = M.rows[k][j]
-            if not entry.is_zero():
-                term = entry * minor_det(mask ^ low)
-                total = total + (term if sign == 1 else -term)
-            sign = -sign
+            entry = rows[k][low.bit_length() - 1]
+            if any(entry):
+                signed = entry if positive else tuple(map(neg, entry))
+                terms.append((signed, minor_det(mask ^ low)))
+            positive = not positive
             rest ^= low
-        cache[mask] = total
+        cache[mask] = total = _dot_coeffs(m, terms)
         return total
 
-    return minor_det((1 << n) - 1)
+    return _trusted(m, minor_det((1 << n) - 1))
 
 
 @dataclass(frozen=True)

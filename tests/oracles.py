@@ -259,3 +259,47 @@ def pull_back(Q, steps, U):
         M = [[x.coeffs for x in row] for row in step.matrix.rows]
         cols = dense_ring_matmul(m, gram_inverse(m, Q.rank, Q.eps, M), cols)
     return tuple(tuple(col) for col in zip(*cols))
+
+
+def _ring_add(*terms):
+    return tuple(map(sum, zip(*terms)))
+
+
+def generic_transport(m, eps, kind, x, y, source_pair, target_pair):
+    """The rank-1 transport [y, y_c] * [x, x']^-1, every product dense.
+
+    x, y and the Bezout pairs (p, q) are coefficient tuples. Each vector v
+    is completed to x' = z + d*v with z = (eps*conj(q), conj(p)) and
+    d = -z_0*conj(z_1); y' is sheared to y_c = y' + c*y by the first c of
+    0, then for eps = -1 also 1, and for even m also g^(m/2) and
+    1 + g^(m/2), whose mu lift differs from that of x' by an element of
+    the form parameter. The inverse is gram_inverse. Returns the 2 x 2
+    matrix as rows of coefficient tuples, or None if no shear aligns.
+    """
+    one = (1,) + (0,) * (m - 1)
+
+    def scale(k, a):
+        return tuple(k * c for c in a)
+
+    def complete(v, pair):
+        p, q = pair
+        z = (scale(eps, conj_coeffs(m, q)), conj_coeffs(m, p))
+        d = scale(-1, poly_mul_fold(m, z[0], conj_coeffs(m, z[1])))
+        return tuple(_ring_add(zi, poly_mul_fold(m, d, vi)) for zi, vi in zip(z, v))
+
+    def lift(v):
+        return poly_mul_fold(m, v[0], conj_coeffs(m, v[1]))
+
+    xp, yp = complete(x, source_pair), complete(y, target_pair)
+    shears = [(0,) * m]
+    if eps == -1:
+        shears.append(one)
+        if m % 2 == 0:
+            half = tuple(int(i == m // 2) for i in range(m))
+            shears += [half, _ring_add(one, half)]
+    for c in shears:
+        yc = tuple(_ring_add(w, poly_mul_fold(m, c, v)) for w, v in zip(yp, y))
+        if in_form_parameter(m, _ring_add(lift(yc), scale(-1, lift(xp))), kind):
+            inverse = gram_inverse(m, 1, eps, [[x[0], xp[0]], [x[1], xp[1]]])
+            return dense_ring_matmul(m, [[y[0], yc[0]], [y[1], yc[1]]], inverse)
+    return None

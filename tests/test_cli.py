@@ -211,8 +211,12 @@ def test_an_unknown_option_is_named_without_its_value(capsys):
         (["--seed", "9", "--json", "selftest"], "cyclact: unrecognized option --seed"),
         (["--json", "--" + "x" * 4998, "7", "selftest"],
          "cyclact: unrecognized option of 5000 characters"),
-        # past the subcommand, or with no unknown option: argparse's detail
-        (["--json", "selftest", "--jobs=2"], "cyclact: unrecognized arguments"),
+        # past the subcommand, argparse's "unrecognized arguments" is named too
+        (["--json", "selftest", "--jobs=2"], "cyclact: unrecognized option --jobs"),
+        (["--json", "ring", "aug", "--m", "3", "--x", "[1]", "--" + "y" * 41],
+         "cyclact: unrecognized option of 43 characters"),
+        # with no unknown option: argparse's detail
+        (["--json", "selftest", "extra"], "cyclact: unrecognized arguments"),
         (["--json", "selftest", "--scope", "bogus"],
          "cyclact selftest: argument --scope: invalid choice"),
     ):
@@ -441,8 +445,8 @@ HUGE = "9" * 5000
         (["census", "--n", "8", "--m", "7", "--g", "zzz"], "zzz"),
         (["lagrangian", "solve", "--branch", "odd-m", "--spec", "{}"], None),
         (["lagrangian", "sweep", "--branch", "qqq", "--m", "3"], "qqq"),
-        (["ring", "mul", "--m", "3", "--x", "[1,0,0]", "--y", "[1,0,0]", "--www"],
-         "--www"),
+        (["ring", "mul", "--m", "3", "--x", "[1,0,0]", "--y", "[1,0,0]", "--www=zzz"],
+         "zzz"),
         # Python 3.11's argparse stores the value of "--gens=--" as []
         (["ring", "normalize", "--m", "3", "--gens=--"], "--gens=--"),
     ],

@@ -20,6 +20,8 @@ from cyclact.complement import (
 )
 from cyclact.errors import (
     AugmentationObstruction,
+    DimensionMismatch,
+    ModulusMismatch,
     PreconditionFailed,
 )
 from cyclact.forms import (
@@ -43,7 +45,13 @@ from cyclact.groupring import (
 )
 from cyclact.intlattice import ZLattice
 
-from oracles import dense_ring_matmul, element_shifts, fraction_solve, pull_back
+from oracles import (
+    dense_ring_matmul,
+    element_shifts,
+    fraction_solve,
+    generic_transport,
+    pull_back,
+)
 
 
 def el(m, *coeffs):
@@ -187,6 +195,67 @@ def test_skew_closed_forms_match_the_generic_pull_back():
     assert trivial == {True, False}
 
 
+def _unit_row_transports(rng):
+    """Rank-1 transports between vectors (1, c), with Bezout pairs (1 - beta*c, beta).
+
+    c is a fixed base plus w - eps*conj(w), so both vectors are isotropic
+    with the base's mu class; the bases make the completions' classes
+    differ, so shears other than 0 are taken.
+    """
+    for m in (2, 3, 4, 6):
+        one, zero = GroupRingElement.one(m), GroupRingElement.zero(m)
+        half = GroupRingElement.gen(m, m // 2) if m % 2 == 0 else zero
+        skew_bases = (zero, one, half, one + half)
+        for eps, kind, bases in (
+            (-1, FormParameterKind.TILDE, skew_bases),
+            (-1, FormParameterKind.PLUS, skew_bases),
+            (1, FormParameterKind.MINUS, (zero,)),
+        ):
+            Q = QuadraticModule(m, 1, eps, kind)
+            for base in bases:
+                for _ in range(3):
+                    pairs = []
+                    for _ in range(2):
+                        w = el(m, *(rng.randint(-1, 1) for _ in range(m)))
+                        beta = el(m, *(rng.randint(-1, 1) for _ in range(m)))
+                        c = base + w - eps * w.conj()
+                        pairs.append((RingVector([one, c]), (one - beta * c, beta)))
+                    (x, p), (y, q) = pairs
+                    yield Q, x, y, p, q
+
+
+def test_transport_matches_the_generic_product(monkeypatch):
+    # the transport writes [y, y_c] * [x, x']^-1 out entry by entry; the
+    # oracle completes, shears and multiplies densely through gram_inverse
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return rank2_vector_isometry(*args)
+
+    monkeypatch.setattr(complement, "rank2_vector_isometry", recording)
+    rng = random.Random(73)
+    for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7, 9)), (Branch.EVEN_M_SKEW, (2, 4, 6, 8))):
+        for m in moduli:
+            for _ in range(8):
+                solve(sample_spec(branch, m, rng))
+    assert len(calls) == 64
+    calls += _unit_row_transports(random.Random(79))
+    compared = 0
+    for Q, x, y, p, q in calls:
+        M = rank2_vector_isometry(Q, x, y, p, q)
+        if x == y:
+            assert M == RingMatrix.identity(2, Q.m)
+            continue
+        want = generic_transport(
+            Q.m, Q.eps, Q.kind.value, coords(x), coords(y),
+            tuple(c.coeffs for c in p), tuple(c.coeffs for c in q),
+        )
+        assert [[e.coeffs for e in row] for row in M.rows] == want
+        compared += 1
+    assert compared > 150
+
+
 def test_even_m_branch_rejects_odd_modulus():
     with pytest.raises(PreconditionFailed):
         solve_even_m(spec_of(3, Branch.EVEN_M_SKEW, [0], [1], [0]))
@@ -302,6 +371,18 @@ def test_rank2_vector_isometry_rejects_invariant_mismatches():
         rank2_vector_isometry(
             Q, RingVector([el(m, 2), el(m, 0)]), x, (el(m, 1), el(m, 0)), bezout(x)
         )
+    # a malformed pair is named before any product is taken, in either slot
+    one, zero = el(m, 1), el(m, 0)
+    for bad, error, match in (
+        ((el(3, 1), el(3, 0)), ModulusMismatch, "Bezout pair has m=3 vs module m=4"),
+        ((one, el(5, 0)), ModulusMismatch, "Bezout pair has m=5 vs module m=4"),
+        ((one,), DimensionMismatch, "Bezout pair has 1 entries, not 2"),
+        ((one, zero, zero), DimensionMismatch, "Bezout pair has 3 entries, not 2"),
+        ((1, 0), PreconditionFailed, "Bezout pair entries must be group ring elements"),
+    ):
+        for name, pairs in (("source", (bad, (one, zero))), ("target", ((one, zero), bad))):
+            with pytest.raises(error, match=f"^{name} {match}"):
+                rank2_vector_isometry(Q, x, x, *pairs)
 
 
 def test_rank2_vector_isometry_rejects_non_isotropic_source():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclact.complement import Branch, sample_spec, solve
 from cyclact.errors import (
     BadIndex,
     ModulusMismatch,
@@ -247,6 +248,16 @@ def test_transvection_shear_requires_admissible_parameter():
         transvection(Q, ("f1", "e2"), c)
 
 
+def _sparse_entry(rng, m):
+    """Zero, a signed monomial c*g^k or a dense element, in equal shares."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return GroupRingElement.zero(m)
+    if kind == 1:
+        return rng.choice((-2, -1, 1, 3)) * GroupRingElement.gen(m, rng.randrange(m))
+    return rand_el(rng, m, 2)
+
+
 def test_ring_det_matches_leibniz():
     rng = random.Random(6)
     for _ in range(25):
@@ -259,6 +270,39 @@ def test_ring_det_matches_leibniz():
             M.rows, GroupRingElement.zero(m), GroupRingElement.one(m)
         )
         assert ring_det(M) == want
+    # sparse and singular inputs up to rank 6: each memoized cofactor
+    # expansion is one kernel call that skips zero entries and zero minors
+    cases = []
+    for _ in range(12):
+        m = rng.randint(2, 7)
+        n = rng.randint(1, 6)
+        rows = [[_sparse_entry(rng, m) for _ in range(n)] for _ in range(n)]
+        shape = rng.randrange(3)
+        if shape == 1:  # a zero row
+            rows[rng.randrange(n)] = [GroupRingElement.zero(m)] * n
+        elif shape == 2 and n > 1:  # singular: one row repeats another
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+        cases.append(RingMatrix(rows))
+    # a monomial permutation matrix at rank 6: one live term per expansion
+    m = 5
+    perm = rng.sample(range(6), 6)
+    cases.append(RingMatrix([
+        [GroupRingElement.gen(m, i + 2) * -1 if j == perm[i] else GroupRingElement.zero(m)
+         for j in range(6)]
+        for i in range(6)
+    ]))
+    # the certificate shape [e1, v2, U0, U1] of solved specs on every branch
+    for branch, m in ((Branch.ODD_M_SKEW, 5), (Branch.EVEN_M_SKEW, 4), (Branch.EVEN_N_SYM, 6)):
+        for _ in range(3):
+            cert = solve(sample_spec(branch, m, rng)).certificate
+            cases.append(RingMatrix.from_columns(list(cert.S) + list(cert.U)))
+    singular = 0
+    for M in cases:
+        want = leibniz_det(M.rows, GroupRingElement.zero(M.m), GroupRingElement.one(M.m))
+        assert ring_det(M) == want
+        singular += want.is_zero()
+    assert singular > 0
 
 
 def test_ring_det_rejects_ranks_above_the_memo_bound():
