@@ -116,6 +116,10 @@ class EmbeddingSpec:
     def __post_init__(self):
         for name in ("a1", "a2", "b2"):
             el = getattr(self, name)
+            if not isinstance(el, GroupRingElement):
+                raise PreconditionFailed(
+                    f"{name} must be a group ring element, got {value_text(el)}"
+                )
             if el.m != self.m:
                 raise ModulusMismatch(f"{name} has m={el.m}, spec has m={self.m}")
 

@@ -15,7 +15,7 @@ sign/parameter pairings enforced by QuadraticModule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import add, attrgetter, neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,6 +41,21 @@ from .groupring import (
 )
 
 
+_coeffs = attrgetter("coeffs")
+
+
+def _common_modulus(entries: Sequence, what: str) -> int:
+    """The one modulus of entries, which must all be GroupRingElements."""
+    for x in entries:
+        if not isinstance(x, GroupRingElement):
+            raise PreconditionFailed(
+                f"{what} entries must be group ring elements, got {value_text(x)}"
+            )
+        if x.m != entries[0].m:
+            raise ModulusMismatch(f"mixed moduli in {what}")
+    return entries[0].m
+
+
 class RingVector:
     """Coordinate vector of GroupRingElements (column convention)."""
 
@@ -49,11 +64,7 @@ class RingVector:
     def __init__(self, coords: Sequence[GroupRingElement]):
         if not coords:
             raise DimensionMismatch("empty vector")
-        m = coords[0].m
-        for c in coords:
-            if c.m != m:
-                raise ModulusMismatch("mixed moduli in vector")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _common_modulus(coords, "vector"))
         object.__setattr__(self, "coords", tuple(coords))
 
     def __setattr__(self, name, value):
@@ -111,12 +122,7 @@ class RingMatrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
-        m = rows[0][0].m
-        for r in rows:
-            for x in r:
-                if x.m != m:
-                    raise ModulusMismatch("mixed moduli in matrix")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _common_modulus([x for r in rows for x in r], "matrix"))
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
 
     def __setattr__(self, name, value):
@@ -145,19 +151,22 @@ class RingMatrix:
         return RingVector([self.rows[i][j] for i in range(self.n)])
 
     def __mul__(self, other):
+        """By a vector, each entry one kernel call; by a matrix, column by column."""
         if isinstance(other, RingVector):
             if len(other) != self.n:
                 raise DimensionMismatch("matrix/vector size mismatch")
             if other.m != self.m:
                 raise ModulusMismatch(f"m={other.m} vs matrix m={self.m}")
-            return RingVector([_dot(self.m, row, other.coords) for row in self.rows])
+            m, col = self.m, _coords(other)
+            return RingVector(
+                [_trusted(m, _dot_coeffs(m, zip(map(_coeffs, r), col))) for r in self.rows]
+            )
         if isinstance(other, RingMatrix):
             if other.n != self.n:
                 raise DimensionMismatch("matrix size mismatch")
             if other.m != self.m:
                 raise ModulusMismatch(f"m={other.m} vs matrix m={self.m}")
-            cols = list(zip(*other.rows))
-            return RingMatrix([[_dot(self.m, row, col) for col in cols] for row in self.rows])
+            return RingMatrix.from_columns([self * other.column(j) for j in range(self.n)])
         return NotImplemented
 
     def transpose(self) -> "RingMatrix":
@@ -214,19 +223,6 @@ class RingMatrix:
         return RingMatrix(
             [[GroupRingElement.from_json(x) for x in r] for r in obj]
         )
-
-
-def _dot(m: int, xs, ys) -> GroupRingElement:
-    """sum_k xs[k] * ys[k], skipping every term with a zero factor.
-
-    Embedded blocks, Gram matrices and transvections are mostly zeros.
-    """
-    total = None
-    for x, y in zip(xs, ys):
-        if any(x.coeffs) and any(y.coeffs):
-            term = x * y
-            total = term if total is None else total + term
-    return GroupRingElement.zero(m) if total is None else total
 
 
 @dataclass(frozen=True)
@@ -348,7 +344,7 @@ def _lift_coeffs(Q: QuadraticModule, c: Sequence[tuple]) -> tuple:
 
 
 def _coords(x: RingVector) -> list[tuple]:
-    return [c.coeffs for c in x.coords]
+    return list(map(_coeffs, x.coords))
 
 
 def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingElement:
@@ -374,19 +370,20 @@ def _gram_and_mu(
     mu lift L, as lambda(u, u) = L + eps * conj(L).
     """
 
-    def swapped(x: GroupRingElement) -> GroupRingElement:
-        return x.conj() if Q.eps == 1 else -x.conj()
+    def swapped(t: tuple) -> tuple:
+        return _conj_coeffs(t) if Q.eps == 1 else tuple(map(neg, _conj_coeffs(t)))
 
     m = Q.m
     cs = [_coords(u) for u in U]
-    lifts = [_trusted(m, _lift_coeffs(Q, c)) for c in cs]
+    lifts = [_lift_coeffs(Q, c) for c in cs]
     rows = [[None] * len(U) for _ in U]
     for i, c in enumerate(cs):
-        rows[i][i] = lifts[i] + swapped(lifts[i])
+        rows[i][i] = _trusted(m, tuple(map(add, lifts[i], swapped(lifts[i]))))
         for j in range(i + 1, len(U)):
-            rows[i][j] = _trusted(m, _lambda_coeffs(Q, c, cs[j]))
-            rows[j][i] = swapped(rows[i][j])
-    return tuple(map(tuple, rows)), tuple(param_reduce(L, Q.kind) for L in lifts)
+            t = _lambda_coeffs(Q, c, cs[j])
+            rows[i][j], rows[j][i] = _trusted(m, t), _trusted(m, swapped(t))
+    mus = tuple(param_reduce(_trusted(m, L), Q.kind) for L in lifts)
+    return tuple(map(tuple, rows)), mus
 
 
 def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
@@ -400,27 +397,15 @@ def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
 def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
     """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images.
 
-    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j). Entry (j, i) is
-    eps * conj of entry (i, j), and G has the same symmetry. The diagonal
-    L + eps * conj(L) vanishes for a lift L in the form parameter, so with
-    mu = 0 on every column the entries with i < j decide. There G is 1 at
-    (e_i, f_i) and 0 elsewhere. Each mu lift and each entry is one fused
-    kernel call on the columns' coefficient tuples.
+    Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j), so this reads
+    _gram_and_mu on the columns of M: the lambda table and the mu classes.
     """
     if M.n != Q.dim:
         raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
     if M.m != Q.m:
         raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    r, n = Q.rank, Q.dim
-    one, zero = GroupRingElement.one(Q.m).coeffs, GroupRingElement.zero(Q.m).coeffs
-    cols = [[row[j].coeffs for row in M.rows] for j in range(n)]
-    return all(
-        param_reduce(_trusted(Q.m, _lift_coeffs(Q, c)), Q.kind).is_zero() for c in cols
-    ) and all(
-        _lambda_coeffs(Q, cols[i], cols[j]) == (one if j == i + r else zero)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    gram, mus = _gram_and_mu(Q, [M.column(j) for j in range(Q.dim)])
+    return all(c.is_zero() for c in mus) and gram == Q.gram_matrix().rows
 
 
 def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:

@@ -98,10 +98,14 @@ class GroupRingElement:
             raise ModulusMismatch(f"m={self.m} vs m={other.m}")
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         self._require_same(other)
         return _trusted(self.m, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         self._require_same(other)
         return _trusted(self.m, tuple(map(sub, self.coeffs, other.coeffs)))
 
@@ -111,29 +115,10 @@ class GroupRingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return _trusted(self.m, tuple(other * a for a in self.coeffs))
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         self._require_same(other)
-        m = self.m
-        # the outer loop runs over the sparser factor; one with a single
-        # nonzero coefficient (1, +-g^k, an integer) rotates and scales
-        xs, ys = self.coeffs, other.coeffs
-        zeros, y_zeros = xs.count(0), ys.count(0)
-        if zeros < y_zeros:
-            xs, ys, zeros = ys, xs, y_zeros
-        if zeros == m - 1:
-            for i, a in enumerate(xs):
-                if a:
-                    break
-            rotated = ys[m - i :] + ys[: m - i]
-            return _trusted(m, rotated if a == 1 else tuple([a * b for b in rotated]))
-        out = [0] * m
-        # g^i * y has y's coefficients from index m - i on, cyclically
-        yy = ys + ys
-        for i, a in enumerate(xs):
-            if a:
-                for k, b in enumerate(yy[m - i : 2 * m - i]):
-                    if b:
-                        out[k] += a * b
-        return _trusted(m, tuple(out))
+        return _trusted(self.m, _dot_coeffs(self.m, ((self.coeffs, other.coeffs),)))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -162,7 +147,7 @@ class GroupRingElement:
         return max(abs(a).bit_length() for a in self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def is_symmetric(self) -> bool:
         return self.conj() == self
@@ -244,20 +229,34 @@ def _conj_coeffs(c: tuple) -> tuple:
 def _dot_coeffs(m: int, pairs) -> tuple:
     """Coefficients of sum_k a_k * b_k from pairs of coefficient tuples.
 
+    Every product in Z[Z/m] is computed here. A pair with a zero factor
+    is dropped; no live pairs give zero. When exactly one pair is live and
+    one of its factors has a single nonzero coefficient (1, +-g^k, an
+    integer), the sum is the other factor rotated and scaled. Otherwise
     (a*b)_i = sum_j a_j * b_(i-j mod m), and b_(i-j) for j = 0..m-1 is
     the window [m-1-i, 2m-1-i) of b doubled and reversed. So with A the
     live a_k joined and B_i their b_k's windows joined, coefficient i is
-    one sum(map(mul, A, B_i)), its inner loop in C. A pair with a zero
-    factor is dropped; no pairs give zero.
+    one sum(map(mul, A, B_i)), its inner loop in C.
     """
     A = ()
-    rs = []
+    bs = []
     for a, b in pairs:
         if any(a) and any(b):
             A += a
-            rs.append((b + b)[::-1])
-    if not rs:
+            bs.append(b)
+    if not bs:
         return (0,) * m
+    if len(bs) == 1:
+        a, b = A, bs[0]
+        zeros, b_zeros = a.count(0), b.count(0)
+        if zeros < b_zeros:
+            a, b, zeros = b, a, b_zeros
+        if zeros == m - 1:
+            c = sum(a)  # a's one nonzero coefficient, at index i
+            i = a.index(c)
+            rotated = b[m - i :] + b[: m - i]
+            return rotated if c == 1 else tuple([c * x for x in rotated])
+    rs = [(b + b)[::-1] for b in bs]
     out = []
     for lo in range(m - 1, -1, -1):
         hi = lo + m

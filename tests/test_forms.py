@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclact.complement import Branch, sample_spec, solve
+from cyclact.complement import Branch, EmbeddingSpec, sample_spec, solve
 from cyclact.errors import (
     BadIndex,
     ModulusMismatch,
@@ -479,6 +479,37 @@ def test_vector_matrix_json_roundtrip():
     Q = tilde(m)
     M = transvection(Q, ("e1", "f2"), el(m, 1, 1))
     assert RingMatrix.from_json(M.to_json()) == M
+
+
+_X = GroupRingElement(3, [1, 2, 0])
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: _X * 1.5, TypeError, None),
+        (lambda: _X + None, TypeError, None),
+        (lambda: _X - 0, TypeError, None),
+        (lambda: _X * RingVector([_X]), TypeError, None),
+        (lambda: RingVector([1, 2]), PreconditionFailed,
+         "^vector entries must be group ring elements, got 1$"),
+        (lambda: RingVector([_X, 2.5]), PreconditionFailed,
+         "^vector entries must be group ring elements, got a float$"),
+        (lambda: RingMatrix([[1]]), PreconditionFailed,
+         "^matrix entries must be group ring elements, got 1$"),
+        (lambda: EmbeddingSpec(3, Branch.ODD_M_SKEW, 1, _X, _X), PreconditionFailed,
+         "^a1 must be a group ring element, got 1$"),
+        (lambda: EmbeddingSpec(3, Branch.ODD_M_SKEW, _X, _X, "x"), PreconditionFailed,
+         "^b2 must be a group ring element, got a 1-character string$"),
+    ],
+    ids=["mul-float", "add-none", "sub-int", "mul-vector", "vector-int",
+         "vector-float", "matrix-int", "spec-a1-int", "spec-b2-str"],
+)
+def test_foreign_operands_and_entries_raise_named_errors(build, error, match):
+    # ring operations decline a foreign operand, so Python raises TypeError;
+    # a vector, matrix or spec names its first foreign entry by its type
+    with pytest.raises(error, match=match):
+        build()
 
 
 FORMS = [

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    _dot_coeffs,
     augmentation,
     divide_by_one_minus_gen,
     exact_divide,
@@ -621,15 +623,25 @@ def _operand(rng, m, shape):
 
 
 def test_product_matches_the_plain_convolution_on_every_sparsity():
-    # the product loops over the sparser factor and rotates by a monomial;
-    # each pairing of operand shapes, both ways round, against the oracle
+    # the kernel rotates and scales by a monomial factor when exactly one
+    # pair is live; each pairing of operand shapes, both ways round, alone,
+    # beside pairs with a zero factor and beside a second live pair
     shapes = ("zero", "one", "integer", "monomial", "sparse", "dense", "wide")
     rng = random.Random(67)
     for m in range(2, 14):
+        zero = (0,) * m
         for sx in shapes:
             for sy in shapes:
                 for _ in range(2):
                     xs, ys = _operand(rng, m, sx), _operand(rng, m, sy)
+                    want = poly_mul_fold(m, xs, ys)
                     got = GroupRingElement(m, xs) * GroupRingElement(m, ys)
-                    assert got.coeffs == poly_mul_fold(m, xs, ys), (m, sx, sy)
+                    assert got.coeffs == want, (m, sx, sy)
                     assert type(got.coeffs) is tuple and len(got.coeffs) == m
+                    dense = _operand(rng, m, "dense")
+                    dead = [(zero, dense), (xs, ys), (dense, zero), (zero, zero)]
+                    assert _dot_coeffs(m, dead) == want, (m, sx, sy)
+                    us, vs = _operand(rng, m, "sparse"), _operand(rng, m, "monomial")
+                    both = tuple(map(add, want, poly_mul_fold(m, us, vs)))
+                    assert _dot_coeffs(m, [(xs, ys), (us, vs)]) == both, (m, sx, sy)
+                    assert _dot_coeffs(m, [(us, vs), (xs, ys)]) == both, (m, sx, sy)
