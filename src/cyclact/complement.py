@@ -134,12 +134,9 @@ class EmbeddingSpec:
         return QuadraticModule(self.m, 2, eps, kind)
 
     def vectors(self) -> tuple[RingVector, RingVector]:
-        Q = self.module()
-        v1 = Q.e(1)
-        v2 = Q.vector(
-            {"e1": self.a1, "e2": self.a2, "f1": self.f1_coefficient, "f2": self.b2}
-        )
-        return v1, v2
+        zero = GroupRingElement.zero(self.m)
+        v1 = RingVector([GroupRingElement.one(self.m), zero, zero, zero])
+        return v1, RingVector([self.a1, self.a2, self.f1_coefficient, self.b2])
 
     def validate(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
@@ -263,10 +260,6 @@ def _embed_block(Q: QuadraticModule, M2: RingMatrix, pos: tuple[int, int]) -> Ri
         for bj, pj in enumerate(pos):
             rows[pi][pj] = M2.rows[bi][bj]
     return RingMatrix(rows)
-
-
-def _block_module(Q: QuadraticModule) -> QuadraticModule:
-    return QuadraticModule(Q.m, 1, Q.eps, Q.kind)
 
 
 def _bezout_coeffs(Q: QuadraticModule, name: str, pair) -> tuple[tuple, tuple]:
@@ -472,7 +465,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
         if pair is None:
             raise PreconditionFailed(_SKEW_NOT_UNIT)
     v_t, a_t, _ = norm.positive_variant()
-    Q1 = _block_module(Q)
+    Q1 = QuadraticModule(m, 1, Q.eps, Q.kind)
     M2 = rank2_vector_isometry(
         Q1,
         RingVector([x1, x2]),
@@ -511,37 +504,37 @@ def solve_even_m(spec: EmbeddingSpec) -> SolverTrace:
 
 
 def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
-    """Lagrangian complement for the symmetric branch."""
+    """Lagrangian complement for the symmetric branch, in closed form.
+
+    v2's (e2, f2) coefficients (x, y) reach aug(x) = 1 by a swap if
+    aug(x) = 0, then a negation if aug(x) = -1; validate leaves no other
+    case, as aug lambda(v2, v2) = 2*aug(a2)*aug(b2) = 0 and gcd = 1. Both
+    steps are their own inverses, so U is the complement (0, a, 1, 0),
+    (-conj(a), 0, 0, 1) of x = 1 + (1 - g)*a, negated and swapped; the 4x4
+    step matrices serve the trace alone, and replay re-checks v2's images.
+    """
     if spec.branch is not Branch.EVEN_N_SYM:
         raise PreconditionFailed("spec branch is not even-n")
     Q, v1, v2_in = spec.validate()
-    v2 = v2_in
-    m = spec.m
-    one = GroupRingElement.one(m)
-    zero = GroupRingElement.zero(m)
+    one, zero = GroupRingElement.one(spec.m), GroupRingElement.zero(spec.m)
+    a1, x, c, y = v2_in.coords
     steps = []
-
-    if v2[1].aug() == 0:
-        swap = _embed_block(Q, RingMatrix([[zero, one], [one, zero]]), (1, 3))
-        steps.append(TraceStep("swap-e2-f2", swap))
-        v2 = swap * v2
-    if v2[1].aug() == -1:
-        neg = _embed_block(Q, RingMatrix([[-one, zero], [zero, -one]]), (1, 3))
-        steps.append(TraceStep("negate-block-2", neg))
-        v2 = neg * v2
-    if v2[1].aug() != 1:
-        raise AugmentationObstruction(
-            "coefficient augmentation cannot be normalized to 1"
-        )
-
-    a = divide_by_one_minus_gen(v2[1] - one)
-    U = [Q.vector({"e2": a, "f1": one}), Q.vector({"e1": -a.conj(), "f2": one})]
-    # the complement of the normalized pair goes back through each step's
-    # isometry inverse, in reverse order
-    for step in reversed(steps):
-        inv = isometry_inverse(Q, step.matrix)
-        U = [inv * w for w in U]
-    return _finish(spec, Q, (v1, v2_in), steps, v2, tuple(U))
+    if swap := (x.aug() == 0):
+        block = RingMatrix([[zero, one], [one, zero]])
+        steps.append(TraceStep("swap-e2-f2", _embed_block(Q, block, (1, 3))))
+        x, y = y, x
+    if negate := (x.aug() == -1):
+        block = RingMatrix([[-one, zero], [zero, -one]])
+        steps.append(TraceStep("negate-block-2", _embed_block(Q, block, (1, 3))))
+        x, y = -x, -y
+    a = divide_by_one_minus_gen(x - one)
+    U = [[zero, a, one, zero], [-a.conj(), zero, zero, one]]
+    if negate:
+        U = [[w0, -w1, w2, -w3] for w0, w1, w2, w3 in U]
+    if swap:
+        U = [[w0, w3, w2, w1] for w0, w1, w2, w3 in U]
+    v2n = RingVector([a1, x, c, y])
+    return _finish(spec, Q, (v1, v2_in), steps, v2n, tuple(map(RingVector, U)))
 
 
 def solve(spec: EmbeddingSpec) -> SolverTrace:

@@ -287,11 +287,12 @@ class QuadraticModule:
     def gram_matrix(self) -> RingMatrix:
         one = GroupRingElement.one(self.m)
         zero = GroupRingElement.zero(self.m)
+        eps = GroupRingElement.integer(self.m, self.eps)
         r, n = self.rank, self.dim
         rows = [[zero] * n for _ in range(n)]
         for i in range(r):
             rows[i][r + i] = one
-            rows[r + i][i] = one * self.eps
+            rows[r + i][i] = eps
         return RingMatrix(rows)
 
     def _check_vector(self, x: RingVector) -> None:
@@ -361,25 +362,25 @@ def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
 
 
 def _gram_and_mu(
-    Q: QuadraticModule, U: Sequence[RingVector]
+    Q: QuadraticModule, cs: Sequence[Sequence[tuple]]
 ) -> tuple[tuple[tuple[GroupRingElement, ...], ...], tuple[ParameterClass, ...]]:
     """The table lambda(U[i], U[j]) and the classes mu(U[i]).
 
-    lambda is evaluated once per pair i < j; entry (j, i) is eps * conj of
-    entry (i, j). The diagonal and the mu classes come from each vector's
-    mu lift L, as lambda(u, u) = L + eps * conj(L).
+    Each U[i] comes as its coordinates' coefficient tuples, cs[i]. lambda
+    is evaluated once per pair i < j; entry (j, i) is eps * conj of entry
+    (i, j). The diagonal and the mu classes come from each vector's mu
+    lift L, as lambda(u, u) = L + eps * conj(L).
     """
 
     def swapped(t: tuple) -> tuple:
         return _conj_coeffs(t) if Q.eps == 1 else tuple(map(neg, _conj_coeffs(t)))
 
     m = Q.m
-    cs = [_coords(u) for u in U]
     lifts = [_lift_coeffs(Q, c) for c in cs]
-    rows = [[None] * len(U) for _ in U]
+    rows = [[None] * len(cs) for _ in cs]
     for i, c in enumerate(cs):
         rows[i][i] = _trusted(m, tuple(map(add, lifts[i], swapped(lifts[i]))))
-        for j in range(i + 1, len(U)):
+        for j in range(i + 1, len(cs)):
             t = _lambda_coeffs(Q, c, cs[j])
             rows[i][j], rows[j][i] = _trusted(m, t), _trusted(m, swapped(t))
     mus = tuple(param_reduce(_trusted(m, L), Q.kind) for L in lifts)
@@ -398,13 +399,14 @@ def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
     """Gram preservation M^T G conj(M) = G plus mu = 0 on all basis images.
 
     Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j), so this reads
-    _gram_and_mu on the columns of M: the lambda table and the mu classes.
+    _gram_and_mu on the columns of M, taken as coefficient tuples: the
+    lambda table and the mu classes.
     """
     if M.n != Q.dim:
         raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
     if M.m != Q.m:
         raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    gram, mus = _gram_and_mu(Q, [M.column(j) for j in range(Q.dim)])
+    gram, mus = _gram_and_mu(Q, list(zip(*[map(_coeffs, r) for r in M.rows])))
     return all(c.is_zero() for c in mus) and gram == Q.gram_matrix().rows
 
 
@@ -444,7 +446,12 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
       ("ei", "fj"), i > j: entries c at (e_j, f_i) and -eps*conj(c) at (e_i, f_j);
       ("ei", "fi") / ("fi", "ei"): shear along f_i resp. e_i; the parameter
         must satisfy conj(c) = -eps*c and have vanishing parameter class.
+    The matrix is dense, so a rank above RING_DET_MAX_RANK raises RankTooLarge.
     """
+    if Q.rank > RING_DET_MAX_RANK:
+        raise RankTooLarge(
+            f"transvection supports rank at most {RING_DET_MAX_RANK}, got {Q.rank}"
+        )
     if parameter.m != Q.m:
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
     if len(base) != 2:
@@ -489,6 +496,8 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
 
 # ring_det memoizes one minor per column subset, 2^n of them at rank n.
 # In-package callers stay at rank 8 or below (certificates have rank 2r).
+# transvection's dense 2r x 2r matrix is capped at module rank r = 16 too,
+# the range of _CANONICAL_LABELS.
 RING_DET_MAX_RANK = 16
 
 # _parse_label's result for each canonical label e1..ek, f1..fk with
@@ -572,7 +581,7 @@ def verify_lagrangian_complement(
         raise DimensionMismatch(f"need {Q.rank} vectors in S and in U")
     for v in list(S) + list(U):
         Q._check_vector(v)
-    gram, mus = _gram_and_mu(Q, U)
+    gram, mus = _gram_and_mu(Q, [_coords(u) for u in U])
     for i, row in enumerate(gram):
         for j, val in enumerate(row):
             if not val.is_zero():

@@ -149,9 +149,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_symmetric(self) -> bool:
-        return self.conj() == self
-
     # value semantics ------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -361,6 +361,16 @@ def test_form_det_above_the_rank_bound_is_an_error(capsys):
     assert json.loads(out)["error"] == "RankTooLarge"
 
 
+def test_form_transvection_above_the_rank_bound_is_an_error(capsys):
+    code, out, _ = run(
+        capsys, "--json", "form", "transvection", "--m", "3", "--rank", "17",
+        "--base", "e1,f2", "--c", "[1,0,0]",
+    )
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "RankTooLarge"
+
+
 LONG = "x" * 3000
 
 

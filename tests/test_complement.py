@@ -38,6 +38,7 @@ from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
     _normalize,
+    divide_by_one_minus_gen,
     ideal_contains_one,
     ideal_express,
     nearest_bezout_pair,
@@ -193,6 +194,37 @@ def test_skew_closed_forms_match_the_generic_pull_back():
         assert coords(trace.normalized_S[1]) == tuple(c for (c,) in v2)
         trivial.add(any(map(_trivial_unit, _block_quotients(spec, trace))))
     assert trivial == {True, False}
+
+
+def test_even_n_closed_forms_match_the_generic_pull_back():
+    # the even-n solver swaps and negates v2's (e2, f2) block and pulls the
+    # normalized complement back in closed form; the oracle multiplies by
+    # every step matrix and its inverse
+    rng = random.Random(72)
+    step_lists = set()
+    for m in range(2, 10):
+        Q = QuadraticModule(m, 2, 1, FormParameterKind.MINUS)
+        one = GroupRingElement.one(m)
+        for _ in range(8):
+            spec = sample_spec(Branch.EVEN_N_SYM, m, rng)
+            trace = solve(spec)
+            x = trace.normalized_S[1][1]
+            assert x.aug() == 1
+            a = divide_by_one_minus_gen(x - one)
+            U_norm = (Q.vector({"e2": a, "f1": one}), Q.vector({"e1": -a.conj(), "f2": one}))
+            assert tuple(map(coords, trace.U)) == pull_back(Q, trace.steps, U_norm)
+            v2 = [[c.coeffs] for c in spec.vectors()[1].coords]
+            for step in trace.steps:
+                M = [[e.coeffs for e in row] for row in step.matrix.rows]
+                v2 = dense_ring_matmul(m, M, v2)
+            assert coords(trace.normalized_S[1]) == tuple(c for (c,) in v2)
+            step_lists.add(tuple(step.name for step in trace.steps))
+    assert step_lists == {
+        (),
+        ("swap-e2-f2",),
+        ("negate-block-2",),
+        ("swap-e2-f2", "negate-block-2"),
+    }
 
 
 def _unit_row_transports(rng):

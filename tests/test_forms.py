@@ -315,6 +315,23 @@ def test_ring_det_rejects_ranks_above_the_memo_bound():
         ring_det(M)
 
 
+def test_transvection_rejects_ranks_above_the_label_table(monkeypatch):
+    # the matrix is dense, 2r x 2r: rank 16, the last with canonical labels,
+    # still gives an isometry, and rank 17 raises before any matrix is built
+    m = 3
+    c = el(m, 1, -1)
+    Q = QuadraticModule(m, 16, -1, FormParameterKind.TILDE)
+    assert isometry_check(Q, transvection(Q, ("e1", "f16"), c))
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(RingMatrix, "identity", staticmethod(no_matrix))
+    Q = QuadraticModule(m, 17, -1, FormParameterKind.TILDE)
+    with pytest.raises(RankTooLarge):
+        transvection(Q, ("e1", "f2"), c)
+
+
 def _coeff_rows(rows):
     return [[x.coeffs for x in r] for r in rows]
 
@@ -715,7 +732,7 @@ def test_verify_reads_the_full_lambda_table_off_half_of_it(case):
     Q, vectors = case
     U = [_ring_vector(Q.m, x) for x in vectors[: Q.rank]]
     table = [[lambda_eval(Q, u, w) for w in U] for u in U]
-    gram, mus = _gram_and_mu(Q, U)
+    gram, mus = _gram_and_mu(Q, [[c.coeffs for c in u.coords] for u in U])
     assert [list(row) for row in gram] == table
     assert list(mus) == [mu_eval(Q, u) for u in U]
     S = [Q.e(i) for i in range(1, Q.rank + 1)]
