@@ -11,6 +11,7 @@ the result independently via verify_lagrangian_complement.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 import time
@@ -33,6 +34,8 @@ from .forms import (
     RingMatrix,
     RingVector,
     _lift_coeffs,
+    _matrix,
+    _vector,
     isometry_check,
     isometry_inverse,
     lambda_eval,
@@ -43,6 +46,7 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    ParameterClass,
     _conj_coeffs,
     _dot_coeffs,
     _normalize,
@@ -103,6 +107,13 @@ def _check_modulus_parity(branch: Branch, m: int) -> None:
         raise PreconditionFailed("even-m branch requires even modulus")
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _branch_module(m: int, branch: Branch) -> QuadraticModule:
+    """The branch's rank-2 module, built once; a bad modulus raises and caches nothing."""
+    eps, kind = _BRANCH_FORM[branch]
+    return QuadraticModule(m, 2, eps, kind)
+
+
 @dataclass(frozen=True)
 class EmbeddingSpec:
     """Coefficients of the standard embedded pair (v_1, v_2)."""
@@ -130,13 +141,12 @@ class EmbeddingSpec:
         return GroupRingElement.norm(self.m)
 
     def module(self) -> QuadraticModule:
-        eps, kind = _BRANCH_FORM[self.branch]
-        return QuadraticModule(self.m, 2, eps, kind)
+        return _branch_module(self.m, self.branch)
 
     def vectors(self) -> tuple[RingVector, RingVector]:
-        zero = GroupRingElement.zero(self.m)
-        v1 = RingVector([GroupRingElement.one(self.m), zero, zero, zero])
-        return v1, RingVector([self.a1, self.a2, self.f1_coefficient, self.b2])
+        m, zero = self.m, GroupRingElement.zero(self.m)
+        v1 = _vector(m, (GroupRingElement.one(m), zero, zero, zero))
+        return v1, _vector(m, (self.a1, self.a2, self.f1_coefficient, self.b2))
 
     def validate(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
@@ -254,12 +264,28 @@ class SolverTrace:
 
 
 def _embed_block(Q: QuadraticModule, M2: RingMatrix, pos: tuple[int, int]) -> RingMatrix:
-    """Embed a 2x2 block into the identity at the given coordinate slots."""
+    """Embed a 2x2 block of Q's modulus into the identity at the given coordinate slots."""
     rows = [list(r) for r in RingMatrix.identity(Q.dim, Q.m).rows]
     for bi, pi in enumerate(pos):
         for bj, pj in enumerate(pos):
             rows[pi][pj] = M2.rows[bi][bj]
-    return RingMatrix(rows)
+    return _matrix(Q.m, tuple(map(tuple, rows)))
+
+
+_SHEAR_BASES = {"shear-T": ("e2", "f1"), "shear-R": ("e1", "f2")}
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _shear_step(m: int, branch: Branch, name: str) -> TraceStep:
+    """The named shear with parameter 1, built once; a bad modulus raises and caches nothing."""
+    Q = _branch_module(m, branch)
+    return TraceStep(name, transvection(Q, _SHEAR_BASES[name], GroupRingElement.one(m)))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _norm_class(m: int, kind: FormParameterKind) -> ParameterClass:
+    """[s], the norm element's class, built once; a bad modulus raises and caches nothing."""
+    return param_reduce(GroupRingElement.norm(m), kind)
 
 
 def _bezout_coeffs(Q: QuadraticModule, name: str, pair) -> tuple[tuple, tuple]:
@@ -320,8 +346,8 @@ def rank2_vector_isometry(
     def signed(c: tuple) -> tuple:
         return c if eps == 1 else tuple(map(neg, c))
 
-    def mu(v):
-        return param_reduce(_trusted(m, _lift_coeffs(Q, v)), Q.kind)
+    def mu(lift: tuple) -> ParameterClass:
+        return param_reduce(_trusted(m, lift), Q.kind)
 
     def plus(a: tuple, c: tuple, v: tuple) -> tuple:
         """a + c*v."""
@@ -331,7 +357,7 @@ def rank2_vector_isometry(
     lam_x, lam_y = (tuple(map(add, L, signed(_conj_coeffs(L)))) for L in lifts)
     if lam_x != lam_y:
         raise PreconditionFailed("lambda(x, x) differs between source and target")
-    if mu(x) != mu(y):
+    if mu(lifts[0]) != mu(lifts[1]):
         raise PreconditionFailed("mu classes differ between source and target")
     if x == y:
         return RingMatrix.identity(2, m)
@@ -360,10 +386,10 @@ def rank2_vector_isometry(
         if m % 2 == 0:
             g_half = GroupRingElement.gen(m, m // 2).coeffs
             shears += [g_half, tuple(map(add, one, g_half))]
-    want = mu(xp)
+    want = mu(_lift_coeffs(Q, xp))
     for c in shears:
         yc = tuple(plus(w, c, v) for w, v in zip(yp, y))
-        if mu(yc) == want:
+        if mu(_lift_coeffs(Q, yc)) == want:
             # (x, x') and (y, yc) are standard pairs, so both column
             # matrices preserve the Gram matrix, and [x, x']^-1 is
             # isometry_inverse's entry shuffle of [x, x']
@@ -375,7 +401,7 @@ def rank2_vector_isometry(
                 [_dot_coeffs(m, ((y[i], inv[0][j]), (yc[i], inv[1][j]))) for j in (0, 1)]
                 for i in (0, 1)
             ]
-            M = RingMatrix([[_trusted(m, e) for e in row] for row in rows])
+            M = _matrix(m, tuple(tuple([_trusted(m, e) for e in row]) for row in rows))
             if all(
                 _dot_coeffs(m, zip(row, x)) == yi for row, yi in zip(rows, y)
             ) and isometry_check(Q, M):
@@ -447,14 +473,14 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     a1, a2, b2 = spec.a1, spec.a2, spec.b2
     steps = []
     shear = None
-    if param_reduce(a2 * b2.conj(), Q.kind) != param_reduce(s, Q.kind):
+    if param_reduce(a2 * b2.conj(), Q.kind) != _norm_class(m, Q.kind):
         if b2.aug() % 2:
-            shear, base = "shear-T", ("e2", "f1")
+            shear = "shear-T"
             a1, a2 = a1 + b2, a2 + s
         else:
-            shear, base = "shear-R", ("e1", "f2")
+            shear = "shear-R"
             a1, b2 = a1 + a2, b2 - s
-        steps.append(TraceStep(shear, transvection(Q, base, one)))
+        steps.append(_shear_step(m, spec.branch, shear))
     norm, (x1, x2) = _skew_normalize(a2, b2)
     if (inverse := trivial_unit_inverse(x1)) is not None:
         pair = (inverse, zero)
@@ -468,13 +494,13 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     Q1 = QuadraticModule(m, 1, Q.eps, Q.kind)
     M2 = rank2_vector_isometry(
         Q1,
-        RingVector([x1, x2]),
-        RingVector([v_t, s]),
+        _vector(m, (x1, x2)),
+        _vector(m, (v_t, s)),
         nearest_bezout_pair(x1, x2, *pair),
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
     steps.append(TraceStep("vector-transport", _embed_block(Q, M2, (1, 3))))
-    v2n = RingVector([a1, norm.u * v_t, s, norm.l * s])
+    v2n = _vector(m, (a1, norm.u * v_t, s, norm.l * s))
     (p00, p01), (p10, p11) = isometry_inverse(Q1, M2).rows
     U = [
         [zero, p00 * -a_t, one, p10 * -a_t],
@@ -485,7 +511,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     elif shear == "shear-R":  # e1 -= e2, f2 += f1
         U = [[w0 - w1, w1, w2, w3 + w2] for w0, w1, w2, w3 in U]
     return _finish(
-        spec, Q, (v1, v2_in), steps, v2n, tuple(RingVector(w) for w in U), norm
+        spec, Q, (v1, v2_in), steps, v2n, tuple(_vector(m, tuple(w)) for w in U), norm
     )
 
 
@@ -516,15 +542,16 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     if spec.branch is not Branch.EVEN_N_SYM:
         raise PreconditionFailed("spec branch is not even-n")
     Q, v1, v2_in = spec.validate()
-    one, zero = GroupRingElement.one(spec.m), GroupRingElement.zero(spec.m)
+    m = spec.m
+    one, zero = GroupRingElement.one(m), GroupRingElement.zero(m)
     a1, x, c, y = v2_in.coords
     steps = []
     if swap := (x.aug() == 0):
-        block = RingMatrix([[zero, one], [one, zero]])
+        block = _matrix(m, ((zero, one), (one, zero)))
         steps.append(TraceStep("swap-e2-f2", _embed_block(Q, block, (1, 3))))
         x, y = y, x
     if negate := (x.aug() == -1):
-        block = RingMatrix([[-one, zero], [zero, -one]])
+        block = _matrix(m, ((-one, zero), (zero, -one)))
         steps.append(TraceStep("negate-block-2", _embed_block(Q, block, (1, 3))))
         x, y = -x, -y
     a = divide_by_one_minus_gen(x - one)
@@ -533,8 +560,8 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
         U = [[w0, -w1, w2, -w3] for w0, w1, w2, w3 in U]
     if swap:
         U = [[w0, w3, w2, w1] for w0, w1, w2, w3 in U]
-    v2n = RingVector([a1, x, c, y])
-    return _finish(spec, Q, (v1, v2_in), steps, v2n, tuple(map(RingVector, U)))
+    v2n = _vector(m, (a1, x, c, y))
+    return _finish(spec, Q, (v1, v2_in), steps, v2n, tuple(_vector(m, tuple(w)) for w in U))
 
 
 def solve(spec: EmbeddingSpec) -> SolverTrace:

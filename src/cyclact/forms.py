@@ -14,8 +14,9 @@ sign/parameter pairings enforced by QuadraticModule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import add, attrgetter, neg
+from operator import add, attrgetter, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,6 +33,7 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     ParameterClass,
+    _check_modulus,
     _conj_coeffs,
     _dot_coeffs,
     _trusted,
@@ -79,19 +81,19 @@ class RingVector:
     def __add__(self, other: "RingVector") -> "RingVector":
         if len(self) != len(other):
             raise DimensionMismatch("vector lengths differ")
-        return RingVector([a + b for a, b in zip(self.coords, other.coords)])
+        return _vector(self.m, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "RingVector") -> "RingVector":
         if len(self) != len(other):
             raise DimensionMismatch("vector lengths differ")
-        return RingVector([a - b for a, b in zip(self.coords, other.coords)])
+        return _vector(self.m, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "RingVector":
-        return RingVector([-a for a in self.coords])
+        return _vector(self.m, tuple(map(neg, self.coords)))
 
     def scaled(self, c: GroupRingElement) -> "RingVector":
         """c * v with ring scalar c."""
-        return RingVector([c * a for a in self.coords])
+        return _vector(self.m, tuple([c * a for a in self.coords]))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coords)
@@ -111,6 +113,23 @@ class RingVector:
     @staticmethod
     def from_json(obj: Iterable[dict]) -> "RingVector":
         return RingVector([GroupRingElement.from_json(c) for c in obj])
+
+
+_new_object = object.__new__
+_set_vector_m = RingVector.m.__set__
+_set_vector_coords = RingVector.coords.__set__
+
+
+def _vector(m: int, coords: tuple) -> RingVector:
+    """RingVector from a nonempty tuple of elements of modulus m; no checks.
+
+    For entries the package built itself, as groupring._trusted is for
+    coefficients; RingVector(...) checks everything else.
+    """
+    v = _new_object(RingVector)
+    _set_vector_m(v, m)
+    _set_vector_coords(v, coords)
+    return v
 
 
 class RingMatrix:
@@ -134,21 +153,25 @@ class RingMatrix:
 
     @staticmethod
     def identity(n: int, m: int) -> "RingMatrix":
-        one = GroupRingElement.one(m)
-        zero = GroupRingElement.zero(m)
-        return RingMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        if n < 1:
+            raise DimensionMismatch("matrix must be square and nonempty")
+        row = (GroupRingElement.zero(m),) * n
+        one = (GroupRingElement.one(m),)
+        return _matrix(m, tuple([row[:i] + one + row[i + 1 :] for i in range(n)]))
 
     @staticmethod
     def from_columns(cols: Sequence[RingVector]) -> "RingMatrix":
+        """Columns that are vectors of one modulus are taken as they are;
+        anything else goes through the constructor's checks."""
         n = len(cols)
         if any(len(c) != n for c in cols):
             raise DimensionMismatch("need n columns of length n")
+        if n and all(isinstance(c, RingVector) and c.m == cols[0].m for c in cols):
+            return _matrix(cols[0].m, tuple(zip(*[c.coords for c in cols])))
         return RingMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
     def column(self, j: int) -> RingVector:
-        return RingVector([self.rows[i][j] for i in range(self.n)])
+        return _vector(self.m, tuple([r[j] for r in self.rows]))
 
     def __mul__(self, other):
         """By a vector, each entry one kernel call; by a matrix, column by column."""
@@ -158,9 +181,9 @@ class RingMatrix:
             if other.m != self.m:
                 raise ModulusMismatch(f"m={other.m} vs matrix m={self.m}")
             m, col = self.m, _coords(other)
-            return RingVector(
+            return _vector(m, tuple(
                 [_trusted(m, _dot_coeffs(m, zip(map(_coeffs, r), col))) for r in self.rows]
-            )
+            ))
         if isinstance(other, RingMatrix):
             if other.n != self.n:
                 raise DimensionMismatch("matrix size mismatch")
@@ -170,12 +193,10 @@ class RingMatrix:
         return NotImplemented
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return _matrix(self.m, tuple(zip(*self.rows)))
 
     def conj(self) -> "RingMatrix":
-        return RingMatrix([[x.conj() for x in r] for r in self.rows])
+        return _matrix(self.m, tuple(tuple([x.conj() for x in r]) for r in self.rows))
 
     def minor(self, drop_row: int, drop_col: int) -> "RingMatrix":
         return RingMatrix(
@@ -225,6 +246,18 @@ class RingMatrix:
         )
 
 
+_set_matrix_m = RingMatrix.m.__set__
+_set_matrix_rows = RingMatrix.rows.__set__
+
+
+def _matrix(m: int, rows: tuple) -> RingMatrix:
+    """RingMatrix from a square tuple of row tuples of elements of modulus m; no checks."""
+    M = _new_object(RingMatrix)
+    _set_matrix_m(M, m)
+    _set_matrix_rows(M, rows)
+    return M
+
+
 @dataclass(frozen=True)
 class QuadraticModule:
     """Based hyperbolic module H^rank_eps over Z[Z/m].
@@ -249,6 +282,7 @@ class QuadraticModule:
                 raise PreconditionFailed("eps=+1 requires MINUS parameter")
         else:
             raise PreconditionFailed("eps must be +1 or -1")
+        _check_modulus(self.m)
 
     @property
     def dim(self) -> int:
@@ -285,21 +319,28 @@ class QuadraticModule:
         return RingVector(c)
 
     def gram_matrix(self) -> RingMatrix:
-        one = GroupRingElement.one(self.m)
-        zero = GroupRingElement.zero(self.m)
-        eps = GroupRingElement.integer(self.m, self.eps)
-        r, n = self.rank, self.dim
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(r):
-            rows[i][r + i] = one
-            rows[r + i][i] = eps
-        return RingMatrix(rows)
+        """G, with lambda(x, y) = x^T G conj(y); one shared instance per module."""
+        return _gram_matrix(self.m, self.rank, self.eps)
 
     def _check_vector(self, x: RingVector) -> None:
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {len(x)}")
         if x.m != self.m:
             raise ModulusMismatch(f"m={x.m} vs module m={self.m}")
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _gram_matrix(m: int, rank: int, eps: int) -> RingMatrix:
+    """QuadraticModule.gram_matrix, built once; a bad argument raises and caches nothing."""
+    one = GroupRingElement.one(m)
+    zero = GroupRingElement.zero(m)
+    e = GroupRingElement.integer(m, eps)
+    n = 2 * rank
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(rank):
+        rows[i][rank + i] = one
+        rows[rank + i][i] = e
+    return _matrix(m, tuple(map(tuple, rows)))
 
 
 def _parse_label(label: str, rank: int) -> tuple[str, int]:
@@ -434,8 +475,8 @@ def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
             x = M.rows[pi[j]][pi[i]].conj()
             # sigma(i) * sigma(j) is eps when exactly one of i, j is an e-slot
             row.append(-x if flip and (i < r) != (j < r) else x)
-        rows.append(row)
-    return RingMatrix(rows)
+        rows.append(tuple(row))
+    return _matrix(M.m, tuple(rows))
 
 
 def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRingElement) -> RingMatrix:
@@ -451,6 +492,10 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
     if Q.rank > RING_DET_MAX_RANK:
         raise RankTooLarge(
             f"transvection supports rank at most {RING_DET_MAX_RANK}, got {Q.rank}"
+        )
+    if not isinstance(parameter, GroupRingElement):
+        raise PreconditionFailed(
+            f"a transvection parameter must be a group ring element, got {value_text(parameter)}"
         )
     if parameter.m != Q.m:
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
@@ -480,7 +525,7 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
         else:
             # base (e_i, f_i): x -> x + lambda(x, e_i)*c*e_i
             rows[ui][r + ui] = rows[ui][r + ui] + Q.eps * c
-        return RingMatrix(rows)
+        return _matrix(Q.m, tuple(map(tuple, rows)))
     if flipped:
         raise BadIndex("cross pair must be given e-label first")
     if ui < wi:
@@ -491,7 +536,7 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
         # T shape: f_i feeds e_j, f_j feeds e_i
         rows[wi][r + ui] = rows[wi][r + ui] + c
         rows[ui][r + wi] = rows[ui][r + wi] - Q.eps * c.conj()
-    return RingMatrix(rows)
+    return _matrix(Q.m, tuple(map(tuple, rows)))
 
 
 # ring_det memoizes one minor per column subset, 2^n of them at rank n.
@@ -513,16 +558,21 @@ def ring_det(M: RingMatrix) -> GroupRingElement:
     Expansion along rows with minors memoized on the column subset; row k
     always expands over the columns remaining in the mask. Each expansion
     is one fused kernel call, sum of signed entry times minor, on
-    coefficient tuples; a zero entry's minor is never computed. Memory
-    grows as 2^n, so a matrix above RING_DET_MAX_RANK raises RankTooLarge.
+    coefficient tuples (_det_coeffs); a zero entry's minor is never
+    computed. Memory grows as 2^n, so a matrix above RING_DET_MAX_RANK
+    raises RankTooLarge.
     """
-    n, m = M.n, M.m
+    return _trusted(M.m, _det_coeffs(M.m, [[x.coeffs for x in r] for r in M.rows]))
+
+
+def _det_coeffs(m: int, rows: Sequence[Sequence[tuple]]) -> tuple:
+    """ring_det's expansion on a square matrix of coefficient tuples."""
+    n = len(rows)
     if n > RING_DET_MAX_RANK:
         raise RankTooLarge(
             f"ring_det supports rank at most {RING_DET_MAX_RANK}, got {n}"
         )
-    rows = [[x.coeffs for x in r] for r in M.rows]
-    cache: dict[int, tuple] = {0: GroupRingElement.one(m).coeffs}
+    cache: dict[int, tuple] = {0: (1,) + (0,) * (m - 1)}
 
     def minor_det(mask: int) -> tuple:
         got = cache.get(mask)
@@ -545,7 +595,7 @@ def ring_det(M: RingMatrix) -> GroupRingElement:
         cache[mask] = total = _dot_coeffs(m, terms)
         return total
 
-    return _trusted(m, minor_det((1 << n) - 1))
+    return minor_det((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -575,13 +625,15 @@ def verify_lagrangian_complement(
     """Certify S + U = H^r with U Lagrangian, or raise NotComplement.
 
     Checks, in order: lambda vanishes on U x U; mu vanishes on U; the
-    2r x 2r matrix with columns S followed by U has unit determinant.
+    2r x 2r matrix with columns S followed by U has unit determinant. All
+    three read the vectors' coordinates as coefficient tuples.
     """
     if len(S) != Q.rank or len(U) != Q.rank:
         raise DimensionMismatch(f"need {Q.rank} vectors in S and in U")
-    for v in list(S) + list(U):
+    for v in (*S, *U):
         Q._check_vector(v)
-    gram, mus = _gram_and_mu(Q, [_coords(u) for u in U])
+    cs = [_coords(v) for v in (*S, *U)]
+    gram, mus = _gram_and_mu(Q, cs[Q.rank :])
     for i, row in enumerate(gram):
         for j, val in enumerate(row):
             if not val.is_zero():
@@ -593,8 +645,7 @@ def verify_lagrangian_complement(
             raise NotComplement(
                 "mu", f"mu(U[{i}]) is nonzero ({c.rep.bits()}-bit representative)"
             )
-    B = RingMatrix.from_columns(list(S) + list(U))
-    d = ring_det(B)
+    d = _trusted(Q.m, _det_coeffs(Q.m, list(zip(*cs))))
     ok, dinv = is_unit(d)
     if not ok:
         raise NotComplement("determinant", f"det ({d.bits()} bits) is not a unit")

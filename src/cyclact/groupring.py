@@ -557,16 +557,26 @@ def _normalize(
         l = math.gcd(l, gx.aug())
     if math.gcd(l, m) != 1:
         raise PreconditionFailed(_NOT_WHOLE)
+    data = _norm_data(m, l)
+    return data, [data.divide(gx) for gx in generators]
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _norm_data(m: int, l: int) -> NormData:
+    """_normalize's NormData for gcd(l, m) = 1, built and verified once per (m, l).
+
+    A bad modulus raises, and nothing is cached.
+    """
+    u = GroupRingElement.geometric(m, l)
     b = (-pow(l, -1, m)) % m
     a = (1 + b * l) // m
     assert a * m - b * l == 1
     c = [0] * m
     for j in range(b):
         c[(1 + j * l) % m] -= 1
-    u = GroupRingElement.geometric(m, l)
     data = NormData(u=u, v=_trusted(m, tuple(c)), l=l, a=a, b=b)
     assert data.verify()
-    return data, [data.divide(gx) for gx in generators]
+    return data
 
 
 def nearest_bezout_pair(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .census import ActionQuery, classification, existence_check
 from .complement import Branch, run_sweep
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, value_text
 from .forms import (
     QuadraticModule,
     RingMatrix,
@@ -351,18 +351,18 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int) -> SuiteResult:
-    if name not in _SUITES:
-        raise PreconditionFailed(f"unknown suite {name!r}")
+    if not (isinstance(name, str) and name in _SUITES):
+        raise PreconditionFailed(f"unknown suite: {value_text(name)}")
     return _SUITES[name](seed)
 
 
 def run_selftest(scope: str = "all", seed: int = 0) -> RunSummary:
     if scope == "all":
         names = list(SCOPES)
-    elif scope in _SUITES:
+    elif isinstance(scope, str) and scope in _SUITES:
         names = [scope]
     else:
-        raise PreconditionFailed(f"unknown scope {scope!r}")
+        raise PreconditionFailed(f"unknown scope: {value_text(scope)}")
     start = time.monotonic()
     results = sorted((run_suite(n, seed) for n in names), key=lambda s: s.name)
     return RunSummary(scope, seed, tuple(results), time.monotonic() - start)

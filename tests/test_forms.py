@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -5,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclact.complement import Branch, EmbeddingSpec, sample_spec, solve
+from cyclact.complement import (
+    Branch,
+    EmbeddingSpec,
+    TraceStep,
+    _branch_module,
+    _norm_class,
+    _shear_step,
+    sample_spec,
+    solve,
+)
 from cyclact.errors import (
     BadIndex,
+    DimensionMismatch,
     ModulusMismatch,
     NotComplement,
     PreconditionFailed,
@@ -16,6 +27,7 @@ from cyclact.errors import (
 )
 from cyclact.forms import (
     _gram_and_mu,
+    _gram_matrix,
     _label_index,
     _parse_label,
     QuadraticModule,
@@ -30,7 +42,13 @@ from cyclact.forms import (
     transvection,
     verify_lagrangian_complement,
 )
-from cyclact.groupring import FormParameterKind, GroupRingElement, param_reduce
+from cyclact.groupring import (
+    FormParameterKind,
+    GroupRingElement,
+    NormData,
+    _norm_data,
+    param_reduce,
+)
 
 from oracles import (
     conj_coeffs,
@@ -70,6 +88,9 @@ def test_module_validates_sign_parameter_pairing():
         QuadraticModule(4, 2, -1, FormParameterKind.MINUS)
     with pytest.raises(PreconditionFailed):
         QuadraticModule(4, 0, -1, FormParameterKind.TILDE)
+    for m in (1, 2.0, True):
+        with pytest.raises(PreconditionFailed, match="^modulus must be an integer >= 2"):
+            QuadraticModule(m, 2, -1, FormParameterKind.TILDE)
 
 
 def test_basis_vectors_and_labels():
@@ -499,6 +520,7 @@ def test_vector_matrix_json_roundtrip():
 
 
 _X = GroupRingElement(3, [1, 2, 0])
+_Y = GroupRingElement(2, [1, 1])
 
 
 @pytest.mark.parametrize(
@@ -514,19 +536,91 @@ _X = GroupRingElement(3, [1, 2, 0])
          "^vector entries must be group ring elements, got a float$"),
         (lambda: RingMatrix([[1]]), PreconditionFailed,
          "^matrix entries must be group ring elements, got 1$"),
+        (lambda: RingVector([_X, _Y]), ModulusMismatch, "^mixed moduli in vector$"),
+        (lambda: RingMatrix([[_X, _X], [_X, _Y]]), ModulusMismatch,
+         "^mixed moduli in matrix$"),
+        (lambda: RingMatrix.from_columns([[_X, _X], [_X, 1]]), PreconditionFailed,
+         "^matrix entries must be group ring elements, got 1$"),
+        (lambda: RingMatrix.from_columns([RingVector([_X, _X]), RingVector([_Y, _Y])]),
+         ModulusMismatch, "^mixed moduli in matrix$"),
+        (lambda: RingMatrix.from_columns([RingVector([_X, _X]), [_X, _Y]]),
+         ModulusMismatch, "^mixed moduli in matrix$"),
+        (lambda: RingMatrix.identity(0, 3), DimensionMismatch, "^matrix must be square"),
+        (lambda: transvection(tilde(3), ("e1", "f2"), 1), PreconditionFailed,
+         "^a transvection parameter must be a group ring element, got 1$"),
         (lambda: EmbeddingSpec(3, Branch.ODD_M_SKEW, 1, _X, _X), PreconditionFailed,
          "^a1 must be a group ring element, got 1$"),
         (lambda: EmbeddingSpec(3, Branch.ODD_M_SKEW, _X, _X, "x"), PreconditionFailed,
          "^b2 must be a group ring element, got a 1-character string$"),
     ],
     ids=["mul-float", "add-none", "sub-int", "mul-vector", "vector-int",
-         "vector-float", "matrix-int", "spec-a1-int", "spec-b2-str"],
+         "vector-float", "matrix-int", "vector-mixed", "matrix-mixed",
+         "columns-int", "columns-mixed", "columns-list-mixed", "identity-0",
+         "transvection-int", "spec-a1-int", "spec-b2-str"],
 )
 def test_foreign_operands_and_entries_raise_named_errors(build, error, match):
     # ring operations decline a foreign operand, so Python raises TypeError;
     # a vector, matrix or spec names its first foreign entry by its type
     with pytest.raises(error, match=match):
         build()
+
+
+def test_cached_constants_are_shared_immutable_and_equal_to_fresh_ones():
+    m = 6
+    one, zero = GroupRingElement.one(m), GroupRingElement.zero(m)
+    for Q in (tilde(m), minus(m), tilde(m, rank=1)):
+        G = Q.gram_matrix()
+        assert G is dataclasses.replace(Q).gram_matrix()
+        r, n = Q.rank, Q.dim
+        fresh = [[zero] * n for _ in range(n)]
+        for i in range(r):
+            fresh[i][r + i] = one
+            fresh[r + i][i] = GroupRingElement(m, [Q.eps] + [0] * (m - 1))
+        assert G == RingMatrix(fresh)
+        with pytest.raises(AttributeError):
+            G.rows = ()
+    for branch in (Branch.EVEN_M_SKEW, Branch.EVEN_N_SYM):
+        assert _branch_module(m, branch) == EmbeddingSpec(m, branch, one, one, zero).module()
+    for name, base in (("shear-T", ("e2", "f1")), ("shear-R", ("e1", "f2"))):
+        step = _shear_step(m, Branch.EVEN_M_SKEW, name)
+        assert step is _shear_step(m, Branch.EVEN_M_SKEW, name)
+        assert step == TraceStep(name, transvection(tilde(m), base, one))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.name = "x"
+    for kind in FormParameterKind:
+        assert _norm_class(m, kind) == param_reduce(GroupRingElement.norm(m), kind)
+    for m, l in ((2, 1), (6, 5), (7, 3), (9, 20)):
+        data = _norm_data(m, l)
+        assert data is _norm_data(m, l)
+        # b*l = -1 mod m, and v = -g*(1 + g^l + ... + g^((b-1)l))
+        b = (-pow(l, -1, m)) % m
+        v = [0] * m
+        for j in range(b):
+            v[(1 + j * l) % m] -= 1
+        fresh = NormData(GroupRingElement.geometric(m, l), GroupRingElement(m, v),
+                         l, (1 + b * l) // m, b)
+        assert data == fresh and fresh.verify()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.l = 0
+
+
+@pytest.mark.parametrize("m", [1, 0, -3, 2.0, True])
+def test_cached_constants_reject_a_bad_modulus_every_time_and_cache_nothing(m):
+    # m = 2 is cached first, so a key equal to 2 but not an int must miss
+    calls = [
+        (_gram_matrix, (2, 2, -1), (m, 2, -1)),
+        (_branch_module, (2, Branch.EVEN_M_SKEW), (m, Branch.EVEN_M_SKEW)),
+        (_shear_step, (2, Branch.EVEN_M_SKEW, "shear-T"), (m, Branch.EVEN_M_SKEW, "shear-T")),
+        (_norm_class, (2, FormParameterKind.TILDE), (m, FormParameterKind.TILDE)),
+        (_norm_data, (2, 1), (m, 1)),
+    ]
+    for helper, good, bad in calls:
+        helper(*good)
+        size = helper.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed, match="^modulus must be an integer >= 2"):
+                helper(*bad)
+        assert helper.cache_info().currsize == size
 
 
 FORMS = [

@@ -50,3 +50,15 @@ def test_summary_json_shape():
     assert set(suite) == {
         "name", "cases", "searchExhausted", "pass", "fail", "skipped",
     }
+
+
+@pytest.mark.parametrize(
+    "bad", ["x" * 5000, 10**5000, ["ring"]], ids=["long-str", "huge-int", "list"]
+)
+def test_an_unknown_scope_or_suite_is_named_without_its_value(bad):
+    # a long string is named by its length and an int past the digit limit
+    # by its size, where repr would echo 5,000 characters or raise ValueError
+    for run in (run_selftest, lambda s: run_suite(s, 0)):
+        with pytest.raises(PreconditionFailed) as info:
+            run(bad)
+        assert len(str(info.value)) < 60
