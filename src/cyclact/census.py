@@ -9,6 +9,7 @@ prime factors of m in the high-dimensional range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -154,17 +155,15 @@ def classification(q: ActionQuery) -> CensusReport:
         return CensusReport(q, False, reason)
     chi = euler_characteristic(q)
     assert chi.denominator == 1 and chi.numerator % 2 == 0
-    chi_int = int(chi)
+    found = functools.partial(
+        CensusReport, q, True, reason,
+        realizable_module=_realizable_module(q.n), euler_char=int(chi),
+    )
 
     if q.n == 2:
-        return CensusReport(
-            q,
-            True,
-            reason,
+        return found(
             class_count=1,
             conjugation_kind=TOPOLOGICAL,
-            realizable_module=_realizable_module(q.n),
-            euler_char=chi_int,
             notes=("smooth classification in dimension 2+2 remains open",),
         )
 
@@ -172,26 +171,11 @@ def classification(q: ActionQuery) -> CensusReport:
         k = (q.genus - 1) // q.m
         lens = f"(L^3_{q.m} x S^3) # {k}(S^3 x S^3)"
         if q.m % 2 == 1:
-            return CensusReport(
-                q,
-                True,
-                reason,
-                class_count=1,
-                conjugation_kind=SMOOTH,
-                quotient_descriptors=(lens,),
-                realizable_module=_realizable_module(q.n),
-                euler_char=chi_int,
-            )
-        bundle = f"S(xi) # {k}(S^3 x S^3)"
-        return CensusReport(
-            q,
-            True,
-            reason,
+            return found(class_count=1, conjugation_kind=SMOOTH, quotient_descriptors=(lens,))
+        return found(
             class_count=2,
             conjugation_kind=SMOOTH,
-            quotient_descriptors=(lens, bundle),
-            realizable_module=_realizable_module(q.n),
-            euler_char=chi_int,
+            quotient_descriptors=(lens, f"S(xi) # {k}(S^3 x S^3)"),
             notes=("the two classes are separated by the second "
                    "Stiefel-Whitney class of the quotient",),
         )
@@ -199,27 +183,15 @@ def classification(q: ActionQuery) -> CensusReport:
     try:
         bound = c_of_n(q.n)
     except OutOfTable as exc:
-        return CensusReport(
-            q,
-            True,
-            reason,
-            class_count=None,
+        return found(
             parameterization=OUT_OF_RANGE,
-            realizable_module=_realizable_module(q.n),
-            euler_char=chi_int,
             notes=(f"{exc}; no classification is available here",),
         )
 
     small = sorted(p for p in _prime_factors(q.m) if p <= bound)
     if small:
-        return CensusReport(
-            q,
-            True,
-            reason,
-            class_count=None,
+        return found(
             parameterization=OUT_OF_RANGE,
-            realizable_module=_realizable_module(q.n),
-            euler_char=chi_int,
             notes=(
                 f"m has prime factor(s) {small} not exceeding C({q.n}) = "
                 f"{bound}; outside the classified range",
@@ -227,22 +199,11 @@ def classification(q: ActionQuery) -> CensusReport:
         )
 
     r = q.n // 4
-    count = q.m ** r
-    descriptor = _bundle_descriptor(q.n, q.m, q.genus, q.pontryagin)
-    notes = ()
-    if q.pontryagin is not None:
-        notes = (
-            "descriptor instantiated at the supplied Pontryagin residues",
-        )
-    return CensusReport(
-        q,
-        True,
-        reason,
-        class_count=count,
+    return found(
+        class_count=q.m ** r,
         parameterization=f"(Z/{q.m})^{r}",
         conjugation_kind=SMOOTH,
-        quotient_descriptors=(descriptor,),
-        realizable_module=_realizable_module(q.n),
-        euler_char=chi_int,
-        notes=notes,
+        quotient_descriptors=(_bundle_descriptor(q.n, q.m, q.genus, q.pontryagin),),
+        notes=("descriptor instantiated at the supplied Pontryagin residues",)
+        if q.pontryagin is not None else (),
     )

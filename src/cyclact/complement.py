@@ -33,12 +33,14 @@ from .forms import (
     QuadraticModule,
     RingMatrix,
     RingVector,
+    _coords,
+    _eps_conj,
     _lift_coeffs,
     _matrix,
+    _mu_class,
     _vector,
     isometry_check,
     isometry_inverse,
-    lambda_eval,
     transvection,
     verify_lagrangian_complement,
 )
@@ -46,7 +48,6 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
-    ParameterClass,
     _conj_coeffs,
     _dot_coeffs,
     _normalize,
@@ -55,7 +56,6 @@ from .groupring import (
     ideal_contains_one,
     ideal_express,
     nearest_bezout_pair,
-    param_reduce,
     trivial_unit_inverse,
 )
 
@@ -150,25 +150,31 @@ class EmbeddingSpec:
 
     def validate(self) -> tuple[QuadraticModule, RingVector, RingVector]:
         """Check the branch invariants; raise PreconditionFailed otherwise."""
-        Q, v1, v2 = self._check_before_ideal()
+        Q, v1, v2, _ = self._check_before_ideal()
         if self.branch is not Branch.EVEN_N_SYM:
             _, quotients = _skew_normalize(self.a2, self.b2)
             if not ideal_contains_one(quotients):
                 raise PreconditionFailed(_SKEW_NOT_UNIT)
         return Q, v1, v2
 
-    def _check_before_ideal(self) -> tuple[QuadraticModule, RingVector, RingVector]:
-        """validate, up to the skew branches' unit-ideal test.
+    def _check_before_ideal(
+        self,
+    ) -> tuple[QuadraticModule, RingVector, RingVector, Optional[GroupRingElement]]:
+        """validate, up to the skew branches' unit-ideal test, and P = a2*conj(b2) if skew.
 
         The skew solver answers that test, in validate's order and with its
         message, from the Hermite form it builds for its Bezout pair.
+        lambda(v2, v2) = L + eps*conj(L) with L = a1*conj(c) + P, c being
+        v2's f1 coefficient. In the skew branches c = s and a1*s = aug(a1)*s
+        is symmetric, so lambda(v2, v2) = P - conj(P) vanishes iff P is
+        symmetric. In the even-n branch aug(c) = 0, so
+        aug lambda(v2, v2) = 2*aug(a2)*aug(b2).
         """
         _check_modulus_parity(self.branch, self.m)
         Q = self.module()
         v1, v2 = self.vectors()
-        lam = lambda_eval(Q, v2, v2)
         if self.branch is Branch.EVEN_N_SYM:
-            if lam.aug() != 0:
+            if self.a2.aug() * self.b2.aug() != 0:
                 raise PreconditionFailed(
                     "augmentation of lambda(v2, v2) must vanish"
                 )
@@ -181,9 +187,11 @@ class EmbeddingSpec:
                 raise PreconditionFailed(
                     "a2, b2 and 1-g must generate the unit ideal"
                 )
-        elif not lam.is_zero():
+            return Q, v1, v2, None
+        P = self.a2 * self.b2.conj()
+        if P.conj() != P:
             raise PreconditionFailed("lambda(v2, v2) must vanish")
-        return Q, v1, v2
+        return Q, v1, v2, P
 
     def to_json(self) -> dict:
         return {
@@ -282,12 +290,6 @@ def _shear_step(m: int, branch: Branch, name: str) -> TraceStep:
     return TraceStep(name, transvection(Q, _SHEAR_BASES[name], GroupRingElement.one(m)))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _norm_class(m: int, kind: FormParameterKind) -> ParameterClass:
-    """[s], the norm element's class, built once; a bad modulus raises and caches nothing."""
-    return param_reduce(GroupRingElement.norm(m), kind)
-
-
 def _bezout_coeffs(Q: QuadraticModule, name: str, pair) -> tuple[tuple, tuple]:
     """The coefficient tuples of a Bezout pair: two elements of Q's modulus."""
     if len(pair) != 2:
@@ -336,28 +338,22 @@ def rank2_vector_isometry(
     )
     m, eps = Q.m, Q.eps
     one = GroupRingElement.one(m).coeffs
-    x, y = (tuple(c.coeffs for c in v.coords) for v in (source, target))
+    x, y = _coords(source), _coords(target)
     for name, (x1, x2), (p, q) in zip(("source", "target"), (x, y), pairs):
         if _dot_coeffs(m, ((p, x1), (q, x2))) != one:
             raise PreconditionFailed(
                 f"{name} Bezout pair does not satisfy p*x1 + q*x2 = 1"
             )
 
-    def signed(c: tuple) -> tuple:
-        return c if eps == 1 else tuple(map(neg, c))
-
-    def mu(lift: tuple) -> ParameterClass:
-        return param_reduce(_trusted(m, lift), Q.kind)
-
     def plus(a: tuple, c: tuple, v: tuple) -> tuple:
         """a + c*v."""
         return tuple(map(add, a, _dot_coeffs(m, ((c, v),))))
 
     lifts = [_lift_coeffs(Q, v) for v in (x, y)]
-    lam_x, lam_y = (tuple(map(add, L, signed(_conj_coeffs(L)))) for L in lifts)
+    lam_x, lam_y = (tuple(map(add, L, _eps_conj(eps, L))) for L in lifts)
     if lam_x != lam_y:
         raise PreconditionFailed("lambda(x, x) differs between source and target")
-    if mu(lifts[0]) != mu(lifts[1]):
+    if _mu_class(Q, lifts[0]) != _mu_class(Q, lifts[1]):
         raise PreconditionFailed("mu classes differ between source and target")
     if x == y:
         return RingMatrix.identity(2, m)
@@ -368,7 +364,7 @@ def rank2_vector_isometry(
 
     def completion(v, p, q):
         """x' = z + d*x with z = (eps*conj(q), conj(p)) and d = -z0*conj(z1)."""
-        z = (signed(_conj_coeffs(q)), _conj_coeffs(p))
+        z = (_eps_conj(eps, q), _conj_coeffs(p))
         d = tuple(map(neg, _dot_coeffs(m, ((z[0], p),))))
         return tuple(plus(zi, d, vi) for zi, vi in zip(z, v))
 
@@ -386,16 +382,16 @@ def rank2_vector_isometry(
         if m % 2 == 0:
             g_half = GroupRingElement.gen(m, m // 2).coeffs
             shears += [g_half, tuple(map(add, one, g_half))]
-    want = mu(_lift_coeffs(Q, xp))
+    want = _mu_class(Q, _lift_coeffs(Q, xp))
     for c in shears:
         yc = tuple(plus(w, c, v) for w, v in zip(yp, y))
-        if mu(_lift_coeffs(Q, yc)) == want:
+        if _mu_class(Q, _lift_coeffs(Q, yc)) == want:
             # (x, x') and (y, yc) are standard pairs, so both column
             # matrices preserve the Gram matrix, and [x, x']^-1 is
             # isometry_inverse's entry shuffle of [x, x']
             inv = (
-                (_conj_coeffs(xp[1]), signed(_conj_coeffs(xp[0]))),
-                (signed(_conj_coeffs(x[1])), _conj_coeffs(x[0])),
+                (_conj_coeffs(xp[1]), _eps_conj(eps, xp[0])),
+                (_eps_conj(eps, x[1]), _conj_coeffs(x[0])),
             )
             rows = [
                 [_dot_coeffs(m, ((y[i], inv[0][j]), (yc[i], inv[1][j]))) for j in (0, 1)]
@@ -443,12 +439,13 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
 
     The transport needs mu(x) = mu(y) = [aug(v2')*s] = [s], aug(v2') being
     odd for even m. Under TILDE a symmetric class is its coefficient at
-    g^(m/2) mod 2, or 0 for odd m. For N = u*conj(u) and c symmetric the
-    terms k and m - k of (N*c)_(m/2) agree, so it is N_0*c_(m/2) +
-    N_(m/2)*c_0 mod 2; N_0 = l mod 2 and N_(m/2) is even, so [N*c] = [c]
-    for odd l. The (e2, f2) block's own class [a2*conj(b2)] therefore
-    decides, before normalizing. Under odd m it is always [s] = 0. Under
-    even m a wrong class is flipped by one shear with parameter 1: shear-T
+    g^(m/2) mod 2, or 0 for odd m, so [s] is 1 for even m and 0 for odd m.
+    For N = u*conj(u) and c symmetric the terms k and m - k of (N*c)_(m/2)
+    agree, so it is N_0*c_(m/2) + N_(m/2)*c_0 mod 2; N_0 = l mod 2 and
+    N_(m/2) is even, so [N*c] = [c] for odd l. The (e2, f2) block's own
+    class [P], P = a2*conj(b2) symmetric, therefore decides, before
+    normalizing: it differs from [s] exactly when m is even and P_(m/2) is
+    even. A wrong class is flipped by one shear with parameter 1: shear-T
     on (e2, f1) adds s to a2 and moves the class by aug(b2)*[s], shear-R on
     (e1, f2) subtracts s from b2 and moves it by aug(a2)*[s]. As
     l = gcd(aug a2, aug b2) is odd, one of the two applies. Neither changes
@@ -465,7 +462,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     standard complement (-a2'*e2 + f1, -a2'*e1 + f2) has block parts
     (-a2', 0) and (0, 1), which go back through M2's isometry inverse.
     """
-    Q, v1, v2_in = spec._check_before_ideal()
+    Q, v1, v2_in, P = spec._check_before_ideal()
     m = spec.m
     zero = GroupRingElement.zero(m)
     one = GroupRingElement.one(m)
@@ -473,7 +470,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     a1, a2, b2 = spec.a1, spec.a2, spec.b2
     steps = []
     shear = None
-    if param_reduce(a2 * b2.conj(), Q.kind) != _norm_class(m, Q.kind):
+    if m % 2 == 0 and P.coeffs[m // 2] % 2 == 0:
         if b2.aug() % 2:
             shear = "shear-T"
             a1, a2 = a1 + b2, a2 + s

@@ -79,11 +79,15 @@ class RingVector:
         return self.coords[i]
 
     def __add__(self, other: "RingVector") -> "RingVector":
+        if not isinstance(other, RingVector):
+            return NotImplemented
         if len(self) != len(other):
             raise DimensionMismatch("vector lengths differ")
         return _vector(self.m, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "RingVector") -> "RingVector":
+        if not isinstance(other, RingVector):
+            return NotImplemented
         if len(self) != len(other):
             raise DimensionMismatch("vector lengths differ")
         return _vector(self.m, tuple(map(sub, self.coords, other.coords)))
@@ -368,12 +372,22 @@ def _label_index(label, rank: int) -> tuple[str, int]:
     return _parse_label(label, rank)
 
 
+def _eps_conj(eps: int, c: tuple) -> tuple:
+    """eps * conj(c) on a coefficient tuple."""
+    c = _conj_coeffs(c)
+    return c if eps == 1 else tuple(map(neg, c))
+
+
+def _mu_class(Q: QuadraticModule, lift: tuple) -> ParameterClass:
+    """[L] modulo Q's form parameter, for a mu lift L given as a coefficient tuple."""
+    return param_reduce(_trusted(Q.m, lift), Q.kind)
+
+
 def _lambda_coeffs(Q: QuadraticModule, x: Sequence[tuple], y: Sequence[tuple]) -> tuple:
     """lambda(x, y) from the coordinates of x and y as coefficient tuples."""
     r = Q.rank
-    b = [_conj_coeffs(t) for t in y]
-    f = x[r:] if Q.eps == 1 else [tuple(map(neg, t)) for t in x[r:]]
-    return _dot_coeffs(Q.m, zip([*x[:r], *f], b[r:] + b[:r]))
+    right = [*map(_conj_coeffs, y[r:]), *(_eps_conj(Q.eps, t) for t in y[:r])]
+    return _dot_coeffs(Q.m, zip(x, right))
 
 
 def _lift_coeffs(Q: QuadraticModule, c: Sequence[tuple]) -> tuple:
@@ -399,7 +413,7 @@ def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingEl
 def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
     """Quadratic refinement mu(x) = [sum a_i conj(b_i)] in Lambda/parameter."""
     Q._check_vector(x)
-    return param_reduce(_trusted(Q.m, _lift_coeffs(Q, _coords(x))), Q.kind)
+    return _mu_class(Q, _lift_coeffs(Q, _coords(x)))
 
 
 def _gram_and_mu(
@@ -412,20 +426,15 @@ def _gram_and_mu(
     (i, j). The diagonal and the mu classes come from each vector's mu
     lift L, as lambda(u, u) = L + eps * conj(L).
     """
-
-    def swapped(t: tuple) -> tuple:
-        return _conj_coeffs(t) if Q.eps == 1 else tuple(map(neg, _conj_coeffs(t)))
-
-    m = Q.m
+    m, eps = Q.m, Q.eps
     lifts = [_lift_coeffs(Q, c) for c in cs]
     rows = [[None] * len(cs) for _ in cs]
     for i, c in enumerate(cs):
-        rows[i][i] = _trusted(m, tuple(map(add, lifts[i], swapped(lifts[i]))))
+        rows[i][i] = _trusted(m, tuple(map(add, lifts[i], _eps_conj(eps, lifts[i]))))
         for j in range(i + 1, len(cs)):
             t = _lambda_coeffs(Q, c, cs[j])
-            rows[i][j], rows[j][i] = _trusted(m, t), _trusted(m, swapped(t))
-    mus = tuple(param_reduce(_trusted(m, L), Q.kind) for L in lifts)
-    return tuple(map(tuple, rows)), mus
+            rows[i][j], rows[j][i] = _trusted(m, t), _trusted(m, _eps_conj(eps, t))
+    return tuple(map(tuple, rows)), tuple(_mu_class(Q, L) for L in lifts)
 
 
 def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:

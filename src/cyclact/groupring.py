@@ -84,10 +84,12 @@ class GroupRingElement:
 
     @staticmethod
     def geometric(m: int, l: int) -> "GroupRingElement":
-        """1 + gen + ... + gen^(l-1) for l >= 0, folded modulo gen^m = 1."""
+        """1 + gen + ... + gen^(l-1) for an int l >= 0, folded modulo gen^m = 1."""
         _check_modulus(m)
-        if l < 0:
-            raise ValueError("geometric length must be nonnegative")
+        if type(l) is not int or l < 0:
+            raise PreconditionFailed(
+                f"a geometric length must be a nonnegative int, got {value_text(l)}"
+            )
         q, r = divmod(l, m)
         return _trusted(m, (q + 1,) * r + (q,) * (m - r))
 

@@ -227,30 +227,24 @@ def d2_rank(m: int, p: int, twisted: bool = False) -> int:
     return 0 if image.is_zero() else 1
 
 
-def _homology(m: int, p: int, coeff: str) -> tuple[int, ...]:
-    """H_p(K(Z/m,1); A) as a cyclic-order descriptor, 0 meaning Z."""
-    if coeff == "Z":
-        if p == 0:
-            return (0,)
-        return (m,) if p % 2 == 1 else ()
-    if coeff == "Z2":
-        if p == 0 or m % 2 == 0:
-            return (2,)
-        return ()
-    raise PreconditionFailed(f"unknown coefficient {coeff!r}")
-
-
 def e2_entry(m: int, p: int, q: int) -> tuple[int, ...]:
+    """E^2_{p,q} = H_p(K(Z/m,1); Omega^spin_q) as a cyclic-order descriptor, 0 meaning Z.
+
+    Each coefficient summand is Z or Z/2. H_p(K(Z/m,1); Z) is Z for p = 0,
+    Z/m for odd p and 0 otherwise; H_p(K(Z/m,1); Z/2) is Z/2 for p = 0 or
+    even m and 0 otherwise.
+    """
     if q < 0 or q > 8 or p < 0:
         return ()
     desc: list[int] = []
     for order in OMEGA_SPIN[q]:
-        if order == 0:
-            desc.extend(_homology(m, p, "Z"))
-        elif order == 2:
-            desc.extend(_homology(m, p, "Z2"))
-        else:
-            raise PreconditionFailed("unexpected coefficient order")
+        if order == 2:
+            if p == 0 or m % 2 == 0:
+                desc.append(2)
+        elif p == 0:
+            desc.append(0)
+        elif p % 2 == 1:
+            desc.append(m)
     return tuple(desc)
 
 
@@ -377,30 +371,38 @@ _D3_JUSTIFICATION = (
 )
 
 
+def _step(entry, action: str, rank, provenance: str, justification: str) -> dict:
+    """One record of SpinLineReport.steps, its keys in document order."""
+    return {
+        "entry": entry,
+        "action": action,
+        "rank": rank,
+        "provenance": provenance,
+        "justification": justification,
+    }
+
+
 def spin_line_report(m: int, twisted: bool = False) -> SpinLineReport:
     """Decide the p+q = 6 line, labeling every step with its provenance."""
     page = e2_page(m, twisted)
     line = {pq: page.entry(*pq) for pq in _SIX_LINE}
-    steps: list[dict] = []
 
     if m % 2 == 1:
-        e3 = dict(line)
-        steps.append(
-            {
-                "entry": None,
-                "action": "odd modulus: every entry on the line is already zero",
-                "rank": None,
-                "provenance": COMPUTED,
-                "justification": "mod-2 homology of an odd-order cyclic group "
-                "vanishes in positive degrees and the remaining coefficients "
-                "are zero in the relevant columns",
-            }
+        step = _step(
+            None,
+            "odd modulus: every entry on the line is already zero",
+            None,
+            COMPUTED,
+            "mod-2 homology of an odd-order cyclic group vanishes in positive "
+            "degrees and the remaining coefficients are zero in the relevant columns",
         )
-        return SpinLineReport(
-            m, twisted, line, e3, tuple(steps), True, _BIBLIOGRAPHY
-        )
+        return SpinLineReport(m, twisted, line, dict(line), (step,), True, _BIBLIOGRAPHY)
 
-    d2 = {d.source: d for d in page.differentials}
+    d2_why = "rank of the dual squaring operation" + (
+        " with twisting correction" if twisted else ""
+    )
+    d2 = {d.source: d.rank for d in page.differentials}
+    steps: list[dict] = []
     e3 = {}
     survivors = []
     for (p, q) in _SIX_LINE:
@@ -408,34 +410,17 @@ def spin_line_report(m: int, twisted: bool = False) -> SpinLineReport:
         if dim == 0:
             e3[(p, q)] = ()
             continue
-        out_rank = d2[(p, q)].rank if (p, q) in d2 else 0
-        inc = d2.get((p + 2, q - 1))
-        in_rank = inc.rank if inc is not None else 0
+        out_rank = d2.get((p, q), 0)
+        in_rank = d2.get((p + 2, q - 1), 0)
         remaining = dim - out_rank - in_rank
-        action = []
         if out_rank:
-            action.append(f"killed by outgoing d2 to {(p - 2, q + 1)}")
-            steps.append(
-                {
-                    "entry": [p, q],
-                    "action": action[-1],
-                    "rank": out_rank,
-                    "provenance": COMPUTED,
-                    "justification": "rank of the dual squaring operation"
-                    + (" with twisting correction" if twisted else ""),
-                }
-            )
-        if in_rank and remaining <= 0 and not out_rank:
-            steps.append(
-                {
-                    "entry": [p, q],
-                    "action": f"killed by incoming d2 from {(p + 2, q - 1)}",
-                    "rank": in_rank,
-                    "provenance": COMPUTED,
-                    "justification": "rank of the dual squaring operation"
-                    + (" with twisting correction" if twisted else ""),
-                }
-            )
+            kill = (f"killed by outgoing d2 to {(p - 2, q + 1)}", out_rank)
+        elif in_rank and remaining <= 0:
+            kill = (f"killed by incoming d2 from {(p + 2, q - 1)}", in_rank)
+        else:
+            kill = None
+        if kill:
+            steps.append(_step([p, q], *kill, COMPUTED, d2_why))
         if remaining > 0:
             e3[(p, q)] = (2,)
             survivors.append((p, q))
@@ -445,25 +430,12 @@ def spin_line_report(m: int, twisted: bool = False) -> SpinLineReport:
     conclusion = True
     for (p, q) in survivors:
         if (p, q) == (4, 2):
-            target = page.entry(1, 4)
-            steps.append(
-                {
-                    "entry": [4, 2],
-                    "action": f"killed by d3 to (1, 4) = {list(target)}",
-                    "rank": 1,
-                    "provenance": PAPER_CITED,
-                    "justification": _D3_JUSTIFICATION,
-                }
-            )
+            action = f"killed by d3 to (1, 4) = {list(page.entry(1, 4))}"
+            steps.append(_step([4, 2], action, 1, PAPER_CITED, _D3_JUSTIFICATION))
         else:
             conclusion = False
-            steps.append(
-                {
-                    "entry": [p, q],
-                    "action": "no differential available",
-                    "rank": 0,
-                    "provenance": COMPUTED,
-                    "justification": "entry survives the recorded pages",
-                }
-            )
+            steps.append(_step(
+                [p, q], "no differential available", 0, COMPUTED,
+                "entry survives the recorded pages",
+            ))
     return SpinLineReport(m, twisted, line, e3, tuple(steps), conclusion, _BIBLIOGRAPHY)

@@ -118,6 +118,47 @@ def test_norm_multiplier_keeps_the_tilde_class():
                 assert param_reduce(N * c, tilde) == param_reduce(c, tilde)
 
 
+def test_spec_invariants_are_read_off_one_product():
+    # validate and the skew solver read lambda(v2, v2) and the shear off
+    # P = a2*conj(b2); pinned here on random inputs, sampled by no branch
+    # and mostly invalid: lambda(v2, v2) = P - conj(P) in the skew module,
+    # aug lambda(v2, v2) = 2*aug(a2)*aug(b2) in the even-n module, and a
+    # symmetric P leaves the TILDE class of s exactly when m is even and
+    # P_(m/2) is even
+    rng = random.Random(29)
+    tilde = FormParameterKind.TILDE
+
+    def draw(m, symmetric):
+        c = [rng.randint(-3, 3) for _ in range(m)]
+        if symmetric:
+            c = [c[min(i, m - i)] for i in range(m)]
+        return el(m, *c)
+
+    seen = set()
+    for m in range(2, 13):
+        skew = QuadraticModule(m, 2, -1, tilde)
+        sym = QuadraticModule(m, 2, 1, FormParameterKind.MINUS)
+        s = GroupRingElement.norm(m)
+        c = GroupRingElement.one(m) - GroupRingElement.gen(m)
+        s_class = param_reduce(s, tilde)
+        for _ in range(40):
+            # a2 and b2 both symmetric make P symmetric
+            symmetric = rng.randrange(2) == 0
+            a1, a2, b2 = draw(m, False), draw(m, symmetric), draw(m, symmetric)
+            P = a2 * b2.conj()
+            v2 = RingVector([a1, a2, s, b2])
+            isotropic = lambda_eval(skew, v2, v2).is_zero()
+            assert isotropic == (P == P.conj())
+            v2 = RingVector([a1, a2, c, b2])
+            assert lambda_eval(sym, v2, v2).aug() == 2 * a2.aug() * b2.aug()
+            for Ps in ([P] if isotropic else []) + [draw(m, True)]:
+                shear = param_reduce(Ps, tilde) != s_class
+                assert shear == (m % 2 == 0 and Ps.coeffs[m // 2] % 2 == 0)
+                seen.add((m % 2, shear))
+            seen.add(("isotropic", isotropic))
+    assert seen == {(0, False), (0, True), (1, False), ("isotropic", False), ("isotropic", True)}
+
+
 _EVEN_M_SHAPES = (
     # a2*conj(b2) = g is already in the class of s: no shear
     spec_of(2, Branch.EVEN_M_SKEW, [0], [1], [0, 1]),

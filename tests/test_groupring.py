@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from operator import add
 
@@ -205,6 +206,18 @@ def test_geometric_matches_the_folded_sum():
             for i in range(l):
                 c[i % m] += 1
             assert GroupRingElement.geometric(m, l).coeffs == tuple(c)
+
+
+@pytest.mark.parametrize(
+    "l, named",
+    [(-1, "-1"), (1.5, "a float"), (-(2**70), "<negative 71-bit integer>")],
+)
+def test_geometric_names_a_bad_length(l, named):
+    with pytest.raises(
+        PreconditionFailed,
+        match=f"^a geometric length must be a nonnegative int, got {re.escape(named)}$",
+    ):
+        GroupRingElement.geometric(3, l)
 
 
 def test_ideal_normalize_with_huge_augmentation_is_fast():
