@@ -225,28 +225,36 @@ def _conj_coeffs(c: tuple) -> tuple:
     return c[:1] + c[:0:-1]
 
 
+# Moduli up to this cap take the straight-line kernels of _straight; larger
+# ones take _dot_coeffs's window loop. 12 is the largest modulus whose
+# products a benchmark workload times.
+STRAIGHT_MAX_M = 12
+
+
 def _dot_coeffs(m: int, pairs) -> tuple:
     """Coefficients of sum_k a_k * b_k from pairs of coefficient tuples.
 
     Every product in Z[Z/m] is computed here. A pair with a zero factor
-    is dropped; no live pairs give zero. When exactly one pair is live and
-    one of its factors has a single nonzero coefficient (1, +-g^k, an
-    integer), the sum is the other factor rotated and scaled. Otherwise
-    (a*b)_i = sum_j a_j * b_(i-j mod m), and b_(i-j) for j = 0..m-1 is
-    the window [m-1-i, 2m-1-i) of b doubled and reversed. So with A the
-    live a_k joined and B_i their b_k's windows joined, coefficient i is
-    one sum(map(mul, A, B_i)), its inner loop in C.
+    is dropped; no live pairs give zero. When exactly one pair is live,
+    m >= 4 and one of its factors has a single nonzero coefficient (1,
+    +-g^k, an integer), the sum is the other factor rotated and scaled; at
+    m <= 3 the straight-line sum is cheaper than the test for it.
+    Otherwise (a*b)_i = sum_j a_j * b_(i-j mod m). For m <= STRAIGHT_MAX_M
+    the live pairs go, in chunks of at most 4, through _straight(m, k),
+    one compiled function per (m, k) that writes each coefficient out as a
+    literal sum, and the chunks' outputs are added. Above the cap, b_(i-j)
+    for j = 0..m-1 is the window [m-1-i, 2m-1-i) of b doubled and
+    reversed, so with A the live a_k joined and B_i their b_k's windows
+    joined, coefficient i is one sum(map(mul, A, B_i)), its inner loop in C.
     """
-    A = ()
-    bs = []
+    live = []
     for a, b in pairs:
         if any(a) and any(b):
-            A += a
-            bs.append(b)
-    if not bs:
+            live.append((a, b))
+    if not live:
         return (0,) * m
-    if len(bs) == 1:
-        a, b = A, bs[0]
+    if len(live) == 1 and m > 3:
+        a, b = live[0]
         zeros, b_zeros = a.count(0), b.count(0)
         if zeros < b_zeros:
             a, b, zeros = b, a, b_zeros
@@ -255,6 +263,19 @@ def _dot_coeffs(m: int, pairs) -> tuple:
             i = a.index(c)
             rotated = b[m - i :] + b[: m - i]
             return rotated if c == 1 else tuple([c * x for x in rotated])
+    if m <= STRAIGHT_MAX_M:
+        if len(live) <= 4:
+            return _straight(m, len(live))(*live)
+        sums = [
+            _straight(m, len(chunk))(*chunk)
+            for chunk in (live[s : s + 4] for s in range(0, len(live), 4))
+        ]
+        return tuple(map(sum, zip(*sums)))
+    A = ()
+    bs = []
+    for a, b in live:
+        A += a
+        bs.append(b)
     rs = [(b + b)[::-1] for b in bs]
     out = []
     for lo in range(m - 1, -1, -1):
@@ -264,6 +285,35 @@ def _dot_coeffs(m: int, pairs) -> tuple:
             B += r[lo:hi]
         out.append(sum(map(mul, A, B)))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=(STRAIGHT_MAX_M - 1) * 4)
+def _straight(m: int, k: int):
+    """f(p_0, ..., p_(k-1)) = the coefficients of sum_p a_p * b_p in Z[Z/m].
+
+    Each p_p is a pair (a_p, b_p) of length-m coefficient tuples, unpacked
+    into locals a{p}_{j} and b{p}_{j}; coefficient i is the literal sum of
+    a{p}_{j} * b{p}_{(i-j) % m} over p < k and j < m, with no loop, slice
+    or intermediate tuple. The source is built from the ints m and k alone,
+    as dataclasses and namedtuple build theirs from field names, and is
+    compiled once per (m, k). _dot_coeffs asks only for 2 <= m <=
+    STRAIGHT_MAX_M and k <= 4, so its 11 * 4 = 44 functions all fit in the
+    cache, and any other caller evicts rather than grows it.
+    """
+    names = [
+        ([f"a{p}_{j}" for j in range(m)], [f"b{p}_{j}" for j in range(m)]) for p in range(k)
+    ]
+    lines = [f"def _dot_{m}x{k}({', '.join(f'p{p}' for p in range(k))}):"]
+    for p, (a, b) in enumerate(names):
+        lines.append(f"    ({', '.join(a)},), ({', '.join(b)},) = p{p}")
+    lines.append("    return (")
+    for i in range(m):
+        terms = (f"{a[j]}*{b[(i - j) % m]}" for a, b in names for j in range(m))
+        lines.append(f"        {' + '.join(terms)},")
+    lines.append("    )")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<product kernel m={m} k={k}>", "exec"), namespace)
+    return namespace[f"_dot_{m}x{k}"]
 
 
 def ring_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
@@ -380,8 +430,12 @@ class ParameterClass:
         return self.rep.is_zero()
 
     def __add__(self, other: "ParameterClass") -> "ParameterClass":
+        if not isinstance(other, ParameterClass):
+            return NotImplemented
         if self.kind is not other.kind:
-            raise ValueError("cannot add classes over different parameters")
+            raise PreconditionFailed(
+                f"cannot add a {self.kind.value} class and a {other.kind.value} class"
+            )
         return param_reduce(self.rep + other.rep, self.kind)
 
     def to_json(self) -> dict:
@@ -433,7 +487,14 @@ class NormData:
         return self.u.m
 
     def verify(self) -> bool:
+        """For ints l > 0, a and b, True iff the identities above hold.
+
+        Any other l, a or b (a bool, a float, l <= 0) gives False before
+        any arithmetic runs.
+        """
         m = self.m
+        if any(type(n) is not int for n in (self.l, self.a, self.b)) or self.l <= 0:
+            return False
         # positive_variant's closed form needs b in one period
         if math.gcd(self.l, m) != 1 or not 0 < self.b < m:
             return False

@@ -6,6 +6,8 @@ Run from any directory; cyclact is imported from `src/` of the checkout this
 file sits in, and the sweep groups from its `bench/workloads.py`. Prints two
 lines, each `<lines> <sha256>`: the number of JSON lines (sorted keys) and
 the SHA-256 over them. Two trees whose lines agree give the same outputs.
+`tests/same_outputs.expected` holds the two lines of this tree, and CI diffs
+the script's output against it.
 
 Line 1, the solver. Each JSON line holds a spec, `solve(spec).to_json()`
 and `replay()`, or the error's class name and message when the solve

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from cyclact.errors import Degenerate, NotDivisible, PreconditionFailed
 from cyclact.groupring import (
+    STRAIGHT_MAX_M,
     FormParameterKind,
     GroupRingElement,
     NormData,
     _dot_coeffs,
+    _norm_data,
+    _straight,
     augmentation,
     divide_by_one_minus_gen,
     exact_divide,
@@ -658,3 +661,86 @@ def test_product_matches_the_plain_convolution_on_every_sparsity():
                     both = tuple(map(add, want, poly_mul_fold(m, us, vs)))
                     assert _dot_coeffs(m, [(xs, ys), (us, vs)]) == both, (m, sx, sy)
                     assert _dot_coeffs(m, [(us, vs), (xs, ys)]) == both, (m, sx, sy)
+
+
+def _oracle_sum(m, pairs):
+    out = (0,) * m
+    for a, b in pairs:
+        out = tuple(map(add, out, poly_mul_fold(m, a, b)))
+    return out
+
+
+def test_kernel_matches_the_oracle_on_both_sides_of_the_straight_line_cap():
+    # 0-9 live pairs cross the 4-pair chunk boundaries at 4 and 8, with dead
+    # pairs mixed in; m runs past the cap into the window loop
+    shapes = ("one", "integer", "monomial", "sparse", "dense", "wide")
+    rng = random.Random(24)
+    for m in range(2, 25):
+        zero = (0,) * m
+        for live in range(10):
+            for _ in range(2):
+                pairs = [
+                    tuple(_operand(rng, m, rng.choice(shapes)) for _ in "ab")
+                    for _ in range(live)
+                ]
+                want = _oracle_sum(m, pairs)
+                for _ in range(rng.randint(0, 3)):
+                    dead = (zero, _operand(rng, m, rng.choice(shapes)))
+                    pairs.insert(rng.randint(0, len(pairs)), dead[:: rng.choice((1, -1))])
+                got = _dot_coeffs(m, iter(pairs))
+                assert got == want, (m, live)
+                assert type(got) is tuple and len(got) == m
+
+
+def test_straight_line_kernels_stay_bounded():
+    # one compiled function per (m, chunk size): 11 moduli times 4 sizes,
+    # all held at once, and nothing above the cap
+    _straight.cache_clear()
+    rng = random.Random(2401)
+    for m in range(2, STRAIGHT_MAX_M + 1):
+        for k in range(1, 13):
+            pairs = [
+                (_operand(rng, m, "dense"), _operand(rng, m, "wide")) for _ in range(k)
+            ]
+            assert _dot_coeffs(m, pairs) == _oracle_sum(m, pairs), (m, k)
+    info = _straight.cache_info()
+    assert info.currsize == info.misses == info.maxsize == (STRAIGHT_MAX_M - 1) * 4
+    for m in (STRAIGHT_MAX_M + 1, 16, 17, 31):
+        for k in range(1, 13):
+            pairs = [
+                (_operand(rng, m, "sparse"), _operand(rng, m, "dense")) for _ in range(k)
+            ]
+            assert _dot_coeffs(m, pairs) == _oracle_sum(m, pairs), (m, k)
+    assert _straight.cache_info().misses == info.misses
+
+
+def test_parameter_classes_add_only_to_classes_of_their_kind():
+    m = 4
+    one = GroupRingElement.one(m)
+    tilde = param_reduce(one, FormParameterKind.TILDE)
+    minus = param_reduce(one, FormParameterKind.MINUS)
+    g2 = param_reduce(GroupRingElement.gen(m, 2), FormParameterKind.TILDE)
+    assert tilde + g2 == g2 and (g2 + g2).is_zero()
+    with pytest.raises(PreconditionFailed, match="TILDE class and a MINUS class"):
+        tilde + minus
+    with pytest.raises(TypeError):
+        tilde + 1
+    with pytest.raises(TypeError):
+        1 + tilde
+
+
+def test_norm_data_verify_answers_false_on_malformed_fields():
+    m = 3
+    one, zero = GroupRingElement.one(m), GroupRingElement.zero(m)
+    # l = -1 passes the gcd and Bezout checks; l = 1.0 is not an int
+    assert NormData(one, zero, -1, 0, 1).verify() is False
+    assert NormData(one, zero, 1.0, 1, 2).verify() is False
+    assert NormData(one, zero, 0, 1, 1).verify() is False
+    assert NormData(one, zero, True, 1, 2).verify() is False
+    assert NormData(one, zero, 1, 1.0, 2).verify() is False
+    assert NormData(one, zero, 1, 1, 2.0).verify() is False
+    # every key the normalization can ask for still builds verified data
+    for m in range(2, 17):
+        for l in range(1, 3 * m):
+            if math.gcd(l, m) == 1:
+                assert _norm_data(m, l).verify(), (m, l)
