@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import OutOfTable, PreconditionFailed
+from .errors import OutOfTable, PreconditionFailed, value_text
 
 TOPOLOGICAL = "TOPOLOGICAL"
 SMOOTH = "SMOOTH"
@@ -53,6 +53,8 @@ class ActionQuery:
     pontryagin: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("n", "m", "genus"):
+            _require_int(name, getattr(self, name))
         if self.n < 2:
             raise PreconditionFailed("n must be at least 2")
         if self.m < 2:
@@ -60,6 +62,10 @@ class ActionQuery:
         if self.genus < 0:
             raise PreconditionFailed("genus must be nonnegative")
         if self.pontryagin is not None:
+            if not isinstance(self.pontryagin, (list, tuple)):
+                raise PreconditionFailed(
+                    f"pontryagin data must be a list or tuple, got {value_text(self.pontryagin)}"
+                )
             object.__setattr__(self, "pontryagin", tuple(self.pontryagin))
             want = self.n // 4
             if len(self.pontryagin) != want:
@@ -67,8 +73,13 @@ class ActionQuery:
                     f"pontryagin data for n = {self.n} needs {want} residues"
                 )
             for r in self.pontryagin:
-                if not isinstance(r, int):
-                    raise PreconditionFailed("pontryagin residues must be integers")
+                _require_int("a pontryagin residue", r)
+
+
+def _require_int(name: str, value) -> None:
+    """A census input is an int; a bool, a float or a string is not."""
+    if type(value) is not int:
+        raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")
 
 
 def euler_characteristic(q: ActionQuery) -> Fraction:

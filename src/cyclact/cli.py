@@ -36,7 +36,7 @@ from .groupring import (
     exact_divide,
     ideal_normalize,
 )
-from .selftest import run_selftest
+from .selftest import SCOPES, run_selftest
 from .spectral import e2_page, parse_class, spin_line_report, steenrod_square
 
 
@@ -300,6 +300,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    branches = [b.value for b in Branch]
+    params = [k.name for k in FormParameterKind]
     p = _Parser(prog="cyclact")
     p.add_argument("--json", action="store_true", help="suppress human output")
     sub = p.add_subparsers(dest="command", required=True)
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, required=True)
         sp.add_argument("--rank", type=int, default=2)
         sp.add_argument("--sign", type=int, default=-1, choices=(-1, 1))
-        sp.add_argument("--param", default="TILDE", choices=("TILDE", "PLUS", "MINUS"))
+        sp.add_argument("--param", default="TILDE", choices=params)
         if name == "eval":
             sp.add_argument("--x", required=True)
             sp.add_argument("--y", required=True)
@@ -347,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     lag = sub.add_parser("lagrangian", help="complement solver and sweeps")
     lag_sub = lag.add_subparsers(dest="lag_op", required=True)
     sp = lag_sub.add_parser("solve")
-    sp.add_argument("--branch", required=True, choices=("odd-m", "even-m", "even-n"))
+    sp.add_argument("--branch", required=True, choices=branches)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--spec", required=True, help="JSON with a1, a2, b2; - for stdin")
     sp = lag_sub.add_parser("sweep")
-    sp.add_argument("--branch", required=True, choices=("odd-m", "even-m", "even-n"))
+    sp.add_argument("--branch", required=True, choices=branches)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
@@ -373,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--pontryagin", default="", help="comma-separated residues")
 
     st = sub.add_parser("selftest", help="run the built-in suites")
-    st.add_argument(
-        "--scope",
-        default="all",
-        choices=("ring", "forms", "lagrangian", "ahss", "census", "all"),
-    )
+    st.add_argument("--scope", default="all", choices=(*SCOPES, "all"))
     st.add_argument("--seed", type=int, default=0)
     return p
 

@@ -547,8 +547,10 @@ def shift_lattice(
     """Z-lattice of the ideal generated by elems: all gen-shifts as rows.
 
     With transform=False the lattice answers membership and reduction
-    only (see ZLattice).
+    only (see ZLattice). Raises Degenerate on no generators.
     """
+    if not elems:
+        raise Degenerate("no generators")
     m = elems[0].m
     rows = []
     for e in elems:
@@ -573,9 +575,8 @@ def ideal_express(
 
 def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:
     """True iff the ideal generated by elems is the whole ring."""
-    m = elems[0].m
-    one = [1] + [0] * (m - 1)
-    return shift_lattice(elems, transform=False).contains(one)
+    lattice = shift_lattice(elems, transform=False)
+    return lattice.contains([1] + [0] * (lattice.ncols - 1))
 
 
 _NOT_WHOLE = "ideal plus the norm ideal is not the whole ring"

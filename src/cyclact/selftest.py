@@ -1,7 +1,9 @@
 """Built-in smoke suites behind the `cyclact selftest` command.
 
 Each suite exercises one layer with seeded random data and returns a
-per-case tally. Summaries are deterministic in (scope, seed): the
+per-case tally. A case's check is a generator that yields a note for
+each failure, and one runner, `_case`, turns its first note into the
+case's status. Summaries are deterministic in (scope, seed): the
 equality key excludes wall-clock time, so two runs with the same scope
 and seed compare equal even across differing machine speeds.
 """
@@ -21,6 +23,7 @@ from .forms import (
     RingVector,
     isometry_check,
     lambda_eval,
+    mu_eval,
     transvection,
 )
 from .groupring import (
@@ -31,14 +34,12 @@ from .groupring import (
     param_reduce,
 )
 from .spectral import (
+    CohomologyClass,
     cohomology_basis,
     d2_rank,
     spin_line_report,
     steenrod_square,
 )
-
-SCOPES = ("ring", "forms", "lagrangian", "ahss", "census")
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -113,45 +114,40 @@ class RunSummary:
         }
 
 
-def _rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
-
-
 def _rand_el(rng: random.Random, m: int, height: int = 3) -> GroupRingElement:
     return GroupRingElement(m, [rng.randint(-height, height) for _ in range(m)])
 
 
-def _suite_ring(seed: int) -> SuiteResult:
-    rng = _rng(seed, "ring")
-    cases = []
-    for m in range(2, 9):
-        ok = True
-        note = ""
+def _case(name: str, failures) -> tuple:
+    """The (name, status, note) of a case whose check yields a note per failure.
+
+    Only the first note is drawn: a generator stops there and draws no more
+    random numbers. A check that yields nothing passes.
+    """
+    note = next(iter(failures), None)
+    return (name, "pass", "") if note is None else (name, "fail", note)
+
+
+def _suite_ring(rng: random.Random) -> SuiteResult:
+    def norm_and_involution(m):
         s = GroupRingElement.norm(m)
         for _ in range(40):
             x = _rand_el(rng, m)
             if x * s != s * x.aug():
-                ok, note = False, f"norm identity failed at m={m}"
-                break
+                yield f"norm identity failed at m={m}"
             if x.conj().conj() != x:
-                ok, note = False, f"involution not involutive at m={m}"
-                break
-        cases.append((f"ring/norm-and-involution/m={m}", "pass" if ok else "fail", note))
-    for m in (3, 4, 5, 7):
-        ok = True
-        note = ""
+                yield f"involution not involutive at m={m}"
+
+    def divide_roundtrip(m):
         for _ in range(25):
             a, b = _rand_el(rng, m), _rand_el(rng, m)
             if b.is_zero():
                 continue
             q = exact_divide(a * b, b).quotient
             if q * b != a * b:
-                ok, note = False, "division roundtrip failed"
-                break
-        cases.append((f"ring/divide-roundtrip/m={m}", "pass" if ok else "fail", note))
-    for m in (3, 4, 6, 7):
-        ok = True
-        note = ""
+                yield "division roundtrip failed"
+
+    def normalize(m):
         tried = 0
         while tried < 12:
             gens = [_rand_el(rng, m, 2) for _ in range(2)]
@@ -160,83 +156,58 @@ def _suite_ring(seed: int) -> SuiteResult:
             except PreconditionFailed:
                 continue
             except Exception as exc:  # noqa: BLE001 - tally, do not abort
-                ok, note = False, f"{type(exc).__name__}: {exc}"
-                break
+                yield f"{type(exc).__name__}: {exc}"
+                return
             tried += 1
             if not norm.verify():
-                ok, note = False, "norm data failed verification"
-                break
-        cases.append((f"ring/normalize/m={m}", "pass" if ok else "fail", note))
+                yield "norm data failed verification"
+
+    cases = [_case(f"ring/norm-and-involution/m={m}", norm_and_involution(m)) for m in range(2, 9)]
+    cases += [_case(f"ring/divide-roundtrip/m={m}", divide_roundtrip(m)) for m in (3, 4, 5, 7)]
+    cases += [_case(f"ring/normalize/m={m}", normalize(m)) for m in (3, 4, 6, 7)]
     return SuiteResult("ring", tuple(cases), ())
 
 
-def _suite_forms(seed: int) -> SuiteResult:
-    rng = _rng(seed, "forms")
-    cases = []
-    plan = (
-        (3, -1, FormParameterKind.TILDE),
-        (4, -1, FormParameterKind.TILDE),
-        (5, 1, FormParameterKind.MINUS),
-    )
-    for m, eps, kind in plan:
+def _suite_forms(rng: random.Random) -> SuiteResult:
+    def sesquilinear(m, eps, kind):
         Q = QuadraticModule(m, 2, eps, kind)
-        ok = True
-        note = ""
         for _ in range(25):
             x = RingVector([_rand_el(rng, m, 2) for _ in range(Q.dim)])
             y = RingVector([_rand_el(rng, m, 2) for _ in range(Q.dim)])
             c = _rand_el(rng, m, 2)
-            if lambda_eval(Q, x.scaled(c), y) != c * lambda_eval(Q, x, y):
-                ok, note = False, "left linearity failed"
-                break
-            if lambda_eval(Q, x, y.scaled(c)) != lambda_eval(Q, x, y) * c.conj():
-                ok, note = False, "right conjugate-linearity failed"
-                break
-            sym = lambda_eval(Q, y, x)
-            if sym != lambda_eval(Q, x, y).conj() * eps:
-                ok, note = False, "hermitian symmetry failed"
-                break
-            r = Q.rank
-            lift = GroupRingElement.zero(m)
-            for i in range(r):
-                lift = lift + (x.coords[i] + y.coords[i]) * (
-                    x.coords[r + i] + y.coords[r + i]
-                ).conj()
-            lift_x = GroupRingElement.zero(m)
-            lift_y = GroupRingElement.zero(m)
-            for i in range(r):
-                lift_x = lift_x + x.coords[i] * x.coords[r + i].conj()
-                lift_y = lift_y + y.coords[i] * y.coords[r + i].conj()
-            want = param_reduce(lift_x + lift_y + lambda_eval(Q, x, y), kind)
-            if param_reduce(lift, kind) != want:
-                ok, note = False, "quadratic refinement law failed"
-                break
-        cases.append(
-            (f"forms/sesquilinear/m={m}/{kind.value}", "pass" if ok else "fail", note)
-        )
-    for m in (3, 4):
+            xy = lambda_eval(Q, x, y)
+            if lambda_eval(Q, x.scaled(c), y) != c * xy:
+                yield "left linearity failed"
+            if lambda_eval(Q, x, y.scaled(c)) != xy * c.conj():
+                yield "right conjugate-linearity failed"
+            if lambda_eval(Q, y, x) != xy.conj() * eps:
+                yield "hermitian symmetry failed"
+            # mu(x + y) = mu(x) + mu(y) + [lambda(x, y)]
+            if mu_eval(Q, x + y) != mu_eval(Q, x) + mu_eval(Q, y) + param_reduce(xy, kind):
+                yield "quadratic refinement law failed"
+
+    def transvections(m):
         Q = QuadraticModule(m, 2, -1, FormParameterKind.TILDE)
-        ok = True
-        note = ""
         for base in (("e1", "f2"), ("e2", "f1")):
             for _ in range(10):
                 c = _rand_el(rng, m, 2)
                 M = transvection(Q, base, c)
                 if not isometry_check(Q, M):
-                    ok, note = False, f"transvection {base} not an isometry"
-                    break
+                    yield f"transvection {base} not an isometry"
                 prod = M * transvection(Q, base, -c)
                 if prod != RingMatrix.identity(Q.dim, m):
-                    ok, note = False, f"transvection {base} inverse failed"
-                    break
-            if not ok:
-                break
-        cases.append((f"forms/transvections/m={m}", "pass" if ok else "fail", note))
+                    yield f"transvection {base} inverse failed"
+
+    tilde = FormParameterKind.TILDE
+    cases = [
+        _case(f"forms/sesquilinear/m={m}/{kind.value}", sesquilinear(m, eps, kind))
+        for m, eps, kind in ((3, -1, tilde), (4, -1, tilde), (5, 1, FormParameterKind.MINUS))
+    ]
+    cases += [_case(f"forms/transvections/m={m}", transvections(m)) for m in (3, 4)]
     return SuiteResult("forms", tuple(cases), ())
 
 
-def _suite_lagrangian(seed: int) -> SuiteResult:
-    rng = _rng(seed, "lagrangian")
+def _suite_lagrangian(rng: random.Random) -> SuiteResult:
     cases = []
     incidents = []
     plan = [
@@ -258,87 +229,70 @@ def _suite_lagrangian(seed: int) -> SuiteResult:
     return SuiteResult("lagrangian", tuple(cases), tuple(incidents))
 
 
-def _suite_ahss(seed: int) -> SuiteResult:
-    rng = _rng(seed, "ahss")
-    cases = []
-    ok = all(d2_rank(m, 5) == 1 for m in range(2, 21, 2))
-    cases.append(
-        ("ahss/rank-H3-H5", "pass" if ok else "fail", "" if ok else "rank mismatch")
+def _suite_ahss(rng: random.Random) -> SuiteResult:
+    def squares():
+        for m in (2, 4, 6, 8):
+            for _ in range(20):
+                d = rng.randrange(0, 7)
+                (c,) = cohomology_basis(m, d)
+                top = steenrod_square(d, c)
+                if not top.is_zero() and top != c * c:
+                    yield "top square is not the cup square"
+                if d > 0 and not steenrod_square(d + 1 + rng.randrange(3), c).is_zero():
+                    yield "square above the degree did not vanish"
+                k = rng.randrange(0, 5)
+                d2v = rng.randrange(0, 4)
+                (c2,) = cohomology_basis(m, d2v)
+                terms = (steenrod_square(i, c) * steenrod_square(k - i, c2) for i in range(k + 1))
+                if steenrod_square(k, c * c2) != sum(terms, CohomologyClass.zero(m)):
+                    yield "Cartan formula failed"
+
+    six_line = (
+        f"line not zero at m={m} twisted={twisted}"
+        for m in (2, 3, 4, 5, 6)
+        for twisted in (False, True)
+        if not spin_line_report(m, twisted).conclusion_zero
     )
-    ok = True
-    note = ""
-    for m in (2, 4, 6, 8):
-        for _ in range(20):
-            d = rng.randrange(0, 7)
-            (c,) = cohomology_basis(m, d)
-            if not steenrod_square(d, c).is_zero() and steenrod_square(d, c) != c * c:
-                ok, note = False, "top square is not the cup square"
-                break
-            if d > 0 and not steenrod_square(d + 1 + rng.randrange(3), c).is_zero():
-                ok, note = False, "square above the degree did not vanish"
-                break
-            k = rng.randrange(0, 5)
-            d2v = rng.randrange(0, 4)
-            (c2,) = cohomology_basis(m, d2v)
-            lhs = steenrod_square(k, c * c2)
-            rhs = None
-            for i in range(k + 1):
-                term = steenrod_square(i, c) * steenrod_square(k - i, c2)
-                rhs = term if rhs is None else rhs + term
-            if lhs != rhs:
-                ok, note = False, "Cartan formula failed"
-                break
-        if not ok:
-            break
-    cases.append(("ahss/squares", "pass" if ok else "fail", note))
-    ok = True
-    note = ""
-    for m in (2, 3, 4, 5, 6):
-        for twisted in (False, True):
-            rep = spin_line_report(m, twisted)
-            if not rep.conclusion_zero:
-                ok, note = False, f"line not zero at m={m} twisted={twisted}"
-                break
-        if not ok:
-            break
-    cases.append(("ahss/six-line", "pass" if ok else "fail", note))
-    return SuiteResult("ahss", tuple(cases), ())
+    cases = (
+        _case("ahss/rank-H3-H5", ("rank mismatch" for m in range(2, 21, 2) if d2_rank(m, 5) != 1)),
+        _case("ahss/squares", squares()),
+        _case("ahss/six-line", six_line),
+    )
+    return SuiteResult("ahss", cases, ())
 
 
-def _suite_census(seed: int) -> SuiteResult:
-    rng = _rng(seed, "census")
-    cases = []
-    ok = True
-    note = ""
-    for _ in range(150):
-        n = rng.randrange(2, 10)
-        m = rng.randrange(2, 13)
-        g = rng.randrange(0, 60)
-        exists, _ = existence_check(ActionQuery(n, m, g))
-        if exists != ((g + (-1) ** n) % m == 0):
-            ok, note = False, f"existence mismatch at n={n} m={m} g={g}"
-            break
-    cases.append(("census/existence", "pass" if ok else "fail", note))
-    ok = True
-    note = ""
+def _suite_census(rng: random.Random) -> SuiteResult:
+    def existence():
+        for _ in range(150):
+            n = rng.randrange(2, 10)
+            m = rng.randrange(2, 13)
+            g = rng.randrange(0, 60)
+            exists, _ = existence_check(ActionQuery(n, m, g))
+            if exists != ((g + (-1) ** n) % m == 0):
+                yield f"existence mismatch at n={n} m={m} g={g}"
+
     checks = [
         (ActionQuery(3, 3, 4), 1),
         (ActionQuery(3, 2, 3), 2),
         (ActionQuery(8, 7, 6), 49),
         (ActionQuery(9, 7, 8), 49),
     ]
-    for q, want in checks:
-        got = classification(q).class_count
-        if got != want:
-            ok, note = False, f"count {got} != {want} for n={q.n} m={q.m}"
-            break
-    cases.append(("census/counts", "pass" if ok else "fail", note))
-    report = classification(ActionQuery(8, 6, 5))
-    ok = report.parameterization == "OUT_OF_RANGE"
-    cases.append(
-        ("census/guard", "pass" if ok else "fail", "" if ok else "guard not applied")
+    counts = (
+        f"count {got} != {want} for n={q.n} m={q.m}"
+        for q, want in checks
+        if (got := classification(q).class_count) != want
     )
-    return SuiteResult("census", tuple(cases), ())
+
+    def guard():
+        if classification(ActionQuery(8, 6, 5)).parameterization != "OUT_OF_RANGE":
+            yield "guard not applied"
+
+    cases = (
+        _case("census/existence", existence()),
+        _case("census/counts", counts),
+        _case("census/guard", guard()),
+    )
+    return SuiteResult("census", cases, ())
 
 
 _SUITES = {
@@ -348,12 +302,13 @@ _SUITES = {
     "ahss": _suite_ahss,
     "census": _suite_census,
 }
+SCOPES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int) -> SuiteResult:
     if not (isinstance(name, str) and name in _SUITES):
         raise PreconditionFailed(f"unknown suite: {value_text(name)}")
-    return _SUITES[name](seed)
+    return _SUITES[name](random.Random(f"{seed}:{name}"))
 
 
 def run_selftest(scope: str = "all", seed: int = 0) -> RunSummary:

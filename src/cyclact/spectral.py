@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, OddModulus, PreconditionFailed
+from .errors import BadIndex, OddModulus, PreconditionFailed, value_text
 
 # Spin bordism coefficients Omega^spin_q for q = 0..8:
 # Z, Z/2, Z/2, 0, Z, 0, 0, 0, Z^2 (Milnor 1965; Anderson-Brown-Peterson).
@@ -141,12 +141,19 @@ class CohomologyClass:
 
 
 def parse_class(m: int, text: str) -> CohomologyClass:
-    """Parse monomial sums like "x^3", "x*y^2", "xy^2", "1", "0"."""
+    """Parse monomial sums like "x^3", "x*y^2", "xy^2", "1", "0".
+
+    "" and "0" are the zero class; a leading, trailing or doubled "+"
+    leaves an empty monomial and raises BadIndex.
+    """
     text = text.replace(" ", "")
     if text in ("0", ""):
         return CohomologyClass.zero(m)
+    parts = text.split("+")
+    if "" in parts:
+        raise BadIndex(f"an empty monomial in a {len(text)}-character class")
     total = CohomologyClass.zero(m)
-    for part in text.split("+"):
+    for part in parts:
         chunk = part.replace("*", "")
         i = j = 0
         pos = 0
@@ -312,6 +319,8 @@ def e2_page(m: int, twisted: bool = False) -> SpectralPage:
     recorded. For odd m the twisting class is trivial, so twisted input
     is accepted and coincides with the untwisted page.
     """
+    if type(m) is not int:
+        raise PreconditionFailed(f"m must be an int, got {value_text(m)}")
     if m < 2:
         raise PreconditionFailed("m must be at least 2")
     entries = {}

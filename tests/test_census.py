@@ -33,6 +33,27 @@ def test_query_validation():
     q(3, 2, 5)
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ((3, 3.0, 4), "m must be an int, got a float"),
+        (("3", 3, 4), "n must be an int, got a 1-character string"),
+        ((3, 3, True), "genus must be an int, got a bool"),
+        ((True, 3, 4), "n must be an int, got a bool"),
+        ((8, 7, 6, (1, True)), "a pontryagin residue must be an int, got a bool"),
+        ((8, 7, 6, (1, 2.0)), "a pontryagin residue must be an int, got a float"),
+        ((4, 7, 6, "1"), "pontryagin data must be a list or tuple, got a 1-character string"),
+        ((4, 7, 6, {1}), "pontryagin data must be a list or tuple, got a set"),
+    ],
+)
+def test_a_query_names_a_value_that_is_not_an_int(args, named):
+    # before the check, ActionQuery(3, 3.0, 4) was accepted and classification
+    # raised a bare TypeError from Fraction; a bool passed as an int
+    with pytest.raises(PreconditionFailed) as info:
+        classification(ActionQuery(*args))
+    assert str(info.value) == named
+
+
 def test_bound_table():
     assert c_of_n(4) == 3
     assert c_of_n(5) == 3

@@ -21,6 +21,7 @@ from cyclact.groupring import (
     divide_by_one_minus_gen,
     exact_divide,
     ideal_contains_one,
+    ideal_express,
     ideal_normalize,
     involution,
     is_unit,
@@ -239,6 +240,17 @@ def test_ideal_normalize_rejections():
         ideal_normalize([el(4, 2)])
     with pytest.raises(Degenerate):
         ideal_normalize([GroupRingElement.zero(5)])
+
+
+def test_no_generators_is_degenerate_at_every_entry_point():
+    # each entry point reports what ideal_normalize([]) does, not IndexError
+    for call in (
+        lambda: ideal_normalize([]),
+        lambda: ideal_contains_one([]),
+        lambda: ideal_express([], GroupRingElement.one(3)),
+    ):
+        with pytest.raises(Degenerate, match="no generators"):
+            call()
 
 
 def test_positive_variant_identity():

@@ -1,6 +1,12 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
+import cyclact.selftest
+from cyclact.cli import main
 from cyclact.errors import PreconditionFailed
+from cyclact.groupring import GroupRingElement
 from cyclact.selftest import SCOPES, run_selftest, run_suite
 
 
@@ -62,3 +68,37 @@ def test_an_unknown_scope_or_suite_is_named_without_its_value(bad):
         with pytest.raises(PreconditionFailed) as info:
             run(bad)
         assert len(str(info.value)) < 60
+
+
+def test_a_failing_check_fails_its_cases_and_no_other(monkeypatch, capsys):
+    # every roundtrip quotient is off by one, so exactly the four roundtrip
+    # cases fail; the rest keep their names, order and "pass"
+    want = run_selftest("all", seed=0)
+    true_divide = cyclact.selftest.exact_divide
+
+    def wrong_divide(x, d):
+        q = true_divide(x, d).quotient
+        return SimpleNamespace(quotient=q + GroupRingElement.one(q.m), ambiguous=False)
+
+    monkeypatch.setattr(cyclact.selftest, "exact_divide", wrong_divide)
+    got = run_selftest("all", seed=0)
+    assert want.failed == 0 and got.failed == 4
+    failing = {f"ring/divide-roundtrip/m={m}" for m in (3, 4, 5, 7)}
+    assert [c for s in got.suites for c in s.cases] == [
+        (name, "fail", "division roundtrip failed") if name in failing else (name, "pass", "")
+        for s in want.suites
+        for name, _, _ in s.cases
+    ]
+    code = main(["--json", "selftest", "--scope", "ring"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["selftest"]["fail"] == 4
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_suite_alone_equals_its_place_in_the_full_run(seed):
+    full = {s.name: s for s in run_selftest("all", seed).suites}
+    assert set(full) == set(SCOPES)
+    for name in SCOPES:
+        assert run_suite(name, seed) == full[name]

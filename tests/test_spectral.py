@@ -5,7 +5,7 @@ import time
 import pytest
 
 from cyclact.cli import main
-from cyclact.errors import OddModulus, PreconditionFailed
+from cyclact.errors import BadIndex, OddModulus, PreconditionFailed
 from cyclact.spectral import (
     COMPUTED,
     OMEGA_SPIN,
@@ -51,6 +51,42 @@ def test_class_repr_and_parse_roundtrip():
         assert parse_class(m, repr(c)) == c
     assert repr(parse_class(4, "x*y^2")) == "x*y^2"
     assert parse_class(2, "x^2+x^2").is_zero()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+", "x+", "+x", "x++x", " + ", "x^3 + " + "y" * 3000 + "+"],
+    ids=["plus", "trailing", "leading", "doubled", "spaced", "long"],
+)
+def test_an_empty_monomial_is_an_error_not_the_unit(text):
+    # "+" used to read as 1 + 1 = 0 and "x+" as x + 1, a degree mismatch
+    with pytest.raises(BadIndex) as info:
+        parse_class(6, text)
+    assert "empty monomial" in str(info.value) and len(str(info.value)) < 60
+
+
+def test_an_empty_class_is_zero_and_a_sum_cancels():
+    for text in ("", "0", "x+x", "x^2 + x^2"):
+        assert parse_class(6, text).is_zero()
+
+
+@pytest.mark.parametrize("text", ["+", "x+"])
+def test_the_cli_rejects_an_empty_monomial_with_one_document(capsys, text):
+    code = main(["--json", "ahss", "sq", "--m", "6", "--k", "2", "--class", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "BadIndex"
+
+
+@pytest.mark.parametrize(
+    "m, named", [(5.5, "a float"), (True, "a bool"), ("6", "a 1-character string")]
+)
+def test_the_page_and_the_line_name_a_modulus_that_is_not_an_int(m, named):
+    # e2_page(5.5) returned entries [5.5] and the 6-line concluded "zero"
+    for call in (e2_page, spin_line_report):
+        with pytest.raises(PreconditionFailed, match=f"m must be an int, got {named}"):
+            call(m)
 
 
 def test_cohomology_basis_is_one_monomial_per_degree():
