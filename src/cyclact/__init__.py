@@ -7,6 +7,8 @@ solver (`complement`), mod-2 cohomology bookkeeping (`spectral`), and
 the census of free cyclic symmetries (`census`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .census import (
     ActionQuery,
     CensusReport,
@@ -88,74 +90,8 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionQuery",
-    "AugmentationObstruction",
-    "BadIndex",
-    "Branch",
-    "CensusReport",
-    "CohomologyClass",
-    "ComplementCertificate",
-    "CyclactError",
-    "Degenerate",
-    "DimensionMismatch",
-    "DivisionResult",
-    "EmbeddingSpec",
-    "FormParameterKind",
-    "GroupRingElement",
-    "ModulusMismatch",
-    "NormData",
-    "NotComplement",
-    "NotDivisible",
-    "OddModulus",
-    "OutOfTable",
-    "ParameterClass",
-    "PreconditionFailed",
-    "QuadraticModule",
-    "RankTooLarge",
-    "RingCase",
-    "RingMatrix",
-    "RingVector",
-    "RunSummary",
-    "SearchExhausted",
-    "SolverTrace",
-    "SpectralPage",
-    "SpinLineReport",
-    "SweepReport",
-    "UnitCheck",
-    "ZLattice",
-    "ZeroVector",
-    "augmentation",
-    "c_of_n",
-    "classification",
-    "cohomology_basis",
-    "d2_rank",
-    "det_int",
-    "e2_page",
-    "exact_divide",
-    "existence_check",
-    "ideal_contains_one",
-    "ideal_normalize",
-    "involution",
-    "is_primitive",
-    "is_unit",
-    "isometry_check",
-    "lambda_eval",
-    "mu_eval",
-    "param_reduce",
-    "rank2_vector_isometry",
-    "ring_det",
-    "ring_mul",
-    "row_hnf_transform",
-    "run_selftest",
-    "run_sweep",
-    "sample_spec",
-    "solve",
-    "solve_even_m",
-    "solve_even_n",
-    "solve_odd_m",
-    "spin_line_report",
-    "steenrod_square",
-    "transvection",
-    "verify_lagrangian_complement",
-]
+# the public names are exactly those imported above, so the list is read off them
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -33,6 +33,7 @@ from .forms import (
     QuadraticModule,
     RingMatrix,
     RingVector,
+    _coeffs,
     _coords,
     _eps_conj,
     _lift_coeffs,
@@ -225,20 +226,60 @@ class EmbeddingSpec:
         )
 
 
-@dataclass(frozen=True)
+def _live_rows(m: int, rows) -> tuple:
+    """The rows (i, ((j, coefficients), ...)) that differ from the identity's, less zero entries."""
+    one = GroupRingElement.one(m).coeffs
+    rows = [(i, tuple((j, c) for j, c in row if any(c))) for i, row in rows]
+    return tuple((i, row) for i, row in rows if row != ((i, one),))
+
+
+@dataclass(frozen=True, init=False)
 class TraceStep:
     """One recorded ambient isometry, acting on vectors as v -> matrix * v.
 
+    The step holds its live rows, the rows of matrix that differ from the
+    identity's, as (row, ((column, coefficients), ...)) less zero entries;
+    they and matrix determine each other, so == and hash read them, and
+    replay applies them alone. matrix is built on each read, as by to_json.
     Every step the solvers record is ambient, so kind is a class constant;
     it stays in the trace JSON under "kind".
     """
 
     kind: ClassVar[str] = "ambient"
     name: str
-    matrix: RingMatrix
+    m: int
+    dim: int
+    live: tuple
+
+    def __init__(self, name: str, matrix: RingMatrix):
+        rows = ((i, enumerate(map(_coeffs, r))) for i, r in enumerate(matrix.rows))
+        self.__dict__.update(name=name, m=matrix.m, dim=matrix.n, live=_live_rows(matrix.m, rows))
+
+    @property
+    def matrix(self) -> RingMatrix:
+        rows = list(RingMatrix.identity(self.dim, self.m).rows)
+        for i, row in self.live:
+            row = dict(row)
+            rows[i] = tuple(_trusted(self.m, row.get(j, (0,) * self.m)) for j in range(self.dim))
+        return _matrix(self.m, tuple(rows))
+
+    def _apply(self, c: list) -> list:
+        """matrix * v, v given by its coordinates' coefficient tuples."""
+        out = list(c)
+        for i, row in self.live:
+            out[i] = _dot_coeffs(self.m, [(a, c[j]) for j, a in row])
+        return out
 
     def to_json(self) -> dict:
         return {"name": self.name, "kind": self.kind, "matrix": self.matrix.to_json()}
+
+
+def _block_step(name: str, m: int, block: tuple) -> TraceStep:
+    """The step acting on H^2's (e2, f2) coordinates by a 2x2 block of rows of modulus m."""
+    step = object.__new__(TraceStep)
+    rows = ((i, zip((1, 3), map(_coeffs, r))) for i, r in zip((1, 3), block))
+    step.__dict__.update(name=name, m=m, dim=4, live=_live_rows(m, rows))
+    return step
 
 
 @dataclass(frozen=True)
@@ -251,11 +292,19 @@ class SolverTrace:
     certificate: ComplementCertificate
 
     def replay(self) -> bool:
-        """Re-apply the recorded steps to the input S and compare."""
-        vs = list(self.certificate.S)
+        """Re-apply the recorded steps to the input S and compare with normalized_S.
+
+        Each step rewrites only its live rows of the coordinates.
+        """
+        m, n = self.certificate.S[0].m, len(self.certificate.S[0])
+        vs = [_coords(v) for v in self.certificate.S]
         for step in self.steps:
-            vs = [step.matrix * v for v in vs]
-        return tuple(vs) == self.normalized_S
+            if step.dim != n:
+                raise DimensionMismatch("matrix/vector size mismatch")
+            if step.m != m:
+                raise ModulusMismatch(f"m={m} vs matrix m={step.m}")
+            vs = [step._apply(c) for c in vs]
+        return vs == [_coords(v) for v in self.normalized_S]
 
     def to_json(self) -> dict:
         return {
@@ -269,15 +318,6 @@ class SolverTrace:
             "U": [v.to_json() for v in self.U],
             "certificate": self.certificate.to_json(),
         }
-
-
-def _embed_block(Q: QuadraticModule, M2: RingMatrix, pos: tuple[int, int]) -> RingMatrix:
-    """Embed a 2x2 block of Q's modulus into the identity at the given coordinate slots."""
-    rows = [list(r) for r in RingMatrix.identity(Q.dim, Q.m).rows]
-    for bi, pi in enumerate(pos):
-        for bj, pj in enumerate(pos):
-            rows[pi][pj] = M2.rows[bi][bj]
-    return _matrix(Q.m, tuple(map(tuple, rows)))
 
 
 _SHEAR_BASES = {"shear-T": ("e2", "f1"), "shear-R": ("e1", "f2")}
@@ -300,6 +340,48 @@ def _bezout_coeffs(Q: QuadraticModule, name: str, pair) -> tuple[tuple, tuple]:
         if c.m != Q.m:
             raise ModulusMismatch(f"{name} Bezout pair has m={c.m} vs module m={Q.m}")
     return pair[0].coeffs, pair[1].coeffs
+
+
+def _plus(m: int, a: tuple, c: tuple, v: tuple) -> tuple:
+    """a + c*v on coefficient tuples; a zero c takes no kernel call."""
+    return tuple(map(add, a, _dot_coeffs(m, ((c, v),)))) if any(c) else a
+
+
+def _completion(m: int, eps: int, v: list, p: tuple, q: tuple) -> tuple:
+    """v' = z + d*v with z = (eps*conj(q), conj(p)) and d = -z0*conj(z1)."""
+    z = (_eps_conj(eps, q), _conj_coeffs(p))
+    d = tuple(map(neg, _dot_coeffs(m, ((z[0], p),))))
+    return tuple(_plus(m, zi, d, vi) for zi, vi in zip(z, v))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _transport_target(
+    m: int, eps: int, kind: FormParameterKind, y: tuple, pair: tuple
+) -> tuple:
+    """(y_c, mu(y_c)) for each shear parameter c, y_c = y' + c*y, y' the completion of y.
+
+    A shear y' -> y' + c*y with conj(c) = -eps*c keeps (y, y') a standard
+    pair and moves mu(y') by [c*conj(c)*mu~(y)] - [c], where mu~(y) is the
+    lift a*conj(b) of mu(y). As y is isotropic, mu~(y) is antisymmetric
+    for eps = +1, as is c, so under MINUS the move is 0. For eps = -1 both
+    are symmetric and the move depends only on the parities of c_0 and
+    c_(m/2), so one c per parity pattern reaches every class any shear
+    reaches. The transport calls this once y has passed every check.
+    """
+    Q = QuadraticModule(m, 1, eps, kind)
+    yp = _completion(m, eps, y, *pair)
+    one = GroupRingElement.one(m).coeffs
+    shears = [GroupRingElement.zero(m).coeffs]
+    if eps == -1:
+        shears.append(one)
+        if m % 2 == 0:
+            g_half = GroupRingElement.gen(m, m // 2).coeffs
+            shears += [g_half, tuple(map(add, one, g_half))]
+    table = []
+    for c in shears:
+        yc = tuple(_plus(m, w, c, v) for w, v in zip(yp, y))
+        table.append((yc, _mu_class(Q, _lift_coeffs(Q, yc))))
+    return tuple(table)
 
 
 def rank2_vector_isometry(
@@ -326,7 +408,9 @@ def rank2_vector_isometry(
     lift, entry of M and coordinate of M * x is one sum of products, one
     call of the fused kernel, as is the product in each coordinate of a
     completion or shear. lambda(x, x) and mu(x) both come from x's mu
-    lift L, as lambda(x, x) = L + eps * conj(L).
+    lift L, as lambda(x, x) = L + eps * conj(L). Every check runs on each
+    call, y's included; the completions and classes of the sheared y'
+    come from _transport_target, built once per target and Bezout pair.
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
@@ -344,11 +428,6 @@ def rank2_vector_isometry(
             raise PreconditionFailed(
                 f"{name} Bezout pair does not satisfy p*x1 + q*x2 = 1"
             )
-
-    def plus(a: tuple, c: tuple, v: tuple) -> tuple:
-        """a + c*v."""
-        return tuple(map(add, a, _dot_coeffs(m, ((c, v),))))
-
     lifts = [_lift_coeffs(Q, v) for v in (x, y)]
     lam_x, lam_y = (tuple(map(add, L, _eps_conj(eps, L))) for L in lifts)
     if lam_x != lam_y:
@@ -361,31 +440,10 @@ def rank2_vector_isometry(
         raise PreconditionFailed(
             "source vector is not isotropic: lambda(x, x) must vanish"
         )
-
-    def completion(v, p, q):
-        """x' = z + d*x with z = (eps*conj(q), conj(p)) and d = -z0*conj(z1)."""
-        z = (_eps_conj(eps, q), _conj_coeffs(p))
-        d = tuple(map(neg, _dot_coeffs(m, ((z[0], p),))))
-        return tuple(plus(zi, d, vi) for zi, vi in zip(z, v))
-
-    xp, yp = (completion(v, *pair) for v, pair in zip((x, y), pairs))
-    # A shear y' -> y' + c*y with conj(c) = -eps*c keeps (y, y') a standard
-    # pair and moves mu(y') by [c*conj(c)*mu~(y)] - [c], where mu~(y) is the
-    # lift a*conj(b) of mu(y). As y is isotropic, mu~(y) is antisymmetric
-    # for eps = +1, as is c, so under MINUS the move is 0. For eps = -1 both
-    # are symmetric and the move depends only on the parities of c_0 and
-    # c_(m/2), so one c per parity pattern reaches every class any shear
-    # reaches. The first c that aligns the classes is taken.
-    shears = [GroupRingElement.zero(m).coeffs]
-    if eps == -1:
-        shears.append(one)
-        if m % 2 == 0:
-            g_half = GroupRingElement.gen(m, m // 2).coeffs
-            shears += [g_half, tuple(map(add, one, g_half))]
+    xp = _completion(m, eps, x, *pairs[0])
     want = _mu_class(Q, _lift_coeffs(Q, xp))
-    for c in shears:
-        yc = tuple(plus(w, c, v) for w, v in zip(yp, y))
-        if _mu_class(Q, _lift_coeffs(Q, yc)) == want:
+    for yc, mu in _transport_target(m, eps, Q.kind, tuple(y), pairs[1]):
+        if mu == want:
             # (x, x') and (y, yc) are standard pairs, so both column
             # matrices preserve the Gram matrix, and [x, x']^-1 is
             # isometry_inverse's entry shuffle of [x, x']
@@ -453,8 +511,9 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
 
     Every step is the identity outside the (e2, f2) block or two shear
     entries, so v2's images and the pull-back of the standard complement
-    are closed forms; the 4x4 step matrices are built for the trace alone,
-    and replay re-checks the images against them. Shear-T maps v2 =
+    are closed forms. Each step records its live rows; replay applies them
+    to v2 and checks the images, and a block step's 4x4 matrix is built
+    only when read, as by the trace JSON. Shear-T maps v2 =
     (a1, a2, s, b2) to (a1 + b2, a2 + s, s, b2) and shear-R to
     (a1 + a2, a2, s, b2 - s); the inverse of either is the same
     transvection with parameter -1. The transport Phi embeds M2 with
@@ -496,7 +555,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
         nearest_bezout_pair(x1, x2, *pair),
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
-    steps.append(TraceStep("vector-transport", _embed_block(Q, M2, (1, 3))))
+    steps.append(_block_step("vector-transport", m, M2.rows))
     v2n = _vector(m, (a1, norm.u * v_t, s, norm.l * s))
     (p00, p01), (p10, p11) = isometry_inverse(Q1, M2).rows
     U = [
@@ -533,8 +592,9 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     aug(x) = 0, then a negation if aug(x) = -1; validate leaves no other
     case, as aug lambda(v2, v2) = 2*aug(a2)*aug(b2) = 0 and gcd = 1. Both
     steps are their own inverses, so U is the complement (0, a, 1, 0),
-    (-conj(a), 0, 0, 1) of x = 1 + (1 - g)*a, negated and swapped; the 4x4
-    step matrices serve the trace alone, and replay re-checks v2's images.
+    (-conj(a), 0, 0, 1) of x = 1 + (1 - g)*a, negated and swapped. Both
+    steps are (e2, f2) blocks: replay applies their live rows to v2 and
+    checks the images, and their 4x4 matrices are built only when read.
     """
     if spec.branch is not Branch.EVEN_N_SYM:
         raise PreconditionFailed("spec branch is not even-n")
@@ -544,12 +604,10 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     a1, x, c, y = v2_in.coords
     steps = []
     if swap := (x.aug() == 0):
-        block = _matrix(m, ((zero, one), (one, zero)))
-        steps.append(TraceStep("swap-e2-f2", _embed_block(Q, block, (1, 3))))
+        steps.append(_block_step("swap-e2-f2", m, ((zero, one), (one, zero))))
         x, y = y, x
     if negate := (x.aug() == -1):
-        block = _matrix(m, ((-one, zero), (zero, -one)))
-        steps.append(TraceStep("negate-block-2", _embed_block(Q, block, (1, 3))))
+        steps.append(_block_step("negate-block-2", m, ((-one, zero), (zero, -one))))
         x, y = -x, -y
     a = divide_by_one_minus_gen(x - one)
     U = [[zero, a, one, zero], [-a.conj(), zero, zero, one]]

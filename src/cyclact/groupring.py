@@ -566,8 +566,10 @@ def ideal_express(
     elems: Sequence[GroupRingElement], target: GroupRingElement
 ) -> Optional[list[GroupRingElement]]:
     """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
-    m = target.m
-    combo = shift_lattice(elems).express(target.coeffs)
+    lattice, m = shift_lattice(elems), target.m
+    if m != lattice.ncols:
+        raise ModulusMismatch(f"target m={m} vs generators m={lattice.ncols}")
+    combo = lattice.express(target.coeffs)
     if combo is None:
         return None
     return [_trusted(m, tuple(combo[i : i + m])) for i in range(0, len(combo), m)]

@@ -143,8 +143,9 @@ class CohomologyClass:
 def parse_class(m: int, text: str) -> CohomologyClass:
     """Parse monomial sums like "x^3", "x*y^2", "xy^2", "1", "0".
 
-    "" and "0" are the zero class; a leading, trailing or doubled "+"
-    leaves an empty monomial and raises BadIndex.
+    "" and "0" are the zero class. A leading, trailing or doubled "+"
+    leaves an empty monomial, and a leading, trailing or doubled "*" an
+    empty factor; both raise BadIndex.
     """
     text = text.replace(" ", "")
     if text in ("0", ""):
@@ -154,30 +155,33 @@ def parse_class(m: int, text: str) -> CohomologyClass:
         raise BadIndex(f"an empty monomial in a {len(text)}-character class")
     total = CohomologyClass.zero(m)
     for part in parts:
-        chunk = part.replace("*", "")
+        factors = part.split("*")
+        if "" in factors:
+            raise BadIndex(f"an empty factor in a {len(part)}-character monomial")
         i = j = 0
-        pos = 0
-        while pos < len(chunk):
-            var = chunk[pos]
-            if var not in ("x", "y", "1"):
-                raise BadIndex(f"cannot parse a {len(part)}-character monomial")
-            pos += 1
-            exp = 1
-            if pos < len(chunk) and chunk[pos] == "^":
+        for chunk in factors:
+            pos = 0
+            while pos < len(chunk):
+                var = chunk[pos]
+                if var not in ("x", "y", "1"):
+                    raise BadIndex(f"cannot parse a {len(part)}-character monomial")
                 pos += 1
-                start = pos
-                while pos < len(chunk) and chunk[pos].isdigit():
+                exp = 1
+                if pos < len(chunk) and chunk[pos] == "^":
                     pos += 1
-                if start == pos:
-                    raise BadIndex(f"no exponent after '^' in a {len(part)}-character monomial")
-                try:
-                    exp = int(chunk[start:pos])
-                except ValueError:  # past the digit limit, or not ASCII digits
-                    raise BadIndex(f"cannot parse a {pos - start}-digit exponent") from None
-            if var == "x":
-                i += exp
-            elif var == "y":
-                j += exp
+                    start = pos
+                    while pos < len(chunk) and chunk[pos].isdigit():
+                        pos += 1
+                    if start == pos:
+                        raise BadIndex(f"no exponent after '^' in a {len(part)}-character monomial")
+                    try:
+                        exp = int(chunk[start:pos])
+                    except ValueError:  # past the digit limit, or not ASCII digits
+                        raise BadIndex(f"cannot parse a {pos - start}-digit exponent") from None
+                if var == "x":
+                    i += exp
+                elif var == "y":
+                    j += exp
         total = total + CohomologyClass.monomial(m, i, j)
     return total
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -874,3 +875,128 @@ def test_spec_with_a_modulus_past_the_digit_limit_is_a_precondition_failure():
     for m in (10**5000, -(10**5000)):
         with pytest.raises(PreconditionFailed, match="16610-bit"):
             EmbeddingSpec.from_json(dict(spec, m=m))
+
+
+def _traces_with_every_step():
+    """Solved traces whose steps cover shear-T, shear-R, the transport, swap and negate."""
+    rng = random.Random(2601)
+    specs = list(_EVEN_M_SHAPES) + [
+        # aug(a2) = 0 swaps, and then aug(x) = aug(b2) = -1 negates
+        spec_of(3, Branch.EVEN_N_SYM, [1], [1, -1], [-1]),
+    ]
+    for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6)),
+                           (Branch.EVEN_N_SYM, (2, 3, 4, 5))):
+        specs += [sample_spec(branch, m, rng) for m in moduli for _ in range(6)]
+    traces = [solve(spec) for spec in specs]
+    names = {step.name for trace in traces for step in trace.steps}
+    assert names == {"shear-T", "shear-R", "vector-transport", "swap-e2-f2", "negate-block-2"}
+    return traces
+
+
+def test_a_step_applies_its_live_rows_as_its_dense_matrix_does():
+    rng = random.Random(2602)
+    for trace in _traces_with_every_step():
+        m = trace.certificate.S[0].m
+        vs = list(trace.certificate.S)
+        vs += [RingVector([el(m, *[rng.randint(-3, 3) for _ in range(m)]) for _ in range(4)])
+               for _ in range(3)]
+        for step in trace.steps:
+            dense = step.matrix
+            assert step == complement.TraceStep(step.name, dense)
+            assert hash(step) == hash(complement.TraceStep(step.name, dense))
+            # the live rows are the rows of the matrix that are not the identity's
+            identity = RingMatrix.identity(4, m).rows
+            assert [i for i, _ in step.live] == [i for i in range(4) if dense.rows[i] != identity[i]]
+            for v in vs:
+                assert tuple(step._apply(list(coords(v)))) == coords(dense * v)
+        assert trace.replay()
+
+
+def test_replay_fails_when_one_entry_of_a_recorded_step_changes():
+    changed = set()
+    for trace in _traces_with_every_step():
+        m = trace.certificate.S[0].m
+        vs = list(trace.certificate.S)
+        for k, step in enumerate(trace.steps):
+            rows = [list(r) for r in step.matrix.rows]
+            for i, row in step.live:
+                for j in range(4):
+                    if all(v[j].is_zero() for v in vs):
+                        continue  # the entry meets only zero coordinates
+                    bent = [list(r) for r in rows]
+                    bent[i][j] = bent[i][j] + GroupRingElement.one(m)
+                    steps = list(trace.steps)
+                    steps[k] = complement.TraceStep(step.name, RingMatrix(bent))
+                    assert not dataclasses.replace(trace, steps=tuple(steps)).replay()
+                    changed.add(step.name)
+            vs = [step.matrix * v for v in vs]
+    assert changed == {"shear-T", "shear-R", "vector-transport", "swap-e2-f2", "negate-block-2"}
+
+
+def _solver_transports():
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return rank2_vector_isometry(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complement, "rank2_vector_isometry", recording)
+        rng = random.Random(2603)
+        for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
+            for m in moduli:
+                for _ in range(6):
+                    solve(sample_spec(branch, m, rng))
+    return calls + list(_unit_row_transports(random.Random(2604)))
+
+
+def test_the_transport_target_cache_changes_no_result():
+    calls = _solver_transports()
+    cache = complement._transport_target
+    cache.cache_clear()
+    warm = [rank2_vector_isometry(*args) for args in calls]
+    assert cache.cache_info().hits > 0
+    for args, M in zip(calls, warm):
+        cache.cache_clear()
+        assert rank2_vector_isometry(*args) == M
+        assert rank2_vector_isometry(*args) == M
+
+
+def test_a_failed_transport_raises_as_before_and_caches_nothing():
+    m = 4
+    Q = QuadraticModule(m, 1, -1, FormParameterKind.TILDE)
+    one, zero = el(m, 1), el(m, 0)
+    x = RingVector([one, zero])
+    q3 = QuadraticModule(3, 1, -1, FormParameterKind.TILDE)
+    x3 = RingVector([el(3, 1), el(3, 0, 1)])
+    y3 = x3.scaled(GroupRingElement.gen(3))
+    cases = (
+        (Q, x, x, (one, zero), (zero, one),
+         "target Bezout pair does not satisfy p*x1 + q*x2 = 1"),
+        (q3, x3, y3, bezout(x3), bezout(y3),
+         "source vector is not isotropic: lambda(x, x) must vanish"),
+        (Q, x, RingVector([one, el(m, 0, 0, 1)]), (one, zero), (one, zero),
+         "mu classes differ between source and target"),
+    )
+    for Qc, source, target, p, q, message in cases:
+        complement._transport_target.cache_clear()
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed) as info:
+                rank2_vector_isometry(Qc, source, target, p, q)
+            assert type(info.value) is PreconditionFailed and str(info.value) == message
+        assert complement._transport_target.cache_info().currsize == 0
+
+
+def test_the_transport_target_cache_stays_bounded():
+    # (1, n) is isotropic for eps = -1, of class [n] = 0 for odd m, and has
+    # Bezout pair (1, 0), so each n is a distinct valid target
+    m = 5
+    Q = QuadraticModule(m, 1, -1, FormParameterKind.TILDE)
+    one, zero = el(m, 1), el(m, 0)
+    x = RingVector([one, zero])
+    complement._transport_target.cache_clear()
+    for n in range(1, 71):
+        y = RingVector([one, el(m, n)])
+        M = rank2_vector_isometry(Q, x, y, (one, zero), (one, zero))
+        assert M * x == y
+    assert complement._transport_target.cache_info().currsize == 64

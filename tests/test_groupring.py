@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclact.errors import Degenerate, NotDivisible, PreconditionFailed
+from cyclact.errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
 from cyclact.groupring import (
     STRAIGHT_MAX_M,
     FormParameterKind,
@@ -251,6 +251,13 @@ def test_no_generators_is_degenerate_at_every_entry_point():
     ):
         with pytest.raises(Degenerate, match="no generators"):
             call()
+
+
+def test_ideal_express_names_a_target_of_another_modulus():
+    for target in (GroupRingElement.one(4), GroupRingElement.one(2)):
+        with pytest.raises(ModulusMismatch, match=f"^target m={target.m} vs generators m=3$"):
+            ideal_express([GroupRingElement.one(3)], target)
+    assert ideal_express([GroupRingElement.one(3)], GroupRingElement.one(3)) == [GroupRingElement.one(3)]
 
 
 def test_positive_variant_identity():

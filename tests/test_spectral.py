@@ -65,6 +65,24 @@ def test_an_empty_monomial_is_an_error_not_the_unit(text):
     assert "empty monomial" in str(info.value) and len(str(info.value)) < 60
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["*", "x*", "*x", "x**y", "x*+y", "x^*2", "x^3*" + "y" * 3000 + "*"],
+    ids=["star", "trailing", "leading", "doubled", "before-plus", "glued-exponent", "long"],
+)
+def test_an_empty_factor_is_an_error_not_the_unit(text):
+    # "*" used to read as 1, "x*" as x and "x^*2" as x^2
+    with pytest.raises(BadIndex) as info:
+        parse_class(4, text)
+    assert len(str(info.value)) < 60
+
+
+def test_factors_with_and_without_a_star_agree():
+    assert parse_class(4, "x*y") == parse_class(4, "xy") == CohomologyClass.monomial(4, 1, 1)
+    assert parse_class(4, "x*y^2") == parse_class(4, "xy^2") == CohomologyClass.monomial(4, 1, 2)
+    assert parse_class(4, "1*x") == parse_class(4, "x")
+
+
 def test_an_empty_class_is_zero_and_a_sum_cancels():
     for text in ("", "0", "x+x", "x^2 + x^2"):
         assert parse_class(6, text).is_zero()
