@@ -52,12 +52,10 @@ from .groupring import (
     _conj_coeffs,
     _dot_coeffs,
     _normalize,
+    _reduced_bezout_pair,
     _trusted,
     divide_by_one_minus_gen,
     ideal_contains_one,
-    ideal_express,
-    nearest_bezout_pair,
-    trivial_unit_inverse,
 )
 
 
@@ -164,7 +162,7 @@ class EmbeddingSpec:
         """validate, up to the skew branches' unit-ideal test, and P = a2*conj(b2) if skew.
 
         The skew solver answers that test, in validate's order and with its
-        message, from the Hermite form it builds for its Bezout pair.
+        message, from the search for its Bezout pair (_reduced_bezout_pair).
         lambda(v2, v2) = L + eps*conj(L) with L = a1*conj(c) + P, c being
         v2's f1 coefficient. In the skew branches c = s and a1*s = aug(a1)*s
         is symmetric, so lambda(v2, v2) = P - conj(P) vanishes iff P is
@@ -484,14 +482,14 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     """Lagrangian complement for both skew branches.
 
     The (e2, f2) coefficients x of v2 are normalized (_skew_normalize: the
-    ideal (a2, b2) as u*Lambda and the quotients, whose Bezout pair is
-    reduced by nearest_bezout_pair) and transported onto y = (v2', s),
-    from the companion identity u*v2' + a2'*s = 1 (NormData.positive_variant),
-    whose pair is (u, a2'). The quotients' starting Bezout pair is
-    (x_i^-1, 0) or (0, x_i^-1) when a quotient x_i is a trivial unit
-    (trivial_unit_inverse), else it comes from one Hermite form, which also
-    decides validate's unit-ideal test; the reduced pair depends on the
-    quotients alone. The complement of the result never sees a1:
+    ideal (a2, b2) as u*Lambda and the quotients) and transported onto
+    y = (v2', s), from the companion identity u*v2' + a2'*s = 1
+    (NormData.positive_variant), whose pair is (u, a2'). The quotients'
+    pair is nearest_bezout_pair's, from _reduced_bezout_pair: it starts
+    from a trivial unit quotient or from determinants, and runs a Hermite
+    form only when their gcd stays above 1; its None decides validate's
+    unit-ideal test. The reduced pair depends on the quotients alone.
+    The complement of the result never sees a1:
     v1 = e1 lies in S, and U's lambda, U's mu and the e1 row of det[S | U]
     do not read the e1 coefficient of v2.
 
@@ -538,21 +536,16 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
             a1, b2 = a1 + a2, b2 - s
         steps.append(_shear_step(m, spec.branch, shear))
     norm, (x1, x2) = _skew_normalize(a2, b2)
-    if (inverse := trivial_unit_inverse(x1)) is not None:
-        pair = (inverse, zero)
-    elif (inverse := trivial_unit_inverse(x2)) is not None:
-        pair = (zero, inverse)
-    else:
-        pair = ideal_express([x1, x2], one)
-        if pair is None:
-            raise PreconditionFailed(_SKEW_NOT_UNIT)
+    pair = _reduced_bezout_pair(x1, x2)
+    if pair is None:
+        raise PreconditionFailed(_SKEW_NOT_UNIT)
     v_t, a_t, _ = norm.positive_variant()
     Q1 = QuadraticModule(m, 1, Q.eps, Q.kind)
     M2 = rank2_vector_isometry(
         Q1,
         _vector(m, (x1, x2)),
         _vector(m, (v_t, s)),
-        nearest_bezout_pair(x1, x2, *pair),
+        pair,
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
     steps.append(_block_step("vector-transport", m, M2.rows))

@@ -72,6 +72,10 @@ class RingVector:
     def __setattr__(self, name, value):
         raise AttributeError("RingVector is immutable")
 
+    def __reduce__(self):
+        """copy and pickle rebuild through the validating constructor."""
+        return RingVector, (self.coords,)
+
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -150,6 +154,10 @@ class RingMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMatrix is immutable")
+
+    def __reduce__(self):
+        """copy and pickle rebuild through the validating constructor."""
+        return RingMatrix, (self.rows,)
 
     @property
     def n(self) -> int:

@@ -50,6 +50,10 @@ class GroupRingElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
+    def __reduce__(self):
+        """copy and pickle rebuild through the validating constructor."""
+        return GroupRingElement, (self.m, self.coeffs)
+
     # constructors ---------------------------------------------------------
 
     @staticmethod
@@ -333,9 +337,8 @@ def augmentation(x: GroupRingElement, mod2: bool = False) -> int:
 
 def mult_matrix(d: GroupRingElement) -> list[list[int]]:
     """Column j is the coefficient vector of d * gen^j."""
-    m = d.m
-    cols = [d.shift(j).coeffs for j in range(m)]
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+    c = d.coeffs
+    return [[c[i - j] for j in range(d.m)] for i in range(d.m)]
 
 
 class DivisionResult(NamedTuple):
@@ -392,23 +395,36 @@ def is_unit(x: GroupRingElement) -> UnitCheck:
     A trivial unit +-gen^k is answered directly with its inverse
     +-gen^(-k) (trivial_unit_inverse). Augmentation is a ring map onto Z,
     so a unit has augmentation +-1 and anything else is rejected at once.
-    Otherwise cramer_solve on mult_matrix(x) gives x*y = d with
+    Otherwise one fraction-free solve (_adjugate) gives x*y = d with
     d = det mult(x); x is a unit iff d = +-1, and then d*y is its inverse.
     A singular matrix means x is a zero divisor, so no unit.
     """
-    m = x.m
     inverse = trivial_unit_inverse(x)
     if inverse is not None:
         return UnitCheck(True, inverse)
     if x.aug() not in (1, -1):
         return UnitCheck(False, None)
-    try:
-        d, y = cramer_solve(mult_matrix(x), (1,) + (0,) * (m - 1))
-    except ValueError:
-        return UnitCheck(False, None)
+    d, y = _adjugate(x.coeffs)
     if d not in (1, -1):
         return UnitCheck(False, None)
-    return UnitCheck(True, _trusted(m, tuple([d * c for c in y])))
+    return UnitCheck(True, _trusted(x.m, tuple([d * c for c in y])))
+
+
+def _adjugate(c: tuple) -> tuple[int, Optional[tuple]]:
+    """(d, y) with c*y = d = det mult(c), or (0, None) for a zero divisor c.
+
+    One fraction-free solve, cramer_solve on c's circulant (mult_matrix)
+    with right-hand side e_0, gives adj(mult(c))*e_0, the coefficients of
+    y. As mult(c)*mult(y) = d*I, mult(y) is the whole adjugate, so
+    adj(mult(c))*w is the product y*w for every w. A singular circulant
+    means c is a zero divisor.
+    """
+    m = len(c)
+    try:
+        d, y = cramer_solve(mult_matrix(_trusted(m, c)), (1,) + (0,) * (m - 1))
+    except ValueError:
+        return 0, None
+    return d, tuple(y)
 
 
 class FormParameterKind(enum.Enum):
@@ -662,18 +678,89 @@ def nearest_bezout_pair(
     nearest point of the syzygy span, and beta = floor(z + 1/2),
     coefficientwise, is Babai's round-off (Combinatorica 6, 1986). N(zeta)
     = |x1(zeta)|^2 + |x2(zeta)|^2 > 0 at every m-th root of unity, so
-    mult_matrix(N) is positive definite and one fraction-free solve gives
-    z = y/d with d > 0. Another Bezout pair of (x1, x2) moves z by an
-    element of Lambda and beta by the same, so the result depends on (x1, x2) alone,
-    and reducing it again changes nothing.
+    mult_matrix(N) is positive definite, _adjugate gives N*N# = D with
+    D > 0, and z = N#*w/D is one more product. Another Bezout pair of
+    (x1, x2) moves z by an element of Lambda and beta by the same, so the
+    result depends on (x1, x2) alone, and reducing it again changes
+    nothing. Raises ValueError when N is singular, as x1 and x2 then
+    share a root and have no Bezout pair.
+    """
+    c1, c2 = x1.coeffs, x2.coeffs
+    d, n_adj = _adjugate(_dot_coeffs(x1.m, ((c1, _conj_coeffs(c1)), (c2, _conj_coeffs(c2)))))
+    if n_adj is None:
+        raise ValueError("singular matrix")
+    return _round_off(x1, x2, p, q, d, n_adj)
+
+
+def _round_off(
+    x1: GroupRingElement,
+    x2: GroupRingElement,
+    p: GroupRingElement,
+    q: GroupRingElement,
+    d: int,
+    n_adj: tuple,
+) -> tuple[GroupRingElement, GroupRingElement]:
+    """nearest_bezout_pair's reduction of (p, q), given N*N# = d with N#'s coefficients n_adj."""
+    m = x1.m
+    w = _dot_coeffs(m, ((p.coeffs, _conj_coeffs(x2.coeffs)), ((-q).coeffs, _conj_coeffs(x1.coeffs))))
+    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in _dot_coeffs(m, ((n_adj, w),))]))
+    return p - beta * x2, q + beta * x1
+
+
+def _reduced_bezout_pair(
+    x1: GroupRingElement, x2: GroupRingElement
+) -> Optional[tuple[GroupRingElement, GroupRingElement]]:
+    """nearest_bezout_pair's pair for (x1, x2), or None if they do not generate Lambda.
+
+    N = x1*conj(x1) + x2*conj(x2) vanishes at an m-th root of unity only
+    where x1 and x2 both do, so D = det mult(N) = 0 means a proper ideal.
+    Otherwise a starting pair comes from a trivial unit quotient, as
+    (x1^-1, 0) or (0, x2^-1), or from determinants: N*N# = D gives
+    (conj(x1)*N#, conj(x2)*N#) for the integer D in the ideal, and each
+    y = a*x1 + b*x2 that is not a zero divisor gives (a*y#, b*y#) for
+    det mult(y). The integer extended gcd folds in y = x1, x2, x1 + x2 and
+    x1 - x2 in turn until the gcd is 1. Only if it stays above 1 does one
+    Hermite form with transform (ideal_express) decide, and None means the
+    ideal is proper. The round-off reuses N#, and its result depends on
+    (x1, x2) alone, so any starting pair gives the same reduced pair.
     """
     m = x1.m
     c1, c2 = x1.coeffs, x2.coeffs
-    n = _dot_coeffs(m, ((c1, _conj_coeffs(c1)), (c2, _conj_coeffs(c2))))
-    w = _dot_coeffs(m, ((p.coeffs, _conj_coeffs(c2)), ((-q).coeffs, _conj_coeffs(c1))))
-    d, y = cramer_solve(mult_matrix(_trusted(m, n)), w)
-    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in y]))
-    return p - beta * x2, q + beta * x1
+    k1, k2 = _conj_coeffs(c1), _conj_coeffs(c2)
+    d, n_adj = _adjugate(_dot_coeffs(m, ((c1, k1), (c2, k2))))
+    if n_adj is None:
+        return None
+    zero = GroupRingElement.zero(m)
+    if (inverse := trivial_unit_inverse(x1)) is not None:
+        pair = (inverse, zero)
+    elif (inverse := trivial_unit_inverse(x2)) is not None:
+        pair = (zero, inverse)
+    else:
+        g, p, q = d, _dot_coeffs(m, ((k1, n_adj),)), _dot_coeffs(m, ((k2, n_adj),))
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):  # y = a*x1 + b*x2
+            if g == 1:
+                break
+            dy, y_adj = _adjugate(tuple([a * u + b * v for u, v in zip(c1, c2)]))
+            if y_adj is not None:
+                g, s, t = _xgcd(g, dy)
+                p = tuple([s * u + t * a * v for u, v in zip(p, y_adj)])
+                q = tuple([s * u + t * b * v for u, v in zip(q, y_adj)])
+        if g == 1:
+            pair = (_trusted(m, p), _trusted(m, q))
+        else:
+            pair = ideal_express([x1, x2], GroupRingElement.one(m))
+            if pair is None:
+                return None
+    return _round_off(x1, x2, *pair, d, n_adj)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - k * s1, t1, t0 - k * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def divide_by_one_minus_gen(x: GroupRingElement) -> GroupRingElement:

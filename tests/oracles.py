@@ -303,3 +303,17 @@ def generic_transport(m, eps, kind, x, y, source_pair, target_pair):
             inverse = gram_inverse(m, 1, eps, [[x[0], xp[0]], [x[1], xp[1]]])
             return dense_ring_matmul(m, [[y[0], yc[0]], [y[1], yc[1]]], inverse)
     return None
+
+
+def hermite_bezout_pair(x1, x2):
+    """The reduced Bezout pair of GroupRingElements (x1, x2) by the Hermite route, or None.
+
+    The one oracle here that calls the package: its public ideal_express
+    (one Hermite form with transform) gives a starting pair, which
+    nearest_bezout_pair reduces; None when the ideal is proper. The solver
+    gets its starting pair from determinants instead.
+    """
+    from cyclact.groupring import GroupRingElement, ideal_express, nearest_bezout_pair
+
+    pair = ideal_express([x1, x2], GroupRingElement.one(x1.m))
+    return None if pair is None else nearest_bezout_pair(x1, x2, *pair)

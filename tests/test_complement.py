@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -39,19 +41,22 @@ from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
     _normalize,
+    _reduced_bezout_pair,
     divide_by_one_minus_gen,
     ideal_contains_one,
     ideal_express,
+    mult_matrix,
     nearest_bezout_pair,
     param_reduce,
 )
-from cyclact.intlattice import ZLattice
+from cyclact.intlattice import ZLattice, det_int
 
 from oracles import (
     dense_ring_matmul,
     element_shifts,
     fraction_solve,
     generic_transport,
+    hermite_bezout_pair,
     pull_back,
 )
 
@@ -759,26 +764,13 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
 
 
 
-def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
-    # a skew solve runs one form, which decides validate's unit-ideal test
-    # and whose transform gives the quotients' Bezout pair, unless a
-    # quotient is a trivial unit and gives the pair itself: then none.
-    # even-n decides everything by augmentations
-    budgets = [
-        (Branch.ODD_M_SKEW, (3, 5, 7), None),
-        (Branch.EVEN_M_SKEW, (2, 4, 6), None),
-        (Branch.EVEN_N_SYM, (2, 3, 4), 0),
-    ]
-    rng = random.Random(61)
-    cases = [
-        (sample_spec(branch, m, rng), budget)
-        for branch, moduli, budget in budgets
-        for m in moduli
-        for _ in range(15)
-    ]
-    # the sampler's even-m specs all take a shear; these take none, one
-    # shear-T and one shear-R
-    cases += [(spec, None) for spec in _EVEN_M_SHAPES]
+def _fallback_spec():
+    """An odd-m 9 spec whose quotients' determinants keep a common factor 2."""
+    rng = random.Random(1)
+    return [sample_spec(Branch.ODD_M_SKEW, 9, rng) for _ in range(10)][9]
+
+
+def _hermite_counter(monkeypatch):
     real = intlattice.row_hnf_transform
     calls = []
 
@@ -787,16 +779,100 @@ def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(intlattice, "row_hnf_transform", counted)
-    skew_budgets = set()
+    return calls
+
+
+def test_hermite_forms_per_solve_stay_within_budget(monkeypatch):
+    # a skew solve takes its Bezout pair from a trivial unit quotient or
+    # from the extended gcd of determinants, with no Hermite form; one form
+    # runs only when that gcd stays above 1, as for _fallback_spec. even-n
+    # decides everything by augmentations
+    moduli = [
+        (Branch.ODD_M_SKEW, (3, 5, 7)),
+        (Branch.EVEN_M_SKEW, (2, 4, 6)),
+        (Branch.EVEN_N_SYM, (2, 3, 4)),
+    ]
+    rng = random.Random(61)
+    cases = [
+        (sample_spec(branch, m, rng), 0)
+        for branch, ms in moduli
+        for m in ms
+        for _ in range(15)
+    ]
+    # the sampler's even-m specs all take a shear; these take none, one
+    # shear-T and one shear-R
+    cases += [(spec, 0) for spec in _EVEN_M_SHAPES]
+    cases.append((_fallback_spec(), 1))
+    calls = _hermite_counter(monkeypatch)
+    trivial = set()
     for spec, budget in cases:
         calls.clear()
         trace = solve(spec)
-        forms = len(calls)
-        if budget is None:
-            budget = 0 if any(map(_trivial_unit, _block_quotients(spec, trace))) else 1
-            skew_budgets.add(budget)
-        assert forms == budget, (spec.to_json(), forms)
-    assert skew_budgets == {0, 1}
+        assert len(calls) == budget, (spec.to_json(), len(calls))
+        if spec.branch is not Branch.EVEN_N_SYM:
+            trivial.add(any(map(_trivial_unit, _block_quotients(spec, trace))))
+    assert trivial == {True, False}
+
+
+def test_the_reduced_bezout_pair_equals_the_hermite_oracle():
+    # the solver's pair starts from determinants, the oracle's from a
+    # Hermite form with transform; the round-off makes them equal
+    rng = random.Random(2701)
+    paths = set()
+    for m in range(2, 14):
+        branch = Branch.ODD_M_SKEW if m % 2 else Branch.EVEN_M_SKEW
+        for _ in range(12):
+            spec = sample_spec(branch, m, rng)
+            x1, x2 = _block_quotients(spec, solve(spec))
+            pair = _reduced_bezout_pair(x1, x2)
+            assert pair == hermite_bezout_pair(x1, x2), spec.to_json()
+            assert pair[0] * x1 + pair[1] * x2 == GroupRingElement.one(m)
+            paths.add(any(map(_trivial_unit, (x1, x2))))
+    assert paths == {True, False}
+
+
+def test_the_hermite_fallback_runs_once_where_the_determinants_keep_a_factor(monkeypatch):
+    spec = _fallback_spec()
+    x1, x2 = _block_quotients(spec, solve(spec))
+    m = spec.m
+    # N = x1*conj(x1) + x2*conj(x2) and the folded combinations, in order
+    ys = [x1 * x1.conj() + x2 * x2.conj(), x1, x2, x1 + x2, x1 - x2]
+    assert math.gcd(*(det_int(mult_matrix(y)) for y in ys)) == 2
+    calls = _hermite_counter(monkeypatch)
+    pair = _reduced_bezout_pair(x1, x2)
+    assert len(calls) == 1
+    assert pair == hermite_bezout_pair(x1, x2)
+    assert pair[0] * x1 + pair[1] * x2 == GroupRingElement.one(m)
+
+
+def test_a_proper_ideal_gives_no_pair_on_both_routes(monkeypatch):
+    calls = _hermite_counter(monkeypatch)
+    g6 = GroupRingElement.gen(6)
+    one6 = GroupRingElement.one(6)
+    routes = [
+        # 1 - g + g^2 and s both vanish at a primitive 6th root of unity, so
+        # det mult(N) = 0 and no Hermite form runs. aug(b2) = 0 is even, so
+        # the solver's shear-R makes the quotients (1 - g + g^2, -s)
+        (EmbeddingSpec(6, Branch.EVEN_M_SKEW, one6, one6 - g6 + g6 * g6, el(6)), 0),
+        # 2 - g vanishes nowhere, but Lambda / (s, 2 - g) = Z / 7: the
+        # determinants keep the factor 7 and one Hermite form decides
+        (spec_of(3, Branch.ODD_M_SKEW, [1], [2, -1], [0]), 1),
+    ]
+    for spec, forms in routes:
+        with pytest.raises(PreconditionFailed) as by_validate:
+            spec.validate()
+        calls.clear()
+        with pytest.raises(PreconditionFailed) as by_solve:
+            solve(spec)
+        assert str(by_solve.value) == str(by_validate.value) == complement._SKEW_NOT_UNIT
+        assert len(calls) == forms
+    s6 = GroupRingElement.norm(6)
+    calls.clear()
+    assert _reduced_bezout_pair(one6 - g6 + g6 * g6, -s6) is None
+    assert calls == []
+    g3 = GroupRingElement.gen(3)
+    assert _reduced_bezout_pair(2 * GroupRingElement.one(3) - g3, el(3)) is None
+    assert len(calls) == 1
 
 
 def _unit_ideal_failures(m):
@@ -1000,3 +1076,12 @@ def test_the_transport_target_cache_stays_bounded():
         M = rank2_vector_isometry(Q, x, y, (one, zero), (one, zero))
         assert M * x == y
     assert complement._transport_target.cache_info().currsize == 64
+
+
+def test_a_pickled_trace_of_each_branch_still_replays():
+    rng = random.Random(2703)
+    for branch, m in ((Branch.ODD_M_SKEW, 7), (Branch.EVEN_M_SKEW, 6), (Branch.EVEN_N_SYM, 5)):
+        trace = solve(sample_spec(branch, m, rng))
+        for back in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+            assert back == trace and back.to_json() == trace.to_json()
+            assert back.replay() is True

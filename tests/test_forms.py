@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
 
@@ -863,3 +865,15 @@ def test_verify_certificates_carry_the_full_lambda_table():
                 [lambda_eval(Q, u, w) for w in U] for u in U
             ]
             assert list(cert.mu_evidence) == [mu_eval(Q, u) for u in U]
+
+
+def test_vectors_and_matrices_copy_and_pickle_through_the_constructor():
+    m = 4
+    x, y = GroupRingElement(m, [1, -2, 0, 2**70]), GroupRingElement.gen(m, 3)
+    v = RingVector([x, y, GroupRingElement.zero(m)])
+    M = RingMatrix([[x, y], [y, x * y]])
+    for obj, cls, state in ((v, RingVector, v.coords), (M, RingMatrix, M.rows)):
+        for c in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(c) is cls and c == obj and c.m == m
+        # the state is rebuilt by the public constructor, which validates
+        assert obj.__reduce__() == (cls, (state,))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import time
@@ -14,6 +16,7 @@ from cyclact.groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    _adjugate,
     _dot_coeffs,
     _norm_data,
     _straight,
@@ -763,3 +766,29 @@ def test_norm_data_verify_answers_false_on_malformed_fields():
         for l in range(1, 3 * m):
             if math.gcd(l, m) == 1:
                 assert _norm_data(m, l).verify(), (m, l)
+
+
+def test_elements_copy_and_pickle_through_the_constructor():
+    for x in (GroupRingElement.one(3), el(5, 2, -1, 0, 7), el(4, 2**90, -3)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is GroupRingElement and y == x and hash(y) == hash(x)
+        # the state is rebuilt by the public constructor, which validates
+        assert x.__reduce__() == (GroupRingElement, (x.m, x.coeffs))
+
+
+def test_the_adjugate_is_the_determinant_over_the_element():
+    rng = random.Random(2704)
+    for m in range(2, 14):
+        for _ in range(6):
+            c = _rand(rng, m).coeffs
+            d, y = _adjugate(c)
+            assert d == det_int(mult_matrix(GroupRingElement(m, c)))
+            if d:
+                assert poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
+            else:
+                assert y is None
+        # s and 1 - g are zero divisors; a trivial unit has d = +-1
+        assert _adjugate(GroupRingElement.norm(m).coeffs) == (0, None)
+        assert _adjugate((GroupRingElement.one(m) - GroupRingElement.gen(m)).coeffs) == (0, None)
+        d, y = _adjugate(GroupRingElement.gen(m, 1).coeffs)
+        assert d in (1, -1) and GroupRingElement(m, y) == d * GroupRingElement.gen(m, -1)
