@@ -722,7 +722,9 @@ def _reduced_bezout_pair(
     x1 - x2 in turn until the gcd is 1. Only if it stays above 1 does one
     Hermite form with transform (ideal_express) decide, and None means the
     ideal is proper. The round-off reuses N#, and its result depends on
-    (x1, x2) alone, so any starting pair gives the same reduced pair.
+    (x1, x2) alone, so any starting pair gives the same reduced pair. The
+    trivial-unit start is a shortcut: det mult(+-gen^k) = +-1, so the fold
+    reaches gcd 1 there too, after one or two more fraction-free solves.
     """
     m = x1.m
     c1, c2 = x1.coeffs, x2.coeffs
