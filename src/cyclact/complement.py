@@ -49,6 +49,7 @@ from .groupring import (
     FormParameterKind,
     GroupRingElement,
     NormData,
+    _check_modulus,
     _conj_coeffs,
     _dot_coeffs,
     _normalize,
@@ -100,6 +101,7 @@ def _skew_normalize(
 
 
 def _check_modulus_parity(branch: Branch, m: int) -> None:
+    _check_modulus(m)
     if branch is Branch.ODD_M_SKEW and m % 2 == 0:
         raise PreconditionFailed("odd-m branch requires odd modulus")
     if branch is Branch.EVEN_M_SKEW and m % 2 == 1:
@@ -485,7 +487,7 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     ideal (a2, b2) as u*Lambda and the quotients) and transported onto
     y = (v2', s), from the companion identity u*v2' + a2'*s = 1
     (NormData.positive_variant), whose pair is (u, a2'). The quotients'
-    pair is nearest_bezout_pair's, from _reduced_bezout_pair: it starts
+    pair is the Babai-reduced one from _reduced_bezout_pair: it starts
     from a trivial unit quotient or from determinants, and runs a Hermite
     form only when their gcd stays above 1; its None decides validate's
     unit-ideal test. The reduced pair depends on the quotients alone.
@@ -714,8 +716,8 @@ class SweepReport:
 
 def run_sweep(branch: Branch, m: int, count: int, seed: int) -> SweepReport:
     """Solve `count` random specs; certificates are verified inside solve."""
-    if count < 0:
-        raise PreconditionFailed("a sweep count must be nonnegative")
+    if type(count) is not int or count < 0:
+        raise PreconditionFailed(f"a sweep count must be a nonnegative int, got {value_text(count)}")
     rng = random.Random(seed)
     solved = 0
     exhausted = 0

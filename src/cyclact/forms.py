@@ -284,8 +284,8 @@ class QuadraticModule:
     kind: FormParameterKind
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise PreconditionFailed("rank must be positive")
+        if type(self.rank) is not int or self.rank < 1:
+            raise PreconditionFailed(f"rank must be a positive int, got {value_text(self.rank)}")
         if self.eps == -1:
             if self.kind not in (FormParameterKind.TILDE, FormParameterKind.PLUS):
                 raise PreconditionFailed("eps=-1 requires TILDE or PLUS parameter")
@@ -299,9 +299,6 @@ class QuadraticModule:
     @property
     def dim(self) -> int:
         return 2 * self.rank
-
-    def zero_vector(self) -> RingVector:
-        return RingVector([GroupRingElement.zero(self.m)] * self.dim)
 
     def basis_vector(self, index: int) -> RingVector:
         if not 0 <= index < self.dim:

@@ -136,7 +136,9 @@ class GroupRingElement:
         return _trusted(self.m, _conj_coeffs(self.coeffs))
 
     def shift(self, j: int) -> "GroupRingElement":
-        """Multiplication by gen^j."""
+        """Multiplication by gen^j, for an int j."""
+        if type(j) is not int:
+            raise PreconditionFailed(f"a power of gen must be an int, got {value_text(j)}")
         m = self.m
         j %= m
         return _trusted(m, self.coeffs[m - j :] + self.coeffs[: m - j])
@@ -661,70 +663,36 @@ def _norm_data(m: int, l: int) -> NormData:
     return data
 
 
-def nearest_bezout_pair(
-    x1: GroupRingElement,
-    x2: GroupRingElement,
-    p: GroupRingElement,
-    q: GroupRingElement,
-) -> tuple[GroupRingElement, GroupRingElement]:
-    """The Bezout pair of (x1, x2) that Babai round-off picks from (p, q).
-
-    Given p*x1 + q*x2 = 1, every pair with that property is
-    (p, q) - beta*(x2, -x1) for a beta in Lambda: if b1*x1 + b2*x2 = 0
-    then b1 = x2*t and b2 = -x1*t with t = q*b1 - p*b2. In the coefficient
-    inner product, the shifts gen^k*(x2, -x1) have as Gram matrix the
-    circulant of N = x1*conj(x1) + x2*conj(x2), and (p, q) pairs with them
-    as w = p*conj(x2) - q*conj(x1). So the real z with N*z = w gives the
-    nearest point of the syzygy span, and beta = floor(z + 1/2),
-    coefficientwise, is Babai's round-off (Combinatorica 6, 1986). N(zeta)
-    = |x1(zeta)|^2 + |x2(zeta)|^2 > 0 at every m-th root of unity, so
-    mult_matrix(N) is positive definite, _adjugate gives N*N# = D with
-    D > 0, and z = N#*w/D is one more product. Another Bezout pair of
-    (x1, x2) moves z by an element of Lambda and beta by the same, so the
-    result depends on (x1, x2) alone, and reducing it again changes
-    nothing. Raises ValueError when N is singular, as x1 and x2 then
-    share a root and have no Bezout pair.
-    """
-    c1, c2 = x1.coeffs, x2.coeffs
-    d, n_adj = _adjugate(_dot_coeffs(x1.m, ((c1, _conj_coeffs(c1)), (c2, _conj_coeffs(c2)))))
-    if n_adj is None:
-        raise ValueError("singular matrix")
-    return _round_off(x1, x2, p, q, d, n_adj)
-
-
-def _round_off(
-    x1: GroupRingElement,
-    x2: GroupRingElement,
-    p: GroupRingElement,
-    q: GroupRingElement,
-    d: int,
-    n_adj: tuple,
-) -> tuple[GroupRingElement, GroupRingElement]:
-    """nearest_bezout_pair's reduction of (p, q), given N*N# = d with N#'s coefficients n_adj."""
-    m = x1.m
-    w = _dot_coeffs(m, ((p.coeffs, _conj_coeffs(x2.coeffs)), ((-q).coeffs, _conj_coeffs(x1.coeffs))))
-    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in _dot_coeffs(m, ((n_adj, w),))]))
-    return p - beta * x2, q + beta * x1
-
-
 def _reduced_bezout_pair(
     x1: GroupRingElement, x2: GroupRingElement
 ) -> Optional[tuple[GroupRingElement, GroupRingElement]]:
-    """nearest_bezout_pair's pair for (x1, x2), or None if they do not generate Lambda.
+    """The Bezout pair of (x1, x2) that Babai round-off picks, or None if they do not generate Lambda.
 
     N = x1*conj(x1) + x2*conj(x2) vanishes at an m-th root of unity only
     where x1 and x2 both do, so D = det mult(N) = 0 means a proper ideal.
-    Otherwise a starting pair comes from a trivial unit quotient, as
-    (x1^-1, 0) or (0, x2^-1), or from determinants: N*N# = D gives
-    (conj(x1)*N#, conj(x2)*N#) for the integer D in the ideal, and each
-    y = a*x1 + b*x2 that is not a zero divisor gives (a*y#, b*y#) for
-    det mult(y). The integer extended gcd folds in y = x1, x2, x1 + x2 and
-    x1 - x2 in turn until the gcd is 1. Only if it stays above 1 does one
-    Hermite form with transform (ideal_express) decide, and None means the
-    ideal is proper. The round-off reuses N#, and its result depends on
-    (x1, x2) alone, so any starting pair gives the same reduced pair. The
-    trivial-unit start is a shortcut: det mult(+-gen^k) = +-1, so the fold
-    reaches gcd 1 there too, after one or two more fraction-free solves.
+    Otherwise a starting pair (p, q) with p*x1 + q*x2 = 1 comes from a
+    trivial unit quotient, as (x1^-1, 0) or (0, x2^-1), or from
+    determinants: N*N# = D gives (conj(x1)*N#, conj(x2)*N#) for the integer
+    D in the ideal, and each y = a*x1 + b*x2 that is not a zero divisor
+    gives (a*y#, b*y#) for det mult(y). The integer extended gcd folds in
+    y = x1, x2, x1 + x2 and x1 - x2 in turn until the gcd is 1. Only if it
+    stays above 1 does one Hermite form with transform (ideal_express)
+    decide, and None means the ideal is proper. The trivial-unit start is a
+    shortcut: det mult(+-gen^k) = +-1, so the fold reaches gcd 1 there too,
+    after one or two more fraction-free solves.
+
+    The round-off: every Bezout pair is (p, q) - beta*(x2, -x1) for a beta
+    in Lambda, since b1*x1 + b2*x2 = 0 gives b1 = x2*t and b2 = -x1*t with
+    t = q*b1 - p*b2. In the coefficient inner product, the shifts
+    gen^k*(x2, -x1) have as Gram matrix the circulant of N, and (p, q)
+    pairs with them as w = p*conj(x2) - q*conj(x1). So the real z with
+    N*z = w gives the nearest point of the syzygy span, and
+    beta = floor(z + 1/2), coefficientwise, is Babai's round-off
+    (Combinatorica 6, 1986). N(zeta) = |x1(zeta)|^2 + |x2(zeta)|^2 > 0 at
+    every m-th root of unity, so D > 0, and z = N#*w/D is one more
+    product. Another starting pair moves z by an element of Lambda and
+    beta by the same, so the result depends on (x1, x2) alone, and any
+    start gives the same reduced pair.
     """
     m = x1.m
     c1, c2 = x1.coeffs, x2.coeffs
@@ -734,9 +702,9 @@ def _reduced_bezout_pair(
         return None
     zero = GroupRingElement.zero(m)
     if (inverse := trivial_unit_inverse(x1)) is not None:
-        pair = (inverse, zero)
+        p, q = inverse, zero
     elif (inverse := trivial_unit_inverse(x2)) is not None:
-        pair = (zero, inverse)
+        p, q = zero, inverse
     else:
         g, p, q = d, _dot_coeffs(m, ((k1, n_adj),)), _dot_coeffs(m, ((k2, n_adj),))
         for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):  # y = a*x1 + b*x2
@@ -748,12 +716,14 @@ def _reduced_bezout_pair(
                 p = tuple([s * u + t * a * v for u, v in zip(p, y_adj)])
                 q = tuple([s * u + t * b * v for u, v in zip(q, y_adj)])
         if g == 1:
-            pair = (_trusted(m, p), _trusted(m, q))
+            p, q = _trusted(m, p), _trusted(m, q)
+        elif (pair := ideal_express([x1, x2], GroupRingElement.one(m))) is not None:
+            p, q = pair
         else:
-            pair = ideal_express([x1, x2], GroupRingElement.one(m))
-            if pair is None:
-                return None
-    return _round_off(x1, x2, *pair, d, n_adj)
+            return None
+    w = _dot_coeffs(m, ((p.coeffs, k2), ((-q).coeffs, k1)))
+    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in _dot_coeffs(m, ((n_adj, w),))]))
+    return p - beta * x2, q + beta * x1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

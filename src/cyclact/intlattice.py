@@ -152,9 +152,6 @@ class ZLattice:
         self._require_transform()
         return [self.transform[i][:] for i in range(self.rank, len(self.gens))]
 
-    def same_lattice(self, other: "ZLattice") -> bool:
-        return self.ncols == other.ncols and self.basis() == other.basis()
-
 
 def _bareiss(a: list[list[int]], n: int) -> int:
     """Fraction-free elimination of the n rows a, in place; det of their n x n part.

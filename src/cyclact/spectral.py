@@ -41,7 +41,13 @@ class RingCase(enum.Enum):
     TRUNC = "TRUNC"
 
 
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")
+
+
 def ring_case(m: int) -> RingCase:
+    _require_int("m", m)
     if m % 2 == 1:
         raise OddModulus("mod-2 cohomology ring shortcut needs even m")
     return RingCase.POLY if m % 4 == 2 else RingCase.TRUNC
@@ -189,6 +195,7 @@ def parse_class(m: int, text: str) -> CohomologyClass:
 def cohomology_basis(m: int, degree: int) -> list[CohomologyClass]:
     """Monomial basis of H^degree(K(Z/m,1); Z/2) for even m."""
     case = ring_case(m)
+    _require_int("degree", degree)
     if degree < 0:
         raise PreconditionFailed("degree must be nonnegative")
     if case is RingCase.POLY:
@@ -206,6 +213,7 @@ def steenrod_square(k: int, c: CohomologyClass) -> CohomologyClass:
     formula gives Sq^k x^i = C(i, k) x^(i+k), and by Lucas's theorem C(n, k)
     is odd iff the bits of k lie within those of n.
     """
+    _require_int("k", k)
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
     out = CohomologyClass.zero(c.m)
@@ -228,6 +236,7 @@ def w2_class(m: int) -> CohomologyClass:
 
 def d2_rank(m: int, p: int, twisted: bool = False) -> int:
     """Rank over Z/2 of Sq^2 (+ w2 cup when twisted): H^{p-2} -> H^p."""
+    _require_int("p", p)
     if p < 2:
         raise PreconditionFailed("p must be at least 2")
     ring_case(m)  # raises OddModulus for odd m
@@ -323,8 +332,7 @@ def e2_page(m: int, twisted: bool = False) -> SpectralPage:
     recorded. For odd m the twisting class is trivial, so twisted input
     is accepted and coincides with the untwisted page.
     """
-    if type(m) is not int:
-        raise PreconditionFailed(f"m must be an int, got {value_text(m)}")
+    _require_int("m", m)
     if m < 2:
         raise PreconditionFailed("m must be at least 2")
     entries = {}

@@ -4,6 +4,7 @@ Everything here is written naively on purpose: different algorithms,
 no shared code with the package, so agreement is meaningful evidence.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -305,15 +306,35 @@ def generic_transport(m, eps, kind, x, y, source_pair, target_pair):
     return None
 
 
+def round_off(x1, x2, p, q):
+    """Babai's round-off of a Bezout pair (p, q) of GroupRingElements (x1, x2).
+
+    With N = x1*conj(x1) + x2*conj(x2) and w = p*conj(x2) - q*conj(x1),
+    solve the circulant system N*z = w over Fraction and take
+    beta = floor(z + 1/2), coefficientwise; the pair is
+    (p - beta*x2, q + beta*x1), as GroupRingElements of x1's type.
+    """
+    m, a, b = x1.m, x1.coeffs, x2.coeffs
+    p, q = p.coeffs, q.coeffs
+    n = _ring_add(poly_mul_fold(m, a, conj_coeffs(m, a)), poly_mul_fold(m, b, conj_coeffs(m, b)))
+    w = _ring_add(poly_mul_fold(m, p, conj_coeffs(m, b)), [-c for c in poly_mul_fold(m, q, conj_coeffs(m, a))])
+    z = fraction_solve([[n[(k - j) % m] for j in range(m)] for k in range(m)], w)
+    beta = [math.floor(c + Fraction(1, 2)) for c in z]
+    return (
+        type(x1)(m, _ring_add(p, [-c for c in poly_mul_fold(m, beta, b)])),
+        type(x1)(m, _ring_add(q, poly_mul_fold(m, beta, a))),
+    )
+
+
 def hermite_bezout_pair(x1, x2):
     """The reduced Bezout pair of GroupRingElements (x1, x2) by the Hermite route, or None.
 
     The one oracle here that calls the package: its public ideal_express
-    (one Hermite form with transform) gives a starting pair, which
-    nearest_bezout_pair reduces; None when the ideal is proper. The solver
-    gets its starting pair from determinants instead.
+    (one Hermite form with transform) gives a starting pair, None when the
+    ideal is proper, and round_off above reduces it. The solver gets its
+    starting pair from determinants instead.
     """
-    from cyclact.groupring import GroupRingElement, ideal_express, nearest_bezout_pair
+    from cyclact.groupring import GroupRingElement, ideal_express
 
     pair = ideal_express([x1, x2], GroupRingElement.one(x1.m))
-    return None if pair is None else nearest_bezout_pair(x1, x2, *pair)
+    return None if pair is None else round_off(x1, x2, *pair)

@@ -3,10 +3,10 @@
     python3 tests/same_outputs.py
 
 Run from any directory; cyclact is imported from `src/` of the checkout this
-file sits in, and the sweep groups from its `bench/workloads.py`. Prints two
+file sits in, and the sweep groups from its `bench/workloads.py`. Prints three
 lines, each `<lines> <sha256>`: the number of JSON lines (sorted keys) and
 the SHA-256 over them. Two trees whose lines agree give the same outputs.
-`tests/same_outputs.expected` holds the two lines of this tree, and CI diffs
+`tests/same_outputs.expected` holds the three lines of this tree, and CI diffs
 the script's output against it.
 
 Line 1, the solver. Each JSON line holds a spec, `solve(spec).to_json()`
@@ -21,6 +21,12 @@ m = 2..39, 105, 1001 and 2310, and g = 0..79, each without Pontryagin
 residues and with the residues 1, 2, ..., n // 4; then `e2_page` and
 `spin_line_report` for m = 2..39, untwisted and twisted; then
 `run_selftest("all", seed)` for seeds 0..5 without its `elapsedSeconds`.
+
+Line 3, the solver where the determinants keep a common factor, in the
+format of line 1: the first 100, 40 and 20 specs drawn as `run_sweep` draws
+them at seeds 1, 2 and 3, at odd-m 9, even-m 12 and odd-m 21. These hold
+the 15 specs whose skew Bezout pair takes the Hermite fallback
+(`ideal_express`); lines 1 and 2 hold none.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from cyclact.spectral import e2_page, spin_line_report  # noqa: E402
 from workloads import SWEEP_SMALL, SWEEP_TAIL  # noqa: E402
 
 WIDE = [("odd-m", 13), ("odd-m", 21), ("even-m", 12), ("even-m", 20), ("even-n", 12)]
+FALLBACK = [("odd-m", 9, 100), ("even-m", 12, 40), ("odd-m", 21, 20)]
 
 
 def specs():
@@ -54,6 +61,14 @@ def specs():
         rng = random.Random(5)
         for _ in range(10):
             yield sample_spec(Branch(branch), m, rng)
+
+
+def fallback_specs():
+    for seed in (1, 2, 3):
+        for branch, m, count in FALLBACK:
+            rng = random.Random(seed)
+            for _ in range(count):
+                yield sample_spec(Branch(branch), m, rng)
 
 
 def document_lines():
@@ -94,6 +109,7 @@ def digest_line(lines) -> str:
 def main() -> None:
     print(digest_line(map(line, specs())))
     print(digest_line(json.dumps(doc, sort_keys=True) for doc in document_lines()))
+    print(digest_line(map(line, fallback_specs())))
 
 
 if __name__ == "__main__":

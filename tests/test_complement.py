@@ -46,7 +46,6 @@ from cyclact.groupring import (
     ideal_contains_one,
     ideal_express,
     mult_matrix,
-    nearest_bezout_pair,
     param_reduce,
 )
 from cyclact.intlattice import ZLattice, det_int
@@ -58,6 +57,7 @@ from oracles import (
     generic_transport,
     hermite_bezout_pair,
     pull_back,
+    round_off,
 )
 
 
@@ -584,25 +584,28 @@ def test_every_valid_skew_spec_is_a_geometric_multiple_of_a_unimodular_pair():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12])
 def test_nearest_bezout_pair_depends_on_the_vector_alone(m):
-    # pins facts, not which pair comes out: the reduced pair is a Bezout
-    # pair, any pair of (x1, x2) reduces to it, and it reduces to itself
+    # pins facts, not which pair comes out: the solver's reduced pair is a
+    # Bezout pair, and the oracle's round-off takes any pair of (x1, x2) to
+    # it, the reduced pair itself included
     rng = random.Random(37 + m)
     one = GroupRingElement.one(m)
     for _ in range(10):
         x1, x2 = complement._skew_pair_sample(rng, m)
         p, q = ideal_express([x1, x2], one)
-        rp, rq = nearest_bezout_pair(x1, x2, p, q)
+        rp, rq = _reduced_bezout_pair(x1, x2)
         assert rp * x1 + rq * x2 == one
-        assert nearest_bezout_pair(x1, x2, rp, rq) == (rp, rq)
+        assert round_off(x1, x2, p, q) == (rp, rq)
+        assert round_off(x1, x2, rp, rq) == (rp, rq)
         beta0 = el(m, *(rng.randint(-99, 99) for _ in range(m)))
-        assert nearest_bezout_pair(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
+        assert round_off(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
         _, quotients = _normalize([x1, x2])
-        assert nearest_bezout_pair(*quotients, *ideal_express(quotients, one)) == (rp, rq)
+        assert _reduced_bezout_pair(*quotients) == (rp, rq)
+        assert round_off(*quotients, *ideal_express(quotients, one)) == (rp, rq)
         for i, x in enumerate(quotients):
             if _trivial_unit(x):
                 start = [GroupRingElement.zero(m)] * 2
                 start[i] = x.conj()
-                assert nearest_bezout_pair(*quotients, *start) == (rp, rq)
+                assert round_off(*quotients, *start) == (rp, rq)
         # round-off leaves the pair's coordinates along the syzygy shifts
         # g^k*(x2, -x1) in [-1/2, 1/2): projections from plain inner products
         shifts = [
@@ -668,6 +671,9 @@ def test_run_sweep_solves_everything_and_is_deterministic():
     assert run_sweep(Branch.ODD_M_SKEW, 5, 0, seed=3).solved == 0
     with pytest.raises(PreconditionFailed, match="nonnegative"):
         run_sweep(Branch.ODD_M_SKEW, 5, -3, seed=3)
+    for count, named in ((1.5, "a float"), ("2", "a 1-character string"), (True, "a bool")):
+        with pytest.raises(PreconditionFailed, match=f"^a sweep count must be a nonnegative int, got {named}$"):
+            run_sweep(Branch.ODD_M_SKEW, 5, count, seed=3)
 
 
 def _isotropic_walk(rng, Q):
@@ -753,6 +759,10 @@ def test_sample_spec_rejects_bad_moduli_before_drawing():
         (Branch.EVEN_M_SKEW, 7, "even-m branch requires even modulus"),
         (Branch.ODD_M_SKEW, 1, "modulus must be an integer >= 2"),
         (Branch.EVEN_N_SYM, 0, "modulus must be an integer >= 2"),
+        # a modulus that is not an int fails before its parity is read
+        (Branch.ODD_M_SKEW, "3", "modulus must be an integer >= 2, got a 1-character string"),
+        (Branch.EVEN_M_SKEW, 4.0, "modulus must be an integer >= 2, got a float"),
+        (Branch.EVEN_M_SKEW, True, "modulus must be an integer >= 2, got a bool"),
     ):
         t0 = time.perf_counter()
         with pytest.raises(PreconditionFailed, match=detail):

@@ -89,6 +89,9 @@ def test_module_validates_sign_parameter_pairing():
         QuadraticModule(4, 2, -1, FormParameterKind.MINUS)
     with pytest.raises(PreconditionFailed):
         QuadraticModule(4, 0, -1, FormParameterKind.TILDE)
+    for rank, named in (("2", "a 1-character string"), (2.0, "a float"), (True, "a bool")):
+        with pytest.raises(PreconditionFailed, match=f"^rank must be a positive int, got {named}$"):
+            QuadraticModule(3, rank, -1, FormParameterKind.TILDE)
     for m in (1, 2.0, True):
         with pytest.raises(PreconditionFailed, match="^modulus must be an integer >= 2"):
             QuadraticModule(m, 2, -1, FormParameterKind.TILDE)
@@ -191,7 +194,7 @@ def test_is_primitive():
     assert is_primitive(Q, Q.vector({"e1": el(5, 2), "f2": el(5, 1, 1, 1)}))
     assert not is_primitive(Q, Q.vector({"e1": el(5, 2), "f1": el(5, 0, 2)}))
     with pytest.raises(ZeroVector):
-        is_primitive(Q, Q.zero_vector())
+        is_primitive(Q, RingVector([GroupRingElement.zero(5)] * Q.dim))
 
 
 def test_transvection_r_shape_entries():

@@ -227,6 +227,18 @@ def test_geometric_names_a_bad_length(l, named):
         GroupRingElement.geometric(3, l)
 
 
+@pytest.mark.parametrize(
+    "power, named",
+    [(1.5, "a float"), (2.0, "a float"), (True, "a bool"), ("a", "a 1-character string")],
+)
+def test_gen_and_shift_name_a_power_that_is_not_an_int(power, named):
+    # gen(5, 1.5) and shift(2.0) raised a bare TypeError from slicing
+    with pytest.raises(PreconditionFailed, match=f"^a power of gen must be an int, got {named}$"):
+        GroupRingElement.gen(5, power)
+    with pytest.raises(PreconditionFailed, match=f"^a power of gen must be an int, got {named}$"):
+        GroupRingElement.gen(5).shift(power)
+
+
 def test_ideal_normalize_with_huge_augmentation_is_fast():
     gen = GroupRingElement(5, [200000001] + [200000000] * 4)
     t0 = time.perf_counter()

@@ -129,14 +129,6 @@ def test_kernel_rows_are_left_null_vectors():
         assert len(ker) + ZLattice(rows, n).rank == k
 
 
-def test_same_lattice_detects_equality_and_difference():
-    a = ZLattice([[1, 2], [0, 3]], 2)
-    b = ZLattice([[1, 5], [0, 3], [1, 2]], 2)
-    c = ZLattice([[1, 2], [0, 6]], 2)
-    assert a.same_lattice(b)
-    assert not a.same_lattice(c)
-
-
 def test_det_int_matches_fraction_gaussian():
     rng = random.Random(77)
     for _ in range(80):

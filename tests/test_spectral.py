@@ -107,6 +107,25 @@ def test_the_page_and_the_line_name_a_modulus_that_is_not_an_int(m, named):
             call(m)
 
 
+@pytest.mark.parametrize(
+    "value, named", [("4", "a 1-character string"), (4.0, "a float"), (True, "a bool")]
+)
+def test_the_ring_names_a_modulus_or_degree_that_is_not_an_int(value, named):
+    # ring_case("4") raised a bare TypeError, and so did everything built on it
+    calls = [
+        ("m", lambda: ring_case(value)),
+        ("m", lambda: CohomologyClass.monomial(value, 1)),
+        ("m", lambda: d2_rank(value, 4)),
+        ("m", lambda: cohomology_basis(value, 2)),
+        ("degree", lambda: cohomology_basis(4, value)),
+        ("p", lambda: d2_rank(4, value)),
+        ("k", lambda: steenrod_square(value, CohomologyClass.monomial(4, 1))),
+    ]
+    for name, call in calls:
+        with pytest.raises(PreconditionFailed, match=f"^{name} must be an int, got {named}$"):
+            call()
+
+
 def test_cohomology_basis_is_one_monomial_per_degree():
     assert cohomology_basis(2, 5) == [CohomologyClass.monomial(2, 5, 0)]
     assert cohomology_basis(4, 4) == [CohomologyClass.monomial(4, 0, 2)]
