@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import OutOfTable, PreconditionFailed, value_text
+from .errors import OutOfTable, PreconditionFailed, require_int, value_text
 
 TOPOLOGICAL = "TOPOLOGICAL"
 SMOOTH = "SMOOTH"
@@ -27,6 +27,7 @@ _C_TABLE = {4: 3, 5: 3, 6: 3, 7: 3, 8: 5, 9: 5}
 
 def c_of_n(n: int) -> int:
     """Guard constant C(n): primes dividing m must exceed it for n >= 4."""
+    require_int("n", n)
     if n not in _C_TABLE:
         raise OutOfTable(f"no guard constant tabulated for n = {n}")
     return _C_TABLE[n]
@@ -54,7 +55,7 @@ class ActionQuery:
 
     def __post_init__(self):
         for name in ("n", "m", "genus"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if self.n < 2:
             raise PreconditionFailed("n must be at least 2")
         if self.m < 2:
@@ -73,13 +74,7 @@ class ActionQuery:
                     f"pontryagin data for n = {self.n} needs {want} residues"
                 )
             for r in self.pontryagin:
-                _require_int("a pontryagin residue", r)
-
-
-def _require_int(name: str, value) -> None:
-    """A census input is an int; a bool, a float or a string is not."""
-    if type(value) is not int:
-        raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")
+                require_int("a pontryagin residue", r)
 
 
 def euler_characteristic(q: ActionQuery) -> Fraction:

@@ -205,6 +205,8 @@ class EmbeddingSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EmbeddingSpec":
+        if not isinstance(obj, dict):
+            raise PreconditionFailed("a spec must be a JSON object")
         missing = [k for k in ("m", "branch", "a1", "a2", "b2") if k not in obj]
         if missing:
             raise PreconditionFailed(f"spec is missing {', '.join(missing)}")

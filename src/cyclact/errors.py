@@ -78,3 +78,9 @@ def value_text(value) -> str:
     if isinstance(value, str):
         return f"a {len(value)}-character string"
     return f"a {type(value).__name__}"
+
+
+def require_int(name: str, value) -> None:
+    """A scalar input is an int; a bool, a float or a string is not."""
+    if type(value) is not int:
+        raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")

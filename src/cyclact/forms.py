@@ -27,12 +27,14 @@ from .errors import (
     PreconditionFailed,
     RankTooLarge,
     ZeroVector,
+    require_int,
     value_text,
 )
 from .groupring import (
     FormParameterKind,
     GroupRingElement,
     ParameterClass,
+    _check_kind,
     _check_modulus,
     _conj_coeffs,
     _dot_coeffs,
@@ -165,6 +167,7 @@ class RingMatrix:
 
     @staticmethod
     def identity(n: int, m: int) -> "RingMatrix":
+        require_int("a matrix size", n)
         if n < 1:
             raise DimensionMismatch("matrix must be square and nonempty")
         row = (GroupRingElement.zero(m),) * n
@@ -173,13 +176,10 @@ class RingMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[RingVector]) -> "RingMatrix":
-        """Columns that are vectors of one modulus are taken as they are;
-        anything else goes through the constructor's checks."""
+        """The matrix with these columns, through the constructor's checks."""
         n = len(cols)
         if any(len(c) != n for c in cols):
             raise DimensionMismatch("need n columns of length n")
-        if n and all(isinstance(c, RingVector) and c.m == cols[0].m for c in cols):
-            return _matrix(cols[0].m, tuple(zip(*[c.coords for c in cols])))
         return RingMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
     def column(self, j: int) -> RingVector:
@@ -286,14 +286,13 @@ class QuadraticModule:
     def __post_init__(self):
         if type(self.rank) is not int or self.rank < 1:
             raise PreconditionFailed(f"rank must be a positive int, got {value_text(self.rank)}")
-        if self.eps == -1:
-            if self.kind not in (FormParameterKind.TILDE, FormParameterKind.PLUS):
-                raise PreconditionFailed("eps=-1 requires TILDE or PLUS parameter")
-        elif self.eps == 1:
-            if self.kind is not FormParameterKind.MINUS:
-                raise PreconditionFailed("eps=+1 requires MINUS parameter")
-        else:
-            raise PreconditionFailed("eps must be +1 or -1")
+        if type(self.eps) is not int or self.eps not in (1, -1):
+            raise PreconditionFailed(f"eps must be +1 or -1, got {value_text(self.eps)}")
+        _check_kind(self.kind)
+        if self.eps == -1 and self.kind is FormParameterKind.MINUS:
+            raise PreconditionFailed("eps=-1 requires TILDE or PLUS parameter")
+        if self.eps == 1 and self.kind is not FormParameterKind.MINUS:
+            raise PreconditionFailed("eps=+1 requires MINUS parameter")
         _check_modulus(self.m)
 
     @property
@@ -323,7 +322,7 @@ class QuadraticModule:
         """Build a vector from {"e1": elem, "f2": elem, ...} coefficients."""
         c = [GroupRingElement.zero(self.m)] * self.dim
         for label, val in coeffs.items():
-            block, idx = _label_index(label, self.rank)
+            block, idx = _parse_label(label, self.rank)
             c[idx if block == "e" else self.rank + idx] = val
         return RingVector(c)
 
@@ -353,8 +352,11 @@ def _gram_matrix(m: int, rank: int, eps: int) -> RingMatrix:
 
 
 def _parse_label(label: str, rank: int) -> tuple[str, int]:
-    """(letter, index - 1) of a label e<index> or f<index>, 1 <= index <= rank."""
-    if label[:1] not in ("e", "f") or not label[1:].isdecimal():
+    """(letter, index - 1) of a label e<index> or f<index>, 1 <= index <= rank.
+
+    Anything else, a label that is not a str included, raises BadIndex.
+    """
+    if not isinstance(label, str) or label[:1] not in ("e", "f") or not label[1:].isdecimal():
         raise BadIndex(f"bad basis label: {value_text(label)}")
     digits = label[1:].lstrip("0")
     # an index with more digits than rank is out of range, and int() fails
@@ -363,18 +365,6 @@ def _parse_label(label: str, rank: int) -> tuple[str, int]:
     if not 1 <= idx <= rank:
         raise BadIndex(f"a basis label index is out of range for rank {rank}")
     return label[0], idx - 1
-
-
-def _label_index(label, rank: int) -> tuple[str, int]:
-    """_parse_label, answered from _CANONICAL_LABELS when the label is there.
-
-    A table hit counts only below rank; any other label is parsed, so its
-    result or error is _parse_label's.
-    """
-    hit = _CANONICAL_LABELS.get(label) if isinstance(label, str) else None
-    if hit is not None and hit[1] < rank:
-        return hit
-    return _parse_label(label, rank)
 
 
 def _eps_conj(eps: int, c: tuple) -> tuple:
@@ -515,8 +505,8 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
         raise ModulusMismatch(f"m={parameter.m} vs module m={Q.m}")
     if len(base) != 2:
         raise BadIndex(f"base must be a pair of basis labels, got {len(base)}")
-    ub, ui = _label_index(base[0], Q.rank)
-    wb, wi = _label_index(base[1], Q.rank)
+    ub, ui = _parse_label(base[0], Q.rank)
+    wb, wi = _parse_label(base[1], Q.rank)
     if ub == wb:
         raise BadIndex("base must pair an e-label with an f-label")
     if ub == "f":
@@ -555,15 +545,8 @@ def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRing
 
 # ring_det memoizes one minor per column subset, 2^n of them at rank n.
 # In-package callers stay at rank 8 or below (certificates have rank 2r).
-# transvection's dense 2r x 2r matrix is capped at module rank r = 16 too,
-# the range of _CANONICAL_LABELS.
+# transvection's dense 2r x 2r matrix is capped at module rank r = 16 too.
 RING_DET_MAX_RANK = 16
-
-# _parse_label's result for each canonical label e1..ek, f1..fk with
-# k = RING_DET_MAX_RANK, built once; nothing is added to it later
-_CANONICAL_LABELS = {
-    f"{b}{i}": (b, i - 1) for b in "ef" for i in range(1, RING_DET_MAX_RANK + 1)
-}
 
 
 def ring_det(M: RingMatrix) -> GroupRingElement:

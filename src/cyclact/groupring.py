@@ -23,6 +23,7 @@ from .errors import (
     PreconditionFailed,
     value_text,
 )
+from . import intlattice
 from .intlattice import ZLattice, cramer_solve
 
 
@@ -361,7 +362,7 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
     if d.is_zero():
         raise NotDivisible("division by zero")
     m = x.m
-    lat = shift_lattice([d])
+    lat = ZLattice(*_shift_rows([d]))
     q = lat.express(x.coeffs)
     if q is None:
         raise NotDivisible(
@@ -369,7 +370,7 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
         )
     kernel = lat.kernel()
     if kernel:
-        q = ZLattice(kernel, m, transform=False).reduce(q)
+        q = ZLattice(kernel, m).reduce(q)
         return DivisionResult(GroupRingElement(m, q), True)
     return DivisionResult(GroupRingElement(m, q), False)
 
@@ -462,6 +463,13 @@ class ParameterClass:
         return out
 
 
+def _check_kind(kind: FormParameterKind) -> None:
+    if not isinstance(kind, FormParameterKind):
+        raise PreconditionFailed(
+            f"a form parameter kind must be a FormParameterKind, got {value_text(kind)}"
+        )
+
+
 def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass:
     """Canonical class of x modulo the form parameter, in closed form.
 
@@ -470,8 +478,10 @@ def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass
     1 <= i < m-i the coefficient c_i folds into c_(m-i). TILDE sets c_0 to
     0 and PLUS to c_0 mod 2; both take c_(m/2) mod 2 for even m, while
     MINUS leaves c_0 and c_(m/2). The result is the Hermite-reduced coset
-    representative.
+    representative. A kind that is not a FormParameterKind raises
+    PreconditionFailed.
     """
+    _check_kind(kind)
     m = x.m
     c = list(x.coeffs)
     sign = 1 if kind is FormParameterKind.MINUS else -1
@@ -559,13 +569,10 @@ class NormData:
         }
 
 
-def shift_lattice(
-    elems: Sequence[GroupRingElement], *, transform: bool = True
-) -> ZLattice:
-    """Z-lattice of the ideal generated by elems: all gen-shifts as rows.
+def _shift_rows(elems: Sequence[GroupRingElement]) -> tuple[list[tuple], int]:
+    """(rows, m): all gen-shifts of elems, which span the Z-lattice of their ideal.
 
-    With transform=False the lattice answers membership and reduction
-    only (see ZLattice). Raises Degenerate on no generators.
+    Raises Degenerate on no generators and ModulusMismatch on mixed moduli.
     """
     if not elems:
         raise Degenerate("no generators")
@@ -577,14 +584,14 @@ def shift_lattice(
         c = e.coeffs
         for j in range(m):
             rows.append(c[m - j :] + c[: m - j])
-    return ZLattice(rows, m, transform=transform)
+    return rows, m
 
 
 def ideal_express(
     elems: Sequence[GroupRingElement], target: GroupRingElement
 ) -> Optional[list[GroupRingElement]]:
     """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
-    lattice, m = shift_lattice(elems), target.m
+    lattice, m = ZLattice(*_shift_rows(elems)), target.m
     if m != lattice.ncols:
         raise ModulusMismatch(f"target m={m} vs generators m={lattice.ncols}")
     combo = lattice.express(target.coeffs)
@@ -594,9 +601,15 @@ def ideal_express(
 
 
 def ideal_contains_one(elems: Sequence[GroupRingElement]) -> bool:
-    """True iff the ideal generated by elems is the whole ring."""
-    lattice = shift_lattice(elems, transform=False)
-    return lattice.contains([1] + [0] * (lattice.ncols - 1))
+    """True iff the ideal generated by elems is the whole ring.
+
+    The ideal is shift-invariant, so it holds 1 iff its lattice is Z^m,
+    whose Hermite form is the identity: m pivots, each equal to 1. One form
+    without transform decides.
+    """
+    rows, m = _shift_rows(elems)
+    h, _, pivots = intlattice.row_hnf_transform(rows, m, transform=False)
+    return len(pivots) == m and all(h[i][i] == 1 for i in range(m))
 
 
 _NOT_WHOLE = "ideal plus the norm ideal is not the whole ring"

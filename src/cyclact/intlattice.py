@@ -85,17 +85,15 @@ class ZLattice:
     """Integer lattice spanned by the given generator rows.
 
     Precomputes the HNF once; membership, canonical reduction, coordinate
-    expression and the kernel of the generating map all read off it. With
-    transform=False the transform is not tracked: membership, reduction and
-    the basis still work, while express and kernel raise ValueError.
+    expression and the kernel of the generating map all read off it.
     """
 
     __slots__ = ("ncols", "gens", "hnf", "transform", "pivots")
 
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int, *, transform: bool = True):
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
         self.ncols = ncols
         self.gens = [list(r) for r in rows]
-        h, u, pivots = row_hnf_transform(self.gens, ncols, transform=transform)
+        h, u, pivots = row_hnf_transform(self.gens, ncols)
         self.hnf = h
         self.transform = u
         self.pivots = pivots
@@ -128,13 +126,8 @@ class ZLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self._reduce(vec)[0])
 
-    def _require_transform(self) -> None:
-        if not self.transform and self.gens:
-            raise ValueError("lattice was built without its transform")
-
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of vec on the original generator rows, or None."""
-        self._require_transform()
         rem, coeffs = self._reduce(vec)
         if any(rem):
             return None
@@ -149,7 +142,6 @@ class ZLattice:
 
     def kernel(self) -> list[list[int]]:
         """Basis of {c : sum_i c_i * gens_i = 0}, read off the transform."""
-        self._require_transform()
         return [self.transform[i][:] for i in range(self.rank, len(self.gens))]
 
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, OddModulus, PreconditionFailed, value_text
+from .errors import BadIndex, OddModulus, PreconditionFailed, require_int, value_text
 
 # Spin bordism coefficients Omega^spin_q for q = 0..8:
 # Z, Z/2, Z/2, 0, Z, 0, 0, 0, Z^2 (Milnor 1965; Anderson-Brown-Peterson).
@@ -41,13 +41,8 @@ class RingCase(enum.Enum):
     TRUNC = "TRUNC"
 
 
-def _require_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")
-
-
 def ring_case(m: int) -> RingCase:
-    _require_int("m", m)
+    require_int("m", m)
     if m % 2 == 1:
         raise OddModulus("mod-2 cohomology ring shortcut needs even m")
     return RingCase.POLY if m % 4 == 2 else RingCase.TRUNC
@@ -66,6 +61,8 @@ class CohomologyClass:
             raise PreconditionFailed("ring case does not match the modulus")
         degs = set()
         for i, j in self.terms:
+            require_int("an exponent", i)
+            require_int("an exponent", j)
             if i < 0 or j < 0:
                 raise PreconditionFailed("negative exponent")
             if self.case is RingCase.POLY and j != 0:
@@ -151,8 +148,10 @@ def parse_class(m: int, text: str) -> CohomologyClass:
 
     "" and "0" are the zero class. A leading, trailing or doubled "+"
     leaves an empty monomial, and a leading, trailing or doubled "*" an
-    empty factor; both raise BadIndex.
+    empty factor; both raise BadIndex. text must be a str.
     """
+    if not isinstance(text, str):
+        raise PreconditionFailed(f"a class must be a string, got {value_text(text)}")
     text = text.replace(" ", "")
     if text in ("0", ""):
         return CohomologyClass.zero(m)
@@ -195,7 +194,7 @@ def parse_class(m: int, text: str) -> CohomologyClass:
 def cohomology_basis(m: int, degree: int) -> list[CohomologyClass]:
     """Monomial basis of H^degree(K(Z/m,1); Z/2) for even m."""
     case = ring_case(m)
-    _require_int("degree", degree)
+    require_int("degree", degree)
     if degree < 0:
         raise PreconditionFailed("degree must be nonnegative")
     if case is RingCase.POLY:
@@ -213,7 +212,7 @@ def steenrod_square(k: int, c: CohomologyClass) -> CohomologyClass:
     formula gives Sq^k x^i = C(i, k) x^(i+k), and by Lucas's theorem C(n, k)
     is odd iff the bits of k lie within those of n.
     """
-    _require_int("k", k)
+    require_int("k", k)
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
     out = CohomologyClass.zero(c.m)
@@ -236,7 +235,7 @@ def w2_class(m: int) -> CohomologyClass:
 
 def d2_rank(m: int, p: int, twisted: bool = False) -> int:
     """Rank over Z/2 of Sq^2 (+ w2 cup when twisted): H^{p-2} -> H^p."""
-    _require_int("p", p)
+    require_int("p", p)
     if p < 2:
         raise PreconditionFailed("p must be at least 2")
     ring_case(m)  # raises OddModulus for odd m
@@ -332,7 +331,7 @@ def e2_page(m: int, twisted: bool = False) -> SpectralPage:
     recorded. For odd m the twisting class is trivial, so twisted input
     is accepted and coincides with the untwisted page.
     """
-    _require_int("m", m)
+    require_int("m", m)
     if m < 2:
         raise PreconditionFailed("m must be at least 2")
     entries = {}

@@ -65,6 +65,14 @@ def test_bound_table():
         c_of_n(10)
 
 
+def test_bound_table_names_an_n_that_is_not_an_int():
+    # c_of_n("4") named "n = 4" as out of the table; c_of_n([4]) raised a
+    # bare TypeError
+    for n, named in (("4", "a 1-character string"), ([4], "a list"), (4.0, "a float"), (True, "a bool")):
+        with pytest.raises(PreconditionFailed, match=f"^n must be an int, got {named}$"):
+            c_of_n(n)
+
+
 def test_euler_characteristic_values():
     assert euler_characteristic(q(3, 3, 4)) == Fraction(-2)
     assert euler_characteristic(q(2, 5, 4)) == Fraction(2)

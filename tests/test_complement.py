@@ -552,7 +552,7 @@ def _kernel_specs(branch, m, rng, count):
         for j in range(m):
             gj = GroupRingElement.gen(m, j)
             rows.append((a2 * gj.conj() - a2.conj() * gj).coeffs)
-        ker = ZLattice(ZLattice(rows, m).kernel(), m, transform=False).basis()
+        ker = ZLattice(ZLattice(rows, m).kernel(), m).basis()
         b2 = el(m)
         for row in ker:
             b2 = b2 + rng.randint(-2, 2) * el(m, *row)
@@ -961,6 +961,14 @@ def test_spec_with_a_modulus_past_the_digit_limit_is_a_precondition_failure():
     for m in (10**5000, -(10**5000)):
         with pytest.raises(PreconditionFailed, match="16610-bit"):
             EmbeddingSpec.from_json(dict(spec, m=m))
+
+
+def test_spec_from_json_names_an_object_that_is_not_a_dict():
+    # 5 and None raised a bare TypeError; a string holding every key passed
+    # the key check and then raised one too
+    for obj in (5, None, "m branch a1 a2 b2", ["m", "branch", "a1", "a2", "b2"]):
+        with pytest.raises(PreconditionFailed, match="^a spec must be a JSON object$"):
+            EmbeddingSpec.from_json(obj)
 
 
 def _traces_with_every_step():

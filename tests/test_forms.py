@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import pickle
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,6 @@ from cyclact.errors import (
 from cyclact.forms import (
     _gram_and_mu,
     _gram_matrix,
-    _label_index,
     _parse_label,
     QuadraticModule,
     RingMatrix,
@@ -105,19 +103,53 @@ def test_basis_vectors_and_labels():
         Q.vector({"e3": el(3, 1)})
     with pytest.raises(BadIndex):
         Q.vector({"x1": el(3, 1)})
-    # e1..e16 and f1..f16 come from a table and any other label is parsed:
-    # both routes give the same index or raise the same error
-    labels = ["e1", "f2", "e16", "f17", "e01", "f002", "e0", "g1", "e", "E1", "e1 ",
-              "e" + "9" * 5000, ["e1"]]
+    # each label with the index it names, or None where no rank takes it
+    labels = [("e1", 1), ("f2", 2), ("e16", 16), ("f17", 17), ("e01", 1), ("f002", 2),
+              ("e0", None), ("g1", None), ("e", None), ("E1", None), ("e1 ", None),
+              ("e" + "9" * 5000, None), (["e1"], None), (1, None), (None, None)]
     for rank in (1, 2, 16, 17):
-        for label in labels:
-            try:
-                want = _parse_label(label, rank)
-            except BadIndex as exc:
-                with pytest.raises(BadIndex, match=f"^{re.escape(str(exc))}$"):
-                    _label_index(label, rank)
+        for label, index in labels:
+            if index is not None and index <= rank:
+                assert _parse_label(label, rank) == (label[0], index - 1)
             else:
-                assert _label_index(label, rank) == want
+                with pytest.raises(BadIndex):
+                    _parse_label(label, rank)
+
+
+def test_a_label_that_is_not_a_str_is_a_bad_index():
+    # (1, "f2") and {1: x} raised a bare TypeError from slicing the int
+    Q, x = tilde(3), el(3, 1)
+    for call in (
+        lambda: transvection(Q, (1, "f2"), x),
+        lambda: transvection(Q, ("e1", None), x),
+        lambda: Q.vector({1: x}),
+    ):
+        with pytest.raises(BadIndex, match="^bad basis label: "):
+            call()
+
+
+def test_module_names_an_eps_or_kind_of_the_wrong_type():
+    # eps True and -1.0 equal +-1 and constructed, and -1.0 then failed in
+    # gram_matrix; a str kind got the pairing message
+    for eps, kind, named in (
+        (True, FormParameterKind.MINUS, "a bool"),
+        (-1.0, FormParameterKind.TILDE, "a float"),
+        ("-1", FormParameterKind.TILDE, "a 2-character string"),
+        (0, FormParameterKind.TILDE, "0"),
+    ):
+        with pytest.raises(PreconditionFailed, match=f"^eps must be \\+1 or -1, got {named}$"):
+            QuadraticModule(3, 1, eps, kind)
+    for eps, kind, named in ((-1, "TILDE", "a 5-character string"), (1, None, "a NoneType")):
+        with pytest.raises(
+            PreconditionFailed, match=f"^a form parameter kind must be a FormParameterKind, got {named}$"
+        ):
+            QuadraticModule(3, 1, eps, kind)
+
+
+def test_identity_names_a_size_that_is_not_an_int():
+    for n, named in ((2.0, "a float"), ("2", "a 1-character string"), (True, "a bool")):
+        with pytest.raises(PreconditionFailed, match=f"^a matrix size must be an int, got {named}$"):
+            RingMatrix.identity(n, 3)
 
 
 def test_lambda_on_basis_pairs():

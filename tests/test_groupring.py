@@ -154,6 +154,27 @@ def test_ideal_contains_one_examples():
     assert not ideal_contains_one([el(m, 1, -1)])
 
 
+def test_ideal_contains_one_reads_the_identity_off_the_hermite_oracle():
+    # the ideal is the whole ring iff its lattice's canonical basis is the
+    # identity; random ideals, some made proper by a common factor
+    rng = random.Random(41)
+    seen = set()
+    for m in range(2, 14):
+        identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        for count in (2, 3):
+            for draw in range(12):
+                gens = [el(m, *(rng.randint(-2, 2) for _ in range(m))) for _ in range(count)]
+                if draw % 3 == 0:
+                    factor = rng.choice([el(m, 2), el(m, 1, -1), GroupRingElement.norm(m)])
+                    gens = [factor * g for g in gens]
+                if all(g.is_zero() for g in gens):
+                    continue
+                want = ideal_hnf(m, [g.coeffs for g in gens]) == identity
+                assert ideal_contains_one(gens) is want, (m, gens)
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def test_ideal_normalize_anchor_m5():
     # ideal (2, 1 - g) at m = 5
     m = 5
@@ -761,6 +782,16 @@ def test_parameter_classes_add_only_to_classes_of_their_kind():
         tilde + 1
     with pytest.raises(TypeError):
         1 + tilde
+
+
+def test_param_reduce_names_a_kind_that_is_not_a_form_parameter_kind():
+    # a str kind used to fall through to the PLUS rule: the TILDE class of 1
+    # is 0, yet "TILDE" gave rep 1
+    one = GroupRingElement.one(3)
+    for kind, named in (("TILDE", "a 5-character string"), (None, "a NoneType"), (0, "0")):
+        with pytest.raises(PreconditionFailed, match=f"^a form parameter kind must be a FormParameterKind, got {named}$"):
+            param_reduce(one, kind)
+    assert param_reduce(one, FormParameterKind.TILDE).is_zero()
 
 
 def test_norm_data_verify_answers_false_on_malformed_fields():

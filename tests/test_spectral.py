@@ -126,6 +126,17 @@ def test_the_ring_names_a_modulus_or_degree_that_is_not_an_int(value, named):
             call()
 
 
+def test_a_class_names_an_exponent_or_text_of_the_wrong_type():
+    # monomial(4, 1, 1.5) printed as x*y^1.5, monomial(4, True, 0) gave x,
+    # and parse_class(4, 5) raised a bare AttributeError
+    for i, j, named in ((1, 1.5, "a float"), (True, 0, "a bool"), (0, "1", "a 1-character string")):
+        with pytest.raises(PreconditionFailed, match=f"^an exponent must be an int, got {named}$"):
+            CohomologyClass.monomial(4, i, j)
+    for text, named in ((5, "5"), (None, "a NoneType"), (["x"], "a list")):
+        with pytest.raises(PreconditionFailed, match=f"^a class must be a string, got {named}$"):
+            parse_class(4, text)
+
+
 def test_cohomology_basis_is_one_monomial_per_degree():
     assert cohomology_basis(2, 5) == [CohomologyClass.monomial(2, 5, 0)]
     assert cohomology_basis(4, 4) == [CohomologyClass.monomial(4, 0, 2)]
