@@ -13,8 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, mul, neg, sub
-from typing import NamedTuple, Optional, Sequence
+from operator import add, itemgetter, mul, neg, sub
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     Degenerate,
@@ -197,6 +197,11 @@ class GroupRingElement:
         return GroupRingElement(obj["m"], obj["coeffs"])
 
 
+def _require_element(x) -> None:
+    if not isinstance(x, GroupRingElement):
+        raise PreconditionFailed(f"an element must be a GroupRingElement, got {value_text(x)}")
+
+
 def _check_modulus(m: int) -> None:
     if type(m) is not int or m < 2:
         raise PreconditionFailed(
@@ -356,8 +361,11 @@ def exact_divide(x: GroupRingElement, d: GroupRingElement) -> DivisionResult:
     Hermite normal form. When d is a zero divisor and several q work, the
     returned quotient is the canonical representative of the solution coset
     (coordinates Hermite-reduced against the annihilator lattice) and the
-    ambiguity flag is set.
+    ambiguity flag is set. Operands that are not elements raise
+    PreconditionFailed.
     """
+    _require_element(x)
+    _require_element(d)
     x._require_same(d)
     if d.is_zero():
         raise NotDivisible("division by zero")
@@ -393,15 +401,17 @@ def trivial_unit_inverse(x: GroupRingElement) -> Optional[GroupRingElement]:
 
 
 def is_unit(x: GroupRingElement) -> UnitCheck:
-    """Unit test by one fraction-free solve, after two screens.
+    """Unit test by one adjugate, after two screens.
 
     A trivial unit +-gen^k is answered directly with its inverse
     +-gen^(-k) (trivial_unit_inverse). Augmentation is a ring map onto Z,
     so a unit has augmentation +-1 and anything else is rejected at once.
-    Otherwise one fraction-free solve (_adjugate) gives x*y = d with
-    d = det mult(x); x is a unit iff d = +-1, and then d*y is its inverse.
-    A singular matrix means x is a zero divisor, so no unit.
+    Otherwise _adjugate's walk down the cyclotomic tower gives x*y = d with
+    d = det mult(x), the norm of x; x is a unit iff d = +-1, and then d*y
+    is its inverse. d = 0 means x is a zero divisor, so no unit. An x that
+    is not an element raises PreconditionFailed.
     """
+    _require_element(x)
     inverse = trivial_unit_inverse(x)
     if inverse is not None:
         return UnitCheck(True, inverse)
@@ -416,18 +426,151 @@ def is_unit(x: GroupRingElement) -> UnitCheck:
 def _adjugate(c: tuple) -> tuple[int, Optional[tuple]]:
     """(d, y) with c*y = d = det mult(c), or (0, None) for a zero divisor c.
 
-    One fraction-free solve, cramer_solve on c's circulant (mult_matrix)
-    with right-hand side e_0, gives adj(mult(c))*e_0, the coefficients of
-    y. As mult(c)*mult(y) = d*I, mult(y) is the whole adjugate, so
-    adj(mult(c))*w is the product y*w for every w. A singular circulant
-    means c is a zero divisor.
+    mult(c)'s eigenvalues are c(w) over the m-th roots of unity w, so d is
+    the norm prod_w c(w); a zero divisor, and only one, has d = 0. When
+    d != 0, y = d*c^-1 is the product of c's other conjugates, the one
+    element with c*y = d; as mult(c)*mult(y) = d*I, mult(y) is
+    adj(mult(c)). Both come from a walk down the tower of _tower(m), each
+    level a ring automorphism of Z[Z/m] and a few ring products:
+
+    - m = 2n. tau(t) = -t is an automorphism. w = c*tau(c) is tau-invariant,
+      so it lies in Z[t^2] = Z[Z/n]: with c = E(t^2) + t*O(t^2),
+      w = E^2 - t^2*O^2. Its conjugates pair those of c at w and -w, so
+      det_m(c) = det_n(w), and y = tau(c)*w#(t^2), whose even and odd
+      coefficients are E*w# and -O*w#.
+    - m = p*n with p an odd prime prime to n. Z[Z/m] = R[h]/(h^p - 1) with
+      R = Z[t^p] = Z[Z/n] and h = t^n. sigma: t -> t^K, K = g mod p for a
+      primitive root g and K = 1 mod n, fixes R and sends h to h^g, so
+      z = sigma(c)*...*sigma^(p-2)(c) (a doubling chain) gives w = c*z,
+      the norm of c down to R[h]^sigma. w is sigma-invariant, so its
+      coefficients w_j on h^j (in R) agree for j != 0, and
+      w = N - k*s_h with N = w_0 - w_1, k = -w_1 and s_h = 1 + h + ... +
+      h^(p-1). Setting h = 1 gives a^(p-1) = N + p*w_1 for the coset sums
+      a of c over <h>, so k = (N - a^(p-1))/p. As c*s_h = a*s_h,
+      c*(a*z + k*s_h) = a*N, whose conjugates over R are c's: det_m(c) =
+      det_n(a*N), and y = (a*z + k*s_h)*(a*N)#. At n = 1 all of R's
+      arithmetic is on ints.
+    - The remainder, an odd m >= 9 whose every prime is repeated (9, 25,
+      27, 49, ...), takes one fraction-free solve: cramer_solve on the
+      circulant with right-hand side e_0 gives adj(mult(c))*e_0 = y. At
+      m = 1, d = c_0 and y = 1.
+
+    At any level, a zero divisor below means one above: (0, None).
     """
     m = len(c)
-    try:
-        d, y = cramer_solve(mult_matrix(_trusted(m, c)), (1,) + (0,) * (m - 1))
-    except ValueError:
+    if m == 1:
+        return (c[0], (1,)) if c[0] else (0, None)
+    step = _tower(m)
+    if step is None:
+        try:
+            d, y = cramer_solve(mult_matrix(_trusted(m, c)), (1,) + (0,) * (m - 1))
+        except ValueError:
+            return 0, None
+        return d, tuple(y)
+    n = step.n
+    if step.p == 2:
+        e, o = c[0::2], c[1::2]
+        if n == 1:
+            d = e[0] * e[0] - o[0] * o[0]
+            return (d, (e[0], -o[0])) if d else (0, None)
+        neg_o = tuple(map(neg, o))
+        d, w_adj = _adjugate(_dot_coeffs(n, ((e, e), (neg_o[-1:] + neg_o[:-1], o))))
+        if w_adj is None:
+            return 0, None
+        y = [0] * m
+        y[0::2] = _dot_coeffs(n, ((e, w_adj),))
+        y[1::2] = _dot_coeffs(n, ((neg_o, w_adj),))
+        return d, tuple(y)
+    sigma, cosets = step.sigma, step.cosets
+    s1 = z = sigma(c)
+    for power in step.chain:
+        z = _dot_coeffs(m, ((s1, sigma(z)),) if power is None else ((z, power(z)),))
+    if n == 1:
+        zc = _conj_coeffs(z)
+        a, w0, w1 = sum(c), sum(map(mul, c, zc)), sum(map(mul, c, zc[-1:] + zc[:-1]))
+        d = a * (w0 - w1)
+        return (d, tuple([a * x - w1 for x in z])) if d else (0, None)
+    a = tuple([sum(c[r::n]) for r in range(n)])
+    w = _dot_coeffs(m, ((c, z),))
+    w1 = tuple([w[(i + n) % m] for i in cosets])
+    norm = tuple([w[i] - x for i, x in zip(cosets, w1)])
+    d, r_adj = _adjugate(_dot_coeffs(n, ((a, norm),)))
+    if r_adj is None:
         return 0, None
-    return d, tuple(y)
+    ar = [0] * m
+    for i, x in zip(cosets, _dot_coeffs(n, ((a, r_adj),))):
+        ar[i] = x
+    spread = _dot_coeffs(n, ((w1, r_adj),)) * step.p  # -c*s_h*r#, as c = -w1
+    return d, tuple(map(sub, _dot_coeffs(m, ((tuple(ar), z),)), spread))
+
+
+class _Split(NamedTuple):
+    """One level of _adjugate's tower at modulus m = p*n, p prime to n or p = 2.
+
+    For an odd p: sigma(x) permutes x's coefficients as t -> t^K does;
+    chain holds, for each step of the doubling chain that builds
+    sigma(c)*...*sigma^(p-2)(c) from sigma(c), the permutation of sigma^k
+    for a doubling z -> z*sigma^k(z), or None for an increment
+    z -> sigma(c)*sigma(z); cosets[r] is the exponent that is r mod n and
+    0 mod p, the image of R's generator power r. For p = 2 the other
+    fields are empty.
+    """
+
+    p: int
+    n: int
+    sigma: Optional[Callable] = None
+    chain: tuple = ()
+    cosets: tuple = ()
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _tower(m: int) -> Optional[_Split]:
+    """_adjugate's step at modulus m: halve an even m, else split off the
+    least odd prime p with p || m; None for the remainder, where no such p
+    is. A bad m raises, and nothing is cached.
+    """
+    _check_modulus(m)
+    if m % 2 == 0:
+        return _Split(2, m // 2)
+    exact = [q for q, e in _factor(m).items() if e == 1]
+    if not exact:
+        return None
+    p = min(exact)
+    n = m // p
+    roots = _factor(p - 1)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in roots))
+    k = 1 + n * ((g - 1) * pow(n, -1, p) % p)
+    k_inv = pow(k, -1, m)
+
+    def permutation(power: int) -> Callable:
+        # sigma^power(x)_i = x_(i * K^-power)
+        stride = pow(k_inv, power, m)
+        return itemgetter(*[i * stride % m for i in range(m)])
+
+    chain, power = [], 1
+    for bit in bin(p - 2)[3:]:
+        chain.append(permutation(power))
+        power *= 2
+        if bit == "1":
+            chain.append(None)
+            power += 1
+    p_inv = pow(p, -1, n)
+    cosets = tuple([r * p * p_inv % m for r in range(n)])
+    return _Split(p, n, permutation(1), tuple(chain), cosets)
+
+
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of an int n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            n //= q
+            out[q] = out.get(q, 0) + 1
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 class FormParameterKind(enum.Enum):
@@ -572,10 +715,13 @@ class NormData:
 def _shift_rows(elems: Sequence[GroupRingElement]) -> tuple[list[tuple], int]:
     """(rows, m): all gen-shifts of elems, which span the Z-lattice of their ideal.
 
-    Raises Degenerate on no generators and ModulusMismatch on mixed moduli.
+    Raises Degenerate on no generators, PreconditionFailed on one that is
+    not an element and ModulusMismatch on mixed moduli.
     """
     if not elems:
         raise Degenerate("no generators")
+    for e in elems:
+        _require_element(e)
     m = elems[0].m
     rows = []
     for e in elems:
@@ -591,6 +737,7 @@ def ideal_express(
     elems: Sequence[GroupRingElement], target: GroupRingElement
 ) -> Optional[list[GroupRingElement]]:
     """Ring coefficients r_i with sum r_i * elems[i] = target, or None."""
+    _require_element(target)
     lattice, m = ZLattice(*_shift_rows(elems)), target.m
     if m != lattice.ncols:
         raise ModulusMismatch(f"target m={m} vs generators m={lattice.ncols}")
@@ -646,6 +793,8 @@ def _normalize(
     """
     if not generators:
         raise Degenerate("no generators")
+    for gx in generators:
+        _require_element(gx)
     m = generators[0].m
     if all(gx.is_zero() for gx in generators):
         raise Degenerate("all generators are zero")
@@ -692,7 +841,9 @@ def _reduced_bezout_pair(
     stays above 1 does one Hermite form with transform (ideal_express)
     decide, and None means the ideal is proper. The trivial-unit start is a
     shortcut: det mult(+-gen^k) = +-1, so the fold reaches gcd 1 there too,
-    after one or two more fraction-free solves.
+    after one or two more adjugates. Each (det mult(y), y#) is one
+    _adjugate: ring products down the cyclotomic tower, and an elimination
+    only on a repeated-prime remainder of m's odd part.
 
     The round-off: every Bezout pair is (p, q) - beta*(x2, -x1) for a beta
     in Lambda, since b1*x1 + b2*x2 = 0 gives b1 = x2*t and b2 = -x1*t with

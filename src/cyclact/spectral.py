@@ -59,8 +59,15 @@ class CohomologyClass:
     def __post_init__(self):
         if ring_case(self.m) is not self.case:
             raise PreconditionFailed("ring case does not match the modulus")
+        if not isinstance(self.terms, frozenset):
+            raise PreconditionFailed(f"terms must be a frozenset, got {value_text(self.terms)}")
         degs = set()
-        for i, j in self.terms:
+        for term in self.terms:
+            if type(term) is not tuple or len(term) != 2:
+                raise PreconditionFailed(
+                    f"a term must be a pair of exponents, got {value_text(term)}"
+                )
+            i, j = term
             require_int("an exponent", i)
             require_int("an exponent", j)
             if i < 0 or j < 0:
@@ -215,6 +222,8 @@ def steenrod_square(k: int, c: CohomologyClass) -> CohomologyClass:
     require_int("k", k)
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
+    if not isinstance(c, CohomologyClass):
+        raise PreconditionFailed(f"a class must be a CohomologyClass, got {value_text(c)}")
     out = CohomologyClass.zero(c.m)
     for i, j in c.terms:
         if c.case is RingCase.POLY:

@@ -71,6 +71,26 @@ def poly_mul_fold(m, a, b):
     return tuple(out)
 
 
+def cyclotomic(d):
+    """Coefficients of the cyclotomic polynomial Phi_d, lowest degree first.
+
+    t^d - 1 divided, by schoolbook long division, by Phi_e for each proper
+    divisor e of d.
+    """
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            den = cyclotomic(e)
+            q = [0] * (len(num) - len(den) + 1)
+            for i in range(len(q) - 1, -1, -1):
+                q[i] = num[i + len(den) - 1]
+                for j, b in enumerate(den):
+                    num[i + j] -= q[i] * b
+            assert not any(num[: len(den) - 1])
+            num = q
+    return num
+
+
 def conj_coeffs(m, a):
     """Involution on coefficient vectors: index i goes to (m - i) mod m."""
     out = [0] * m

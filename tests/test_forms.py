@@ -46,6 +46,7 @@ from cyclact.groupring import (
     GroupRingElement,
     NormData,
     _norm_data,
+    _tower,
     param_reduce,
 )
 
@@ -650,6 +651,7 @@ def test_cached_constants_reject_a_bad_modulus_every_time_and_cache_nothing(m):
         (_branch_module, (2, Branch.EVEN_M_SKEW), (m, Branch.EVEN_M_SKEW)),
         (_shear_step, (2, Branch.EVEN_M_SKEW, "shear-T"), (m, Branch.EVEN_M_SKEW, "shear-T")),
         (_norm_data, (2, 1), (m, 1)),
+        (_tower, (2,), (m,)),
     ]
     for helper, good, bad in calls:
         helper(*good)

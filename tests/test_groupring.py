@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclact import groupring
 from cyclact.errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
 from cyclact.groupring import (
     STRAIGHT_MAX_M,
@@ -32,9 +33,9 @@ from cyclact.groupring import (
     param_reduce,
     ring_mul,
 )
-from cyclact.intlattice import det_int
+from cyclact.intlattice import cramer_solve, det_int
 
-from oracles import conj_coeffs, ideal_hnf, naive_hnf, naive_reduce, poly_mul_fold
+from oracles import conj_coeffs, cyclotomic, ideal_hnf, naive_hnf, naive_reduce, poly_mul_fold
 
 
 def el(m, *coeffs):
@@ -819,10 +820,26 @@ def test_elements_copy_and_pickle_through_the_constructor():
         assert x.__reduce__() == (GroupRingElement, (x.m, x.coeffs))
 
 
+def _zero_divisor_multiples(rng, m):
+    """One multiple Phi_d * r, folded into Z[Z/m], for each d | m."""
+    for d in range(1, m + 1):
+        if m % d == 0:
+            phi = [0] * m
+            for i, a in enumerate(cyclotomic(d)):
+                phi[i % m] += a
+            yield d, poly_mul_fold(m, phi, _rand(rng, m).coeffs)
+
+
+# the even-m halving (2, 4, 8, 16, 32), the odd-prime split (3, 5, 7, 11, 13,
+# 15, 21, 35), the repeated-prime remainder (9, 25, 27) and their mixes, such
+# as 18 -> 9, 45 -> 9, 50 -> 25 and 100 -> 50 -> 25
+ADJUGATE_MODULI = list(range(2, 41)) + [45, 50, 63, 100]
+
+
 def test_the_adjugate_is_the_determinant_over_the_element():
     rng = random.Random(2704)
-    for m in range(2, 14):
-        for _ in range(6):
+    for m in ADJUGATE_MODULI:
+        for _ in range(4 if m <= 40 else 1):
             c = _rand(rng, m).coeffs
             d, y = _adjugate(c)
             assert d == det_int(mult_matrix(GroupRingElement(m, c)))
@@ -835,3 +852,71 @@ def test_the_adjugate_is_the_determinant_over_the_element():
         assert _adjugate((GroupRingElement.one(m) - GroupRingElement.gen(m)).coeffs) == (0, None)
         d, y = _adjugate(GroupRingElement.gen(m, 1).coeffs)
         assert d in (1, -1) and GroupRingElement(m, y) == d * GroupRingElement.gen(m, -1)
+        # Phi_d vanishes at the primitive d-th roots of unity, so every
+        # multiple of it is a zero divisor
+        for d, c in _zero_divisor_multiples(rng, m):
+            assert _adjugate(c) == (0, None), (m, d)
+    # coefficients near 2^90 take the same walk
+    for m in (6, 7, 12, 45):
+        c = tuple(2**90 + rng.randint(-(2**40), 2**40) * k for k in range(m))
+        d, y = _adjugate(c)
+        assert d == det_int(mult_matrix(GroupRingElement(m, c))) != 0
+        assert poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
+
+
+def test_the_adjugate_eliminates_only_on_the_repeated_prime_remainder(monkeypatch):
+    # every modulus whose odd part is squarefree walks the tower down to
+    # m = 1 with ring products alone
+    def no_elimination(mat, rhs):
+        raise AssertionError(f"a {len(mat)} x {len(mat)} elimination ran")
+
+    monkeypatch.setattr(groupring, "cramer_solve", no_elimination)
+    rng = random.Random(30)
+    for m in [2, 3, 4, 5, 6, 7, 8, 10, 12, 21, 30, 201]:
+        for _ in range(3):
+            c = _rand(rng, m).coeffs
+            d, y = _adjugate(c)
+            if m <= 30:
+                assert d == det_int(mult_matrix(GroupRingElement(m, c)))
+            assert (y is None) if d == 0 else poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
+        for _, c in _zero_divisor_multiples(rng, m):
+            assert _adjugate(c) == (0, None)
+    # the remainder is the odd part's repeated primes, at the bottom of the
+    # walk: 100 -> 50 -> 25 ends on one 25 x 25 elimination
+    sizes = []
+    monkeypatch.setattr(
+        groupring, "cramer_solve", lambda mat, rhs: sizes.append(len(mat)) or cramer_solve(mat, rhs)
+    )
+    for m, size in ((9, 9), (18, 9), (45, 9), (50, 25), (63, 9), (100, 25)):
+        sizes.clear()
+        c = _rand(rng, m).coeffs
+        d, y = _adjugate(c)
+        assert sizes == [size], m
+        assert (y is None) if d == 0 else poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ideal_contains_one([GroupRingElement.one(3), 5]),
+        lambda: ideal_normalize([5]),
+        lambda: ideal_express([5], GroupRingElement.one(3)),
+        lambda: ideal_express([GroupRingElement.one(3)], 5),
+        lambda: is_unit(5),
+        lambda: exact_divide(GroupRingElement.one(3), 2),
+        lambda: exact_divide(5, GroupRingElement.one(3)),
+    ],
+    ids=[
+        "ideal_contains_one",
+        "ideal_normalize",
+        "ideal_express-generator",
+        "ideal_express-target",
+        "is_unit",
+        "exact_divide-divisor",
+        "exact_divide-dividend",
+    ],
+)
+def test_ideal_and_unit_functions_name_an_argument_that_is_not_an_element(call):
+    # each raised a bare AttributeError reading .m or .coeffs
+    with pytest.raises(PreconditionFailed, match="^an element must be a GroupRingElement, got [25]$"):
+        call()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import pytest
@@ -135,6 +136,22 @@ def test_a_class_names_an_exponent_or_text_of_the_wrong_type():
     for text, named in ((5, "5"), (None, "a NoneType"), (["x"], "a list")):
         with pytest.raises(PreconditionFailed, match=f"^a class must be a string, got {named}$"):
             parse_class(4, text)
+
+
+def test_a_class_names_terms_and_operands_of_the_wrong_shape():
+    # a term that is not a pair raised a bare TypeError from unpacking, and
+    # steenrod_square(1, 5) a bare AttributeError
+    for terms, message in (
+        (frozenset([1]), "a term must be a pair of exponents, got 1"),
+        (frozenset([(0, 1, 2)]), "a term must be a pair of exponents, got a tuple"),
+        (frozenset(["xy"]), "a term must be a pair of exponents, got a 2-character string"),
+        ([(0, 1)], "terms must be a frozenset, got a list"),
+    ):
+        with pytest.raises(PreconditionFailed, match=f"^{re.escape(message)}$"):
+            CohomologyClass(4, RingCase.TRUNC, terms)
+    for c in (5, None, "x"):
+        with pytest.raises(PreconditionFailed, match="^a class must be a CohomologyClass, got "):
+            steenrod_square(1, c)
 
 
 def test_cohomology_basis_is_one_monomial_per_degree():
