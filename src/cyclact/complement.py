@@ -16,7 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, neg, sub
 from typing import ClassVar, Optional, Sequence
 
 from .errors import (
@@ -34,14 +34,15 @@ from .forms import (
     RingMatrix,
     RingVector,
     _coeffs,
+    _coeff_rows,
     _coords,
     _eps_conj,
+    _inverse_coeffs,
     _lift_coeffs,
     _matrix,
-    _mu_class,
     _vector,
+    _wrap_rows,
     isometry_check,
-    isometry_inverse,
     transvection,
     verify_lagrangian_complement,
 )
@@ -50,6 +51,7 @@ from .groupring import (
     GroupRingElement,
     NormData,
     _check_modulus,
+    _class_coeffs,
     _conj_coeffs,
     _dot_coeffs,
     _normalize,
@@ -87,7 +89,7 @@ _SKEW_NOT_UNIT = "a2, b2 and the norm element must generate the unit ideal"
 
 def _skew_normalize(
     a2: GroupRingElement, b2: GroupRingElement
-) -> tuple[NormData, list[GroupRingElement]]:
+) -> tuple[NormData, list[tuple]]:
     """_normalize of (a2, b2), every failure reported as _SKEW_NOT_UNIT.
 
     (a2, b2) + (s) = Lambda, the skew branches' unit-ideal test, holds iff
@@ -113,6 +115,12 @@ def _branch_module(m: int, branch: Branch) -> QuadraticModule:
     """The branch's rank-2 module, built once; a bad modulus raises and caches nothing."""
     eps, kind = _BRANCH_FORM[branch]
     return QuadraticModule(m, 2, eps, kind)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _block_module(m: int, eps: int, kind: FormParameterKind) -> QuadraticModule:
+    """The rank-1 module of the transport's (e2, f2) block, built once; a bad argument raises and caches nothing."""
+    return QuadraticModule(m, 1, eps, kind)
 
 
 @dataclass(frozen=True)
@@ -154,14 +162,14 @@ class EmbeddingSpec:
         Q, v1, v2, _ = self._check_before_ideal()
         if self.branch is not Branch.EVEN_N_SYM:
             _, quotients = _skew_normalize(self.a2, self.b2)
-            if not ideal_contains_one(quotients):
+            if not ideal_contains_one([_trusted(self.m, q) for q in quotients]):
                 raise PreconditionFailed(_SKEW_NOT_UNIT)
         return Q, v1, v2
 
     def _check_before_ideal(
         self,
-    ) -> tuple[QuadraticModule, RingVector, RingVector, Optional[GroupRingElement]]:
-        """validate, up to the skew branches' unit-ideal test, and P = a2*conj(b2) if skew.
+    ) -> tuple[QuadraticModule, RingVector, RingVector, Optional[tuple]]:
+        """validate, up to the skew branches' unit-ideal test, and P = a2*conj(b2) as a tuple if skew.
 
         The skew solver answers that test, in validate's order and with its
         message, from the search for its Bezout pair (_reduced_bezout_pair).
@@ -189,8 +197,8 @@ class EmbeddingSpec:
                     "a2, b2 and 1-g must generate the unit ideal"
                 )
             return Q, v1, v2, None
-        P = self.a2 * self.b2.conj()
-        if P.conj() != P:
+        P = _dot_coeffs(self.m, ((self.a2.coeffs, _conj_coeffs(self.b2.coeffs)),))
+        if _conj_coeffs(P) != P:
             raise PreconditionFailed("lambda(v2, v2) must vanish")
         return Q, v1, v2, P
 
@@ -277,9 +285,9 @@ class TraceStep:
 
 
 def _block_step(name: str, m: int, block: tuple) -> TraceStep:
-    """The step acting on H^2's (e2, f2) coordinates by a 2x2 block of rows of modulus m."""
+    """The step acting on H^2's (e2, f2) coordinates by a 2x2 block of coefficient-tuple rows of modulus m."""
     step = object.__new__(TraceStep)
-    rows = ((i, zip((1, 3), map(_coeffs, r))) for i, r in zip((1, 3), block))
+    rows = ((i, zip((1, 3), r)) for i, r in zip((1, 3), block))
     step.__dict__.update(name=name, m=m, dim=4, live=_live_rows(m, rows))
     return step
 
@@ -370,7 +378,7 @@ def _transport_target(
     c_(m/2), so one c per parity pattern reaches every class any shear
     reaches. The transport calls this once y has passed every check.
     """
-    Q = QuadraticModule(m, 1, eps, kind)
+    Q = _block_module(m, eps, kind)
     yp = _completion(m, eps, y, *pair)
     one = GroupRingElement.one(m).coeffs
     shears = [GroupRingElement.zero(m).coeffs]
@@ -382,7 +390,7 @@ def _transport_target(
     table = []
     for c in shears:
         yc = tuple(_plus(m, w, c, v) for w, v in zip(yp, y))
-        table.append((yc, _mu_class(Q, _lift_coeffs(Q, yc))))
+        table.append((yc, _class_coeffs(m, kind, _lift_coeffs(Q, yc))))
     return tuple(table)
 
 
@@ -410,9 +418,10 @@ def rank2_vector_isometry(
     lift, entry of M and coordinate of M * x is one sum of products, one
     call of the fused kernel, as is the product in each coordinate of a
     completion or shear. lambda(x, x) and mu(x) both come from x's mu
-    lift L, as lambda(x, x) = L + eps * conj(L). Every check runs on each
-    call, y's included; the completions and classes of the sheared y'
-    come from _transport_target, built once per target and Bezout pair.
+    lift L, as lambda(x, x) = L + eps * conj(L), and classes are compared
+    as tuples (_class_coeffs). Every check runs on each call, y's included;
+    the completions and classes of the sheared y' come from
+    _transport_target, built once per target and Bezout pair.
     """
     if Q.rank != 1:
         raise DimensionMismatch("vector transport is defined on rank-1 blocks")
@@ -422,7 +431,7 @@ def rank2_vector_isometry(
         _bezout_coeffs(Q, "source", source_pair),
         _bezout_coeffs(Q, "target", target_pair),
     )
-    m, eps = Q.m, Q.eps
+    m, eps, kind = Q.m, Q.eps, Q.kind
     one = GroupRingElement.one(m).coeffs
     x, y = _coords(source), _coords(target)
     for name, (x1, x2), (p, q) in zip(("source", "target"), (x, y), pairs):
@@ -434,7 +443,7 @@ def rank2_vector_isometry(
     lam_x, lam_y = (tuple(map(add, L, _eps_conj(eps, L))) for L in lifts)
     if lam_x != lam_y:
         raise PreconditionFailed("lambda(x, x) differs between source and target")
-    if _mu_class(Q, lifts[0]) != _mu_class(Q, lifts[1]):
+    if _class_coeffs(m, kind, lifts[0]) != _class_coeffs(m, kind, lifts[1]):
         raise PreconditionFailed("mu classes differ between source and target")
     if x == y:
         return RingMatrix.identity(2, m)
@@ -443,21 +452,18 @@ def rank2_vector_isometry(
             "source vector is not isotropic: lambda(x, x) must vanish"
         )
     xp = _completion(m, eps, x, *pairs[0])
-    want = _mu_class(Q, _lift_coeffs(Q, xp))
-    for yc, mu in _transport_target(m, eps, Q.kind, tuple(y), pairs[1]):
+    want = _class_coeffs(m, kind, _lift_coeffs(Q, xp))
+    for yc, mu in _transport_target(m, eps, kind, tuple(y), pairs[1]):
         if mu == want:
             # (x, x') and (y, yc) are standard pairs, so both column
             # matrices preserve the Gram matrix, and [x, x']^-1 is
             # isometry_inverse's entry shuffle of [x, x']
-            inv = (
-                (_conj_coeffs(xp[1]), _eps_conj(eps, xp[0])),
-                (_eps_conj(eps, x[1]), _conj_coeffs(x[0])),
-            )
+            inv = _inverse_coeffs(1, eps, ((x[0], xp[0]), (x[1], xp[1])))
             rows = [
                 [_dot_coeffs(m, ((y[i], inv[0][j]), (yc[i], inv[1][j]))) for j in (0, 1)]
                 for i in (0, 1)
             ]
-            M = _matrix(m, tuple(tuple([_trusted(m, e) for e in row]) for row in rows))
+            M = _wrap_rows(m, rows)
             if all(
                 _dot_coeffs(m, zip(row, x)) == yi for row, yi in zip(rows, y)
             ) and isometry_check(Q, M):
@@ -519,53 +525,56 @@ def _solve_skew(spec: EmbeddingSpec) -> SolverTrace:
     (a1, a2, s, b2) to (a1 + b2, a2 + s, s, b2) and shear-R to
     (a1 + a2, a2, s, b2 - s); the inverse of either is the same
     transvection with parameter -1. The transport Phi embeds M2 with
-    M2*x = y, and (a2, b2) = u*x, so Phi*v2 = (a1, u*v2', s, l*s). The
-    standard complement (-a2'*e2 + f1, -a2'*e1 + f2) has block parts
-    (-a2', 0) and (0, 1), which go back through M2's isometry inverse.
+    M2*x = y, and (a2, b2) = u*x, so Phi*v2 = (a1, u*v2', s, l*s), where
+    u*v2' = 1 - a2'*s and l*s are constants. The standard complement
+    (-a2'*e2 + f1, -a2'*e1 + f2) has block parts (-a2', 0) and (0, 1),
+    which go back through M2's isometry inverse (_inverse_coeffs).
+    From P to U the values are coefficient tuples, and no element product
+    runs; elements are built only where the transport's signature takes
+    them and where the trace or the certificate returns them.
     """
     Q, v1, v2_in, P = spec._check_before_ideal()
-    m = spec.m
-    zero = GroupRingElement.zero(m)
-    one = GroupRingElement.one(m)
-    s = GroupRingElement.norm(m)
+    m, eps = spec.m, Q.eps
     a1, a2, b2 = spec.a1, spec.a2, spec.b2
     steps = []
     shear = None
-    if m % 2 == 0 and P.coeffs[m // 2] % 2 == 0:
+    if m % 2 == 0 and P[m // 2] % 2 == 0:
         if b2.aug() % 2:
             shear = "shear-T"
-            a1, a2 = a1 + b2, a2 + s
+            a1, a2 = a1 + b2, _trusted(m, tuple([c + 1 for c in a2.coeffs]))
         else:
             shear = "shear-R"
-            a1, b2 = a1 + a2, b2 - s
+            a1, b2 = a1 + a2, _trusted(m, tuple([c - 1 for c in b2.coeffs]))
         steps.append(_shear_step(m, spec.branch, shear))
     norm, (x1, x2) = _skew_normalize(a2, b2)
     pair = _reduced_bezout_pair(x1, x2)
     if pair is None:
         raise PreconditionFailed(_SKEW_NOT_UNIT)
     v_t, a_t, _ = norm.positive_variant()
-    Q1 = QuadraticModule(m, 1, Q.eps, Q.kind)
+    s = GroupRingElement.norm(m)
     M2 = rank2_vector_isometry(
-        Q1,
-        _vector(m, (x1, x2)),
+        _block_module(m, eps, Q.kind),
+        _vector(m, (_trusted(m, x1), _trusted(m, x2))),
         _vector(m, (v_t, s)),
-        pair,
+        (_trusted(m, pair[0]), _trusted(m, pair[1])),
         (norm.u, GroupRingElement.integer(m, a_t)),
     )
-    steps.append(_block_step("vector-transport", m, M2.rows))
-    v2n = _vector(m, (a1, norm.u * v_t, s, norm.l * s))
-    (p00, p01), (p10, p11) = isometry_inverse(Q1, M2).rows
+    block = _coeff_rows(M2)
+    steps.append(_block_step("vector-transport", m, block))
+    uv = _trusted(m, (1 - a_t,) + (-a_t,) * (m - 1))
+    v2n = _vector(m, (a1, uv, s, _trusted(m, (norm.l,) * m)))
+    (p00, p01), (p10, p11) = _inverse_coeffs(1, eps, block)
+    zero, one = (0,) * m, (1,) + (0,) * (m - 1)
     U = [
-        [zero, p00 * -a_t, one, p10 * -a_t],
-        [GroupRingElement.integer(m, -a_t), p01, zero, p11],
+        [zero, tuple([-a_t * c for c in p00]), one, tuple([-a_t * c for c in p10])],
+        [(-a_t,) + zero[1:], p01, zero, p11],
     ]
     if shear == "shear-T":  # e1 -= f2, e2 -= f1
-        U = [[w0 - w3, w1 - w2, w2, w3] for w0, w1, w2, w3 in U]
+        U = [[tuple(map(sub, w0, w3)), tuple(map(sub, w1, w2)), w2, w3] for w0, w1, w2, w3 in U]
     elif shear == "shear-R":  # e1 -= e2, f2 += f1
-        U = [[w0 - w1, w1, w2, w3 + w2] for w0, w1, w2, w3 in U]
-    return _finish(
-        spec, Q, (v1, v2_in), steps, v2n, tuple(_vector(m, tuple(w)) for w in U), norm
-    )
+        U = [[tuple(map(sub, w0, w1)), w1, w2, tuple(map(add, w3, w2))] for w0, w1, w2, w3 in U]
+    U = tuple(_vector(m, tuple([_trusted(m, c) for c in w])) for w in U)
+    return _finish(spec, Q, (v1, v2_in), steps, v2n, U, norm)
 
 
 def solve_odd_m(spec: EmbeddingSpec) -> SolverTrace:
@@ -600,11 +609,12 @@ def solve_even_n(spec: EmbeddingSpec) -> SolverTrace:
     one, zero = GroupRingElement.one(m), GroupRingElement.zero(m)
     a1, x, c, y = v2_in.coords
     steps = []
+    z, o, minus = zero.coeffs, one.coeffs, (-one).coeffs
     if swap := (x.aug() == 0):
-        steps.append(_block_step("swap-e2-f2", m, ((zero, one), (one, zero))))
+        steps.append(_block_step("swap-e2-f2", m, ((z, o), (o, z))))
         x, y = y, x
     if negate := (x.aug() == -1):
-        steps.append(_block_step("negate-block-2", m, ((-one, zero), (zero, -one))))
+        steps.append(_block_step("negate-block-2", m, ((minus, z), (z, minus))))
         x, y = -x, -y
     a = divide_by_one_minus_gen(x - one)
     U = [[zero, a, one, zero], [-a.conj(), zero, zero, one]]

@@ -84,3 +84,9 @@ def require_int(name: str, value) -> None:
     """A scalar input is an int; a bool, a float or a string is not."""
     if type(value) is not int:
         raise PreconditionFailed(f"{name} must be an int, got {value_text(value)}")
+
+
+def require_type(name: str, value, cls: type) -> None:
+    """An argument is an instance of cls, else PreconditionFailed naming its type."""
+    if not isinstance(value, cls):
+        raise PreconditionFailed(f"{name} must be a {cls.__name__}, got {value_text(value)}")

@@ -28,6 +28,7 @@ from .errors import (
     RankTooLarge,
     ZeroVector,
     require_int,
+    require_type,
     value_text,
 )
 from .groupring import (
@@ -36,6 +37,7 @@ from .groupring import (
     ParameterClass,
     _check_kind,
     _check_modulus,
+    _class_coeffs,
     _conj_coeffs,
     _dot_coeffs,
     _trusted,
@@ -210,32 +212,23 @@ class RingMatrix:
     def conj(self) -> "RingMatrix":
         return _matrix(self.m, tuple(tuple([x.conj() for x in r]) for r in self.rows))
 
-    def minor(self, drop_row: int, drop_col: int) -> "RingMatrix":
-        return RingMatrix(
-            [
-                [x for j, x in enumerate(r) if j != drop_col]
-                for i, r in enumerate(self.rows)
-                if i != drop_row
-            ]
-        )
-
     def inverse(self) -> "RingMatrix":
-        """Adjugate inverse; requires the determinant to be a unit."""
-        d = ring_det(self)
-        ok, dinv = is_unit(d)
+        """Adjugate inverse; requires the determinant to be a unit.
+
+        Entry (i, j) is (-1)^(i+j) det^-1 times the minor without row j and
+        column i; every determinant is _det_coeffs on coefficient tuples.
+        """
+        m, n, rows = self.m, self.n, _coeff_rows(self)
+        ok, dinv = is_unit(_trusted(m, _det_coeffs(m, rows)))
         if not ok:
             raise PreconditionFailed("matrix determinant is not a unit")
-        n = self.n
-        if n == 1:
-            return RingMatrix([[dinv]])
-        adj = [
-            [
-                ring_det(self.minor(j, i)) * ((-1) ** (i + j))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return RingMatrix([[dinv * adj[i][j] for j in range(n)] for i in range(n)])
+        signed = (dinv.coeffs, tuple(map(neg, dinv.coeffs)))
+
+        def entry(i: int, j: int) -> tuple:
+            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
+            return _dot_coeffs(m, ((signed[(i + j) % 2], _det_coeffs(m, minor)),)) if minor else dinv.coeffs
+
+        return _wrap_rows(m, [[entry(i, j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RingMatrix) and self.rows == other.rows
@@ -331,10 +324,18 @@ class QuadraticModule:
         return _gram_matrix(self.m, self.rank, self.eps)
 
     def _check_vector(self, x: RingVector) -> None:
+        require_type("a vector", x, RingVector)
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {len(x)}")
         if x.m != self.m:
             raise ModulusMismatch(f"m={x.m} vs module m={self.m}")
+
+    def _check_matrix(self, M: RingMatrix) -> None:
+        require_type("a matrix", M, RingMatrix)
+        if M.n != self.dim:
+            raise DimensionMismatch(f"expected {self.dim}x{self.dim} matrix")
+        if M.m != self.m:
+            raise ModulusMismatch(f"m={M.m} vs module m={self.m}")
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -373,11 +374,6 @@ def _eps_conj(eps: int, c: tuple) -> tuple:
     return c if eps == 1 else tuple(map(neg, c))
 
 
-def _mu_class(Q: QuadraticModule, lift: tuple) -> ParameterClass:
-    """[L] modulo Q's form parameter, for a mu lift L given as a coefficient tuple."""
-    return param_reduce(_trusted(Q.m, lift), Q.kind)
-
-
 def _lambda_coeffs(Q: QuadraticModule, x: Sequence[tuple], y: Sequence[tuple]) -> tuple:
     """lambda(x, y) from the coordinates of x and y as coefficient tuples."""
     r = Q.rank
@@ -398,6 +394,16 @@ def _coords(x: RingVector) -> list[tuple]:
     return list(map(_coeffs, x.coords))
 
 
+def _coeff_rows(M: RingMatrix) -> tuple:
+    """M's rows, each entry as its coefficient tuple."""
+    return tuple([tuple(map(_coeffs, r)) for r in M.rows])
+
+
+def _wrap_rows(m: int, rows) -> RingMatrix:
+    """The RingMatrix of a square matrix of coefficient tuples of modulus m; no checks."""
+    return _matrix(m, tuple([tuple([_trusted(m, c) for c in r]) for r in rows]))
+
+
 def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingElement:
     """Sesquilinear value lambda(x, y)."""
     Q._check_vector(x)
@@ -408,28 +414,27 @@ def lambda_eval(Q: QuadraticModule, x: RingVector, y: RingVector) -> GroupRingEl
 def mu_eval(Q: QuadraticModule, x: RingVector) -> ParameterClass:
     """Quadratic refinement mu(x) = [sum a_i conj(b_i)] in Lambda/parameter."""
     Q._check_vector(x)
-    return _mu_class(Q, _lift_coeffs(Q, _coords(x)))
+    return param_reduce(_trusted(Q.m, _lift_coeffs(Q, _coords(x))), Q.kind)
 
 
-def _gram_and_mu(
-    Q: QuadraticModule, cs: Sequence[Sequence[tuple]]
-) -> tuple[tuple[tuple[GroupRingElement, ...], ...], tuple[ParameterClass, ...]]:
-    """The table lambda(U[i], U[j]) and the classes mu(U[i]).
+def _gram_and_mu(Q: QuadraticModule, cs: Sequence[Sequence[tuple]]) -> tuple[tuple, tuple]:
+    """The table lambda(U[i], U[j]) and the classes mu(U[i]), as coefficient tuples.
 
     Each U[i] comes as its coordinates' coefficient tuples, cs[i]. lambda
     is evaluated once per pair i < j; entry (j, i) is eps * conj of entry
     (i, j). The diagonal and the mu classes come from each vector's mu
-    lift L, as lambda(u, u) = L + eps * conj(L).
+    lift L, as lambda(u, u) = L + eps * conj(L); a class is param_reduce's
+    representative (_class_coeffs), zero iff all its coefficients are.
     """
     m, eps = Q.m, Q.eps
     lifts = [_lift_coeffs(Q, c) for c in cs]
     rows = [[None] * len(cs) for _ in cs]
     for i, c in enumerate(cs):
-        rows[i][i] = _trusted(m, tuple(map(add, lifts[i], _eps_conj(eps, lifts[i]))))
+        rows[i][i] = tuple(map(add, lifts[i], _eps_conj(eps, lifts[i])))
         for j in range(i + 1, len(cs)):
             t = _lambda_coeffs(Q, c, cs[j])
-            rows[i][j], rows[j][i] = _trusted(m, t), _trusted(m, _eps_conj(eps, t))
-    return tuple(map(tuple, rows)), tuple(_mu_class(Q, L) for L in lifts)
+            rows[i][j], rows[j][i] = t, _eps_conj(eps, t)
+    return tuple(map(tuple, rows)), tuple([_class_coeffs(m, Q.kind, L) for L in lifts])
 
 
 def is_primitive(Q: QuadraticModule, x: RingVector) -> bool:
@@ -445,14 +450,11 @@ def isometry_check(Q: QuadraticModule, M: RingMatrix) -> bool:
 
     Entry (i, j) of M^T G conj(M) is lambda(M e_i, M e_j), so this reads
     _gram_and_mu on the columns of M, taken as coefficient tuples: the
-    lambda table and the mu classes.
+    lambda table, compared with G's coefficient rows, and the mu classes.
     """
-    if M.n != Q.dim:
-        raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
-    if M.m != Q.m:
-        raise ModulusMismatch(f"m={M.m} vs module m={Q.m}")
-    gram, mus = _gram_and_mu(Q, list(zip(*[map(_coeffs, r) for r in M.rows])))
-    return all(c.is_zero() for c in mus) and gram == Q.gram_matrix().rows
+    Q._check_matrix(M)
+    gram, mus = _gram_and_mu(Q, list(zip(*_coeff_rows(M))))
+    return not any(map(any, mus)) and gram == _coeff_rows(Q.gram_matrix())
 
 
 def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
@@ -467,20 +469,22 @@ def isometry_inverse(Q: QuadraticModule, M: RingMatrix) -> RingMatrix:
     f-slots. The caller guarantees Gram preservation; the result is not
     checked.
     """
-    if M.n != Q.dim:
-        raise DimensionMismatch(f"expected {Q.dim}x{Q.dim} matrix")
-    r, n = Q.rank, Q.dim
-    pi = [(i + r) % n for i in range(n)]
-    flip = Q.eps == -1
-    rows = []
+    Q._check_matrix(M)
+    return _wrap_rows(Q.m, _inverse_coeffs(Q.rank, Q.eps, _coeff_rows(M)))
+
+
+def _inverse_coeffs(r: int, eps: int, rows) -> tuple:
+    """isometry_inverse's entry shuffle on a 2r x 2r matrix of coefficient tuples."""
+    n = 2 * r
+    out = []
     for i in range(n):
         row = []
         for j in range(n):
-            x = M.rows[pi[j]][pi[i]].conj()
+            x = _conj_coeffs(rows[(j + r) % n][(i + r) % n])
             # sigma(i) * sigma(j) is eps when exactly one of i, j is an e-slot
-            row.append(-x if flip and (i < r) != (j < r) else x)
-        rows.append(tuple(row))
-    return _matrix(M.m, tuple(rows))
+            row.append(tuple(map(neg, x)) if eps == -1 and (i < r) != (j < r) else x)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def transvection(Q: QuadraticModule, base: tuple[str, str], parameter: GroupRingElement) -> RingMatrix:
@@ -559,17 +563,21 @@ def ring_det(M: RingMatrix) -> GroupRingElement:
     computed. Memory grows as 2^n, so a matrix above RING_DET_MAX_RANK
     raises RankTooLarge.
     """
-    return _trusted(M.m, _det_coeffs(M.m, [[x.coeffs for x in r] for r in M.rows]))
+    require_type("a matrix", M, RingMatrix)
+    return _trusted(M.m, _det_coeffs(M.m, _coeff_rows(M)))
 
 
 def _det_coeffs(m: int, rows: Sequence[Sequence[tuple]]) -> tuple:
-    """ring_det's expansion on a square matrix of coefficient tuples."""
+    """ring_det's expansion on a nonempty square matrix of coefficient tuples.
+
+    A one-column minor is its row-0 entry, cached from the start.
+    """
     n = len(rows)
     if n > RING_DET_MAX_RANK:
         raise RankTooLarge(
             f"ring_det supports rank at most {RING_DET_MAX_RANK}, got {n}"
         )
-    cache: dict[int, tuple] = {0: (1,) + (0,) * (m - 1)}
+    cache: dict[int, tuple] = {1 << j: c for j, c in enumerate(rows[0])}
 
     def minor_det(mask: int) -> tuple:
         got = cache.get(mask)
@@ -623,33 +631,36 @@ def verify_lagrangian_complement(
 
     Checks, in order: lambda vanishes on U x U; mu vanishes on U; the
     2r x 2r matrix with columns S followed by U has unit determinant. All
-    three read the vectors' coordinates as coefficient tuples.
+    three run on coefficient tuples; the table and the classes that pass
+    are all zero, so only the zero element and class are returned.
     """
-    if len(S) != Q.rank or len(U) != Q.rank:
-        raise DimensionMismatch(f"need {Q.rank} vectors in S and in U")
+    r, m = Q.rank, Q.m
+    if len(S) != r or len(U) != r:
+        raise DimensionMismatch(f"need {r} vectors in S and in U")
     for v in (*S, *U):
         Q._check_vector(v)
     cs = [_coords(v) for v in (*S, *U)]
-    gram, mus = _gram_and_mu(Q, cs[Q.rank :])
+    gram, mus = _gram_and_mu(Q, cs[r:])
     for i, row in enumerate(gram):
         for j, val in enumerate(row):
-            if not val.is_zero():
+            if any(val):
                 raise NotComplement(
-                    "gram", f"lambda(U[{i}], U[{j}]) is nonzero ({val.bits()} bits)"
+                    "gram", f"lambda(U[{i}], U[{j}]) is nonzero ({_trusted(m, val).bits()} bits)"
                 )
     for i, c in enumerate(mus):
-        if not c.is_zero():
+        if any(c):
             raise NotComplement(
-                "mu", f"mu(U[{i}]) is nonzero ({c.rep.bits()}-bit representative)"
+                "mu", f"mu(U[{i}]) is nonzero ({_trusted(m, c).bits()}-bit representative)"
             )
-    d = _trusted(Q.m, _det_coeffs(Q.m, list(zip(*cs))))
+    d = _trusted(m, _det_coeffs(m, list(zip(*cs))))
     ok, dinv = is_unit(d)
     if not ok:
         raise NotComplement("determinant", f"det ({d.bits()} bits) is not a unit")
+    zero = GroupRingElement.zero(m)
     return ComplementCertificate(
         S=tuple(S),
         U=tuple(U),
-        gram_evidence=gram,
-        mu_evidence=mus,
+        gram_evidence=((zero,) * r,) * r,
+        mu_evidence=(ParameterClass(Q.kind, zero),) * r,
         det_evidence=(d, dinv),
     )

@@ -21,6 +21,7 @@ from .errors import (
     ModulusMismatch,
     NotDivisible,
     PreconditionFailed,
+    require_type,
     value_text,
 )
 from . import intlattice
@@ -121,7 +122,7 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _trusted(self.m, tuple(other * a for a in self.coeffs))
+            return _trusted(self.m, tuple([other * a for a in self.coeffs]))
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._require_same(other)
@@ -198,8 +199,7 @@ class GroupRingElement:
 
 
 def _require_element(x) -> None:
-    if not isinstance(x, GroupRingElement):
-        raise PreconditionFailed(f"an element must be a GroupRingElement, got {value_text(x)}")
+    require_type("an element", x, GroupRingElement)
 
 
 def _check_modulus(m: int) -> None:
@@ -388,23 +388,19 @@ class UnitCheck(NamedTuple):
     inverse: Optional[GroupRingElement]
 
 
-def trivial_unit_inverse(x: GroupRingElement) -> Optional[GroupRingElement]:
-    """+-gen^(-k) when x is the trivial unit +-gen^k, else None.
+def _is_trivial_unit(c: tuple) -> bool:
+    """True iff the coefficient tuple c is +-gen^k: one nonzero coefficient, +-1.
 
-    x is one iff it has a single nonzero coefficient, and that is +-1; its
-    inverse is then its conjugate.
+    The inverse of +-gen^k is its conjugate +-gen^(-k).
     """
-    c = x.coeffs
-    if c.count(0) == x.m - 1 and (1 in c or -1 in c):
-        return x.conj()
-    return None
+    return c.count(0) == len(c) - 1 and (1 in c or -1 in c)
 
 
 def is_unit(x: GroupRingElement) -> UnitCheck:
     """Unit test by one adjugate, after two screens.
 
     A trivial unit +-gen^k is answered directly with its inverse
-    +-gen^(-k) (trivial_unit_inverse). Augmentation is a ring map onto Z,
+    +-gen^(-k) (_is_trivial_unit). Augmentation is a ring map onto Z,
     so a unit has augmentation +-1 and anything else is rejected at once.
     Otherwise _adjugate's walk down the cyclotomic tower gives x*y = d with
     d = det mult(x), the norm of x; x is a unit iff d = +-1, and then d*y
@@ -412,9 +408,8 @@ def is_unit(x: GroupRingElement) -> UnitCheck:
     is not an element raises PreconditionFailed.
     """
     _require_element(x)
-    inverse = trivial_unit_inverse(x)
-    if inverse is not None:
-        return UnitCheck(True, inverse)
+    if _is_trivial_unit(x.coeffs):
+        return UnitCheck(True, x.conj())
     if x.aug() not in (1, -1):
         return UnitCheck(False, None)
     d, y = _adjugate(x.coeffs)
@@ -625,8 +620,12 @@ def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass
     PreconditionFailed.
     """
     _check_kind(kind)
-    m = x.m
-    c = list(x.coeffs)
+    return ParameterClass(kind, _trusted(x.m, _class_coeffs(x.m, kind, x.coeffs)))
+
+
+def _class_coeffs(m: int, kind: FormParameterKind, c: tuple) -> tuple:
+    """param_reduce's representative of the coefficient tuple c, unchecked; zero iff all zeros."""
+    c = list(c)
     sign = 1 if kind is FormParameterKind.MINUS else -1
     for i in range(1, (m + 1) // 2):
         c[m - i] += sign * c[i]
@@ -635,7 +634,7 @@ def param_reduce(x: GroupRingElement, kind: FormParameterKind) -> ParameterClass
         c[0] = 0 if kind is FormParameterKind.TILDE else c[0] % 2
         if m % 2 == 0:
             c[m // 2] %= 2
-    return ParameterClass(kind, _trusted(m, tuple(c)))
+    return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -683,14 +682,23 @@ class NormData:
         From u*v = 1 - a*s: if x = u*q then x*v = q - a*aug(q)*s and
         aug(x) = l*aug(q), so q = x*v + a*(aug(x)/l)*s. u is not a zero
         divisor (gcd(l, m) = 1), so q is the only quotient; the product
-        u*q is checked against x.
+        u*q is checked against x. On tuples (_quotient), s is all ones, so
+        a*k*s adds a*k to each coefficient of x*v.
         """
-        k, r = divmod(x.aug(), self.l)
+        _require_element(x)
+        x._require_same(self.u)
+        return _trusted(x.m, self._quotient(x.coeffs))
+
+    def _quotient(self, c: tuple) -> tuple:
+        """divide on the coefficient tuple c of an element of modulus m."""
+        m = len(c)
+        k, r = divmod(sum(c), self.l)
         if r == 0:
-            q = x * self.v + (self.a * k) * GroupRingElement.norm(self.m)
-            if self.u * q == x:
+            ak = self.a * k
+            q = tuple([x + ak for x in _dot_coeffs(m, ((c, self.v.coeffs),))])
+            if _dot_coeffs(m, ((self.u.coeffs, q),)) == c:
                 return q
-        raise NotDivisible(f"a {x.bits()}-bit element is not a multiple of u")
+        raise NotDivisible(f"a {_trusted(m, c).bits()}-bit element is not a multiple of u")
 
     def positive_variant(self) -> tuple[GroupRingElement, int, int]:
         """The companion identity u*v2 + a2*s = 1 with b2*l + a2*m = 1, 0 < b2 < m.
@@ -770,16 +778,17 @@ def ideal_normalize(generators: Sequence[GroupRingElement]) -> NormData:
     Raises PreconditionFailed when A + (s) is not Lambda.
     """
     data, quotients = _normalize(generators)
-    if not ideal_contains_one(quotients):
+    if not ideal_contains_one([_trusted(data.m, q) for q in quotients]):
         raise PreconditionFailed(_NOT_WHOLE)
     return data
 
 
 def _normalize(
     generators: Sequence[GroupRingElement],
-) -> tuple[NormData, list[GroupRingElement]]:
+) -> tuple[NormData, list[tuple]]:
     """ideal_normalize's data and the quotients generators[i] / u, unchecked.
 
+    The quotients are coefficient tuples (NormData._quotient).
     A + (s) = Lambda holds iff gcd(l, m) = 1 and the quotients generate
     Lambda. When gcd(l, m) = 1, u*Lambda has index |det mult(u)| = l and
     lies in {x : l divides aug(x)}, of index l too, so the two agree and u
@@ -788,13 +797,16 @@ def _normalize(
     1 = u*v + a*s lies in A + (s). Conversely A + (s) = Lambda forces
     A = u*Lambda; as u is not a zero divisor, u = u*t with t in the
     quotients' ideal gives t = 1. Raises Degenerate on no or only zero
-    generators and PreconditionFailed when gcd(l, m) > 1; whether the
-    quotients generate Lambda is left to the caller.
+    generators, ModulusMismatch on mixed moduli and PreconditionFailed when
+    gcd(l, m) > 1; whether the quotients generate Lambda is left to the
+    caller.
     """
     if not generators:
         raise Degenerate("no generators")
     for gx in generators:
         _require_element(gx)
+        if gx.m != generators[0].m:
+            raise ModulusMismatch(f"m={gx.m} vs m={generators[0].m}")
     m = generators[0].m
     if all(gx.is_zero() for gx in generators):
         raise Degenerate("all generators are zero")
@@ -804,7 +816,7 @@ def _normalize(
     if math.gcd(l, m) != 1:
         raise PreconditionFailed(_NOT_WHOLE)
     data = _norm_data(m, l)
-    return data, [data.divide(gx) for gx in generators]
+    return data, [data._quotient(gx.coeffs) for gx in generators]
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -825,10 +837,10 @@ def _norm_data(m: int, l: int) -> NormData:
     return data
 
 
-def _reduced_bezout_pair(
-    x1: GroupRingElement, x2: GroupRingElement
-) -> Optional[tuple[GroupRingElement, GroupRingElement]]:
+def _reduced_bezout_pair(c1: tuple, c2: tuple) -> Optional[tuple[tuple, tuple]]:
     """The Bezout pair of (x1, x2) that Babai round-off picks, or None if they do not generate Lambda.
+
+    x1, x2 and the pair are coefficient tuples of one modulus.
 
     N = x1*conj(x1) + x2*conj(x2) vanishes at an m-th root of unity only
     where x1 and x2 both do, so D = det mult(N) = 0 means a proper ideal.
@@ -856,19 +868,18 @@ def _reduced_bezout_pair(
     every m-th root of unity, so D > 0, and z = N#*w/D is one more
     product. Another starting pair moves z by an element of Lambda and
     beta by the same, so the result depends on (x1, x2) alone, and any
-    start gives the same reduced pair.
+    start gives the same reduced pair (p - beta*x2, q + beta*x1).
     """
-    m = x1.m
-    c1, c2 = x1.coeffs, x2.coeffs
+    m = len(c1)
     k1, k2 = _conj_coeffs(c1), _conj_coeffs(c2)
     d, n_adj = _adjugate(_dot_coeffs(m, ((c1, k1), (c2, k2))))
     if n_adj is None:
         return None
-    zero = GroupRingElement.zero(m)
-    if (inverse := trivial_unit_inverse(x1)) is not None:
-        p, q = inverse, zero
-    elif (inverse := trivial_unit_inverse(x2)) is not None:
-        p, q = zero, inverse
+    zero = (0,) * m
+    if _is_trivial_unit(c1):
+        p, q = k1, zero
+    elif _is_trivial_unit(c2):
+        p, q = zero, k2
     else:
         g, p, q = d, _dot_coeffs(m, ((k1, n_adj),)), _dot_coeffs(m, ((k2, n_adj),))
         for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):  # y = a*x1 + b*x2
@@ -879,15 +890,15 @@ def _reduced_bezout_pair(
                 g, s, t = _xgcd(g, dy)
                 p = tuple([s * u + t * a * v for u, v in zip(p, y_adj)])
                 q = tuple([s * u + t * b * v for u, v in zip(q, y_adj)])
-        if g == 1:
-            p, q = _trusted(m, p), _trusted(m, q)
-        elif (pair := ideal_express([x1, x2], GroupRingElement.one(m))) is not None:
-            p, q = pair
-        else:
-            return None
-    w = _dot_coeffs(m, ((p.coeffs, k2), ((-q).coeffs, k1)))
-    beta = _trusted(m, tuple([(2 * c + d) // (2 * d) for c in _dot_coeffs(m, ((n_adj, w),))]))
-    return p - beta * x2, q + beta * x1
+        if g != 1:
+            pair = ideal_express([_trusted(m, c1), _trusted(m, c2)], GroupRingElement.one(m))
+            if pair is None:
+                return None
+            p, q = pair[0].coeffs, pair[1].coeffs
+    w = _dot_coeffs(m, ((p, k2), (tuple(map(neg, q)), k1)))
+    beta = tuple([(2 * c + d) // (2 * d) for c in _dot_coeffs(m, ((n_adj, w),))])
+    bx2, bx1 = _dot_coeffs(m, ((beta, c2),)), _dot_coeffs(m, ((beta, c1),))
+    return tuple(map(sub, p, bx2)), tuple(map(add, q, bx1))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -212,6 +212,18 @@ def _trivial_unit(x):
     return [c for c in x.coeffs if c] in ([1], [-1])
 
 
+def _quotients(x1, x2):
+    """_normalize's data and quotients for the generators (x1, x2), the quotients as elements."""
+    data, quotients = _normalize([x1, x2])
+    return data, [GroupRingElement(x1.m, q) for q in quotients]
+
+
+def _reduced_pair(x1, x2):
+    """_reduced_bezout_pair of two elements, as a pair of elements, or None."""
+    pair = _reduced_bezout_pair(x1.coeffs, x2.coeffs)
+    return None if pair is None else tuple(GroupRingElement(x1.m, c) for c in pair)
+
+
 def test_skew_closed_forms_match_the_generic_pull_back():
     # the solver maps v2 and pulls the standard complement back in closed
     # form; the oracle multiplies by every step matrix and its inverse
@@ -571,7 +583,7 @@ def test_every_valid_skew_spec_is_a_geometric_multiple_of_a_unimodular_pair():
     for branch, moduli in ((Branch.ODD_M_SKEW, (3, 5, 7)), (Branch.EVEN_M_SKEW, (2, 4, 6))):
         for m in moduli:
             for spec in _kernel_specs(branch, m, rng, 4):
-                data, (w1, w2) = _normalize([spec.a2, spec.b2])
+                data, (w1, w2) = _quotients(spec.a2, spec.b2)
                 p, q = ideal_express([w1, w2], GroupRingElement.one(m))
                 l = math.gcd(spec.a2.aug(), spec.b2.aug())
                 assert data.u == GroupRingElement.geometric(m, l)
@@ -592,14 +604,14 @@ def test_nearest_bezout_pair_depends_on_the_vector_alone(m):
     for _ in range(10):
         x1, x2 = complement._skew_pair_sample(rng, m)
         p, q = ideal_express([x1, x2], one)
-        rp, rq = _reduced_bezout_pair(x1, x2)
+        rp, rq = _reduced_pair(x1, x2)
         assert rp * x1 + rq * x2 == one
         assert round_off(x1, x2, p, q) == (rp, rq)
         assert round_off(x1, x2, rp, rq) == (rp, rq)
         beta0 = el(m, *(rng.randint(-99, 99) for _ in range(m)))
         assert round_off(x1, x2, p + beta0 * x2, q - beta0 * x1) == (rp, rq)
-        _, quotients = _normalize([x1, x2])
-        assert _reduced_bezout_pair(*quotients) == (rp, rq)
+        _, quotients = _quotients(x1, x2)
+        assert _reduced_pair(*quotients) == (rp, rq)
         assert round_off(*quotients, *ideal_express(quotients, one)) == (rp, rq)
         for i, x in enumerate(quotients):
             if _trivial_unit(x):
@@ -834,7 +846,7 @@ def test_the_reduced_bezout_pair_equals_the_hermite_oracle():
         for _ in range(12):
             spec = sample_spec(branch, m, rng)
             x1, x2 = _block_quotients(spec, solve(spec))
-            pair = _reduced_bezout_pair(x1, x2)
+            pair = _reduced_pair(x1, x2)
             assert pair == hermite_bezout_pair(x1, x2), spec.to_json()
             assert pair[0] * x1 + pair[1] * x2 == GroupRingElement.one(m)
             paths.add(any(map(_trivial_unit, (x1, x2))))
@@ -849,7 +861,7 @@ def test_the_hermite_fallback_runs_once_where_the_determinants_keep_a_factor(mon
     ys = [x1 * x1.conj() + x2 * x2.conj(), x1, x2, x1 + x2, x1 - x2]
     assert math.gcd(*(det_int(mult_matrix(y)) for y in ys)) == 2
     calls = _hermite_counter(monkeypatch)
-    pair = _reduced_bezout_pair(x1, x2)
+    pair = _reduced_pair(x1, x2)
     assert len(calls) == 1
     assert pair == hermite_bezout_pair(x1, x2)
     assert pair[0] * x1 + pair[1] * x2 == GroupRingElement.one(m)
@@ -878,10 +890,10 @@ def test_a_proper_ideal_gives_no_pair_on_both_routes(monkeypatch):
         assert len(calls) == forms
     s6 = GroupRingElement.norm(6)
     calls.clear()
-    assert _reduced_bezout_pair(one6 - g6 + g6 * g6, -s6) is None
+    assert _reduced_pair(one6 - g6 + g6 * g6, -s6) is None
     assert calls == []
     g3 = GroupRingElement.gen(3)
-    assert _reduced_bezout_pair(2 * GroupRingElement.one(3) - g3, el(3)) is None
+    assert _reduced_pair(2 * GroupRingElement.one(3) - g3, el(3)) is None
     assert len(calls) == 1
 
 

@@ -25,7 +25,9 @@ from cyclact.errors import (
     RankTooLarge,
     ZeroVector,
 )
+from cyclact.complement import _block_module
 from cyclact.forms import (
+    _det_coeffs,
     _gram_and_mu,
     _gram_matrix,
     _parse_label,
@@ -363,6 +365,32 @@ def test_ring_det_matches_leibniz():
     assert singular > 0
 
 
+def test_det_coeffs_matches_leibniz_on_matrices_with_zero_entries():
+    # one-column minors are row 0's entries, read with no kernel call; zero
+    # entries in row 0, a zero column 0 and a zero row must not change the
+    # determinant, at small and 90-bit coefficients
+    rng = random.Random(3102)
+    for m in (2, 3, 4, 7, 13):
+        zero, one = GroupRingElement.zero(m), GroupRingElement.one(m)
+        for n in range(1, 6):
+            for shape in range(4):
+                h = 2**90 if shape == 3 else 2
+                rows = [
+                    [rand_el(rng, m, h) if rng.random() < 0.6 else zero for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if shape == 0:
+                    rows[0] = [x if j % 2 else zero for j, x in enumerate(rows[0])]
+                elif shape == 1:
+                    for r in rows:
+                        r[0] = zero
+                elif shape == 2:
+                    rows[rng.randrange(n)] = [zero] * n
+                want = leibniz_det(rows, zero, one)
+                assert _det_coeffs(m, [[x.coeffs for x in r] for r in rows]) == want.coeffs
+                assert ring_det(RingMatrix(rows)) == want
+
+
 def test_ring_det_rejects_ranks_above_the_memo_bound():
     # the rank check runs before any minor is memoized: a dense rank-17
     # matrix would need 2^17 minors
@@ -648,6 +676,7 @@ def test_cached_constants_reject_a_bad_modulus_every_time_and_cache_nothing(m):
     # m = 2 is cached first, so a key equal to 2 but not an int must miss
     calls = [
         (_gram_matrix, (2, 2, -1), (m, 2, -1)),
+        (_block_module, (2, -1, FormParameterKind.TILDE), (m, -1, FormParameterKind.TILDE)),
         (_branch_module, (2, Branch.EVEN_M_SKEW), (m, Branch.EVEN_M_SKEW)),
         (_shear_step, (2, Branch.EVEN_M_SKEW, "shear-T"), (m, Branch.EVEN_M_SKEW, "shear-T")),
         (_norm_data, (2, 1), (m, 1)),
@@ -726,38 +755,94 @@ def test_isometry_inverse_matches_the_gram_product_and_the_adjugate():
             assert M * inv == RingMatrix.identity(Q.dim, Q.m)
 
 
+def _isometry_candidates(rng, Q):
+    """A random isometry of Q and three matrices near it, some not isometries."""
+    M = _random_isometry(rng, Q)
+    candidates = [M]
+    # one entry moved by a small element: mostly breaks the Gram matrix
+    rows = [list(row) for row in M.rows]
+    i, j = rng.randrange(Q.dim), rng.randrange(Q.dim)
+    rows[i][j] = rows[i][j] + rand_el(rng, Q.m, 1)
+    candidates.append(RingMatrix(rows))
+    # an f_1 -> f_1 + c*e_1 shear with conj(c) = -eps*c keeps the Gram
+    # matrix; it keeps mu exactly when c's class vanishes
+    rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
+    w = rand_el(rng, Q.m)
+    c = w - w.conj() * Q.eps
+    if Q.eps == -1:
+        # 1 has class 0 under TILDE only, g^(m/2) under neither
+        middle = (0, Q.m // 2) if Q.m % 2 == 0 else (0,)
+        c = c + GroupRingElement.gen(Q.m, rng.choice(middle))
+    rows[0][Q.rank] = c
+    candidates.append(M * RingMatrix(rows))
+    # e_1 -> e_1 + w*f_1 for a random w keeps every lambda(M e_i, M e_j)
+    # with i != j; lambda(e_1, e_1) becomes conj(w) + eps*w
+    rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
+    rows[Q.rank][0] = w
+    candidates.append(M * RingMatrix(rows))
+    return candidates
+
+
 def test_isometry_check_agrees_with_the_definition():
     rng = random.Random(73)
     seen = {True: 0, False: 0}
     for Q in _modules():
-        M = _random_isometry(rng, Q)
-        candidates = [M]
-        # one entry moved by a small element: mostly breaks the Gram matrix
-        rows = [list(row) for row in M.rows]
-        i, j = rng.randrange(Q.dim), rng.randrange(Q.dim)
-        rows[i][j] = rows[i][j] + rand_el(rng, Q.m, 1)
-        candidates.append(RingMatrix(rows))
-        # an f_1 -> f_1 + c*e_1 shear with conj(c) = -eps*c keeps the Gram
-        # matrix; it keeps mu exactly when c's class vanishes
-        rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
-        w = rand_el(rng, Q.m)
-        c = w - w.conj() * Q.eps
-        if Q.eps == -1:
-            # 1 has class 0 under TILDE only, g^(m/2) under neither
-            middle = (0, Q.m // 2) if Q.m % 2 == 0 else (0,)
-            c = c + GroupRingElement.gen(Q.m, rng.choice(middle))
-        rows[0][Q.rank] = c
-        candidates.append(M * RingMatrix(rows))
-        # e_1 -> e_1 + w*f_1 for a random w keeps every lambda(M e_i, M e_j)
-        # with i != j; lambda(e_1, e_1) becomes conj(w) + eps*w
-        rows = [list(row) for row in RingMatrix.identity(Q.dim, Q.m).rows]
-        rows[Q.rank][0] = w
-        candidates.append(M * RingMatrix(rows))
-        for cand in candidates:
+        for cand in _isometry_candidates(rng, Q):
             want = is_isometry(Q.m, Q.rank, Q.eps, Q.kind.value, _tuples(cand))
             assert isometry_check(Q, cand) == want
             seen[want] += 1
     assert seen[True] >= 70 and seen[False] >= 130
+
+
+def test_the_tuple_core_of_isometry_check_gives_the_object_verdicts():
+    # isometry_check compares a lambda table of coefficient tuples with G's
+    # and tests mu on class tuples; on the same matrices as the test above,
+    # M^T G conj(M) = G with mu_eval zero on every column gives its verdict
+    rng = random.Random(73)
+    seen = set()
+    for Q in _modules():
+        G = Q.gram_matrix()
+        for M in _isometry_candidates(rng, Q):
+            cols = [M.column(j) for j in range(Q.dim)]
+            gram, classes = _gram_and_mu(Q, [[c.coeffs for c in v.coords] for v in cols])
+            assert gram == tuple(tuple(lambda_eval(Q, u, w).coeffs for w in cols) for u in cols)
+            assert classes == tuple(mu_eval(Q, v).rep.coeffs for v in cols)
+            want = M.transpose() * G * M.conj() == G and all(mu_eval(Q, v).is_zero() for v in cols)
+            assert isometry_check(Q, M) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_forms_name_an_argument_that_is_not_a_vector_or_a_matrix():
+    Q = tilde(4, rank=1)
+    x = RingVector([GroupRingElement.one(4), GroupRingElement.zero(4)])
+    calls = [
+        (lambda: isometry_inverse(Q, 5), "a matrix must be a RingMatrix"),
+        (lambda: isometry_check(Q, 5), "a matrix must be a RingMatrix"),
+        (lambda: ring_det(5), "a matrix must be a RingMatrix"),
+        (lambda: verify_lagrangian_complement(Q, [5], [5]), "a vector must be a RingVector"),
+        (lambda: verify_lagrangian_complement(Q, [x], [5]), "a vector must be a RingVector"),
+        (lambda: mu_eval(Q, 5), "a vector must be a RingVector"),
+        (lambda: lambda_eval(Q, x, 5), "a vector must be a RingVector"),
+        (lambda: is_primitive(Q, 5), "a vector must be a RingVector"),
+    ]
+    for call, want in calls:
+        with pytest.raises(PreconditionFailed) as info:
+            call()
+        assert type(info.value) is PreconditionFailed and str(info.value) == f"{want}, got 5"
+    with pytest.raises(PreconditionFailed, match="^a matrix must be a RingMatrix, got a list$"):
+        isometry_check(Q, [[1, 0], [0, 1]])
+
+
+def test_isometry_inverse_and_check_reject_a_matrix_of_another_modulus():
+    Q = tilde(4, rank=1)
+    M = RingMatrix.identity(2, 3)
+    for f in (isometry_inverse, isometry_check):
+        with pytest.raises(ModulusMismatch, match="^m=3 vs module m=4$"):
+            f(Q, M)
+    with pytest.raises(DimensionMismatch):
+        isometry_inverse(Q, RingMatrix.identity(4, 4))
+    assert isometry_inverse(Q, RingMatrix.identity(2, 4)) == RingMatrix.identity(2, 4)
 
 
 # --- the fused dot kernel against the dense oracles ---------------------------
@@ -865,9 +950,10 @@ def test_verify_reads_the_full_lambda_table_off_half_of_it(case):
     Q, vectors = case
     U = [_ring_vector(Q.m, x) for x in vectors[: Q.rank]]
     table = [[lambda_eval(Q, u, w) for w in U] for u in U]
-    gram, mus = _gram_and_mu(Q, [[c.coeffs for c in u.coords] for u in U])
-    assert [list(row) for row in gram] == table
-    assert list(mus) == [mu_eval(Q, u) for u in U]
+    gram, classes = _gram_and_mu(Q, [[c.coeffs for c in u.coords] for u in U])
+    mus = [mu_eval(Q, u) for u in U]
+    assert [list(row) for row in gram] == [[x.coeffs for x in row] for row in table]
+    assert list(classes) == [c.rep.coeffs for c in mus]
     S = [Q.e(i) for i in range(1, Q.rank + 1)]
     nonzero = [
         (i, j, x)

@@ -18,6 +18,7 @@ from cyclact.groupring import (
     GroupRingElement,
     NormData,
     _adjugate,
+    _class_coeffs,
     _dot_coeffs,
     _norm_data,
     _straight,
@@ -381,6 +382,31 @@ def test_param_reduce_matches_hermite_representative():
                     )
                     rep = param_reduce(x, kind).rep.coeffs
                     assert rep == naive_reduce(basis, x.coeffs)
+
+
+def test_class_coeffs_is_param_reduces_representative_on_tuples():
+    # the solver and the certificate compare classes as _class_coeffs tuples;
+    # each is param_reduce's representative, the Hermite-reduced one
+    rng = random.Random(3101)
+    for m in range(2, 14):
+        for kind in FormParameterKind:
+            basis = naive_hnf(_parameter_lattice_rows(m, kind), m)
+            for bound in (3, 2**90):
+                for _ in range(6):
+                    c = tuple(rng.randint(-bound, bound) for _ in range(m))
+                    got = _class_coeffs(m, kind, c)
+                    assert got == param_reduce(GroupRingElement(m, c), kind).rep.coeffs
+                    assert got == naive_reduce(basis, c)
+
+
+def test_norm_data_divide_names_an_operand_that_is_not_an_element_of_its_modulus():
+    norm = ideal_normalize([el(5, 1, 1)])
+    with pytest.raises(PreconditionFailed, match="^an element must be a GroupRingElement, got 5$"):
+        norm.divide(5)
+    with pytest.raises(ModulusMismatch, match="^m=3 vs m=5$"):
+        norm.divide(el(3, 1))
+    with pytest.raises(ModulusMismatch, match="^m=3 vs m=5$"):
+        ideal_normalize([el(5, 1, 1), el(3, 1)])
 
 
 @given(elements)
