@@ -25,7 +25,7 @@ from .errors import (
     value_text,
 )
 from . import intlattice
-from .intlattice import ZLattice, cramer_solve
+from .intlattice import ZLattice
 
 
 class GroupRingElement:
@@ -345,6 +345,7 @@ def augmentation(x: GroupRingElement, mod2: bool = False) -> int:
 
 def mult_matrix(d: GroupRingElement) -> list[list[int]]:
     """Column j is the coefficient vector of d * gen^j."""
+    _require_element(d)
     c = d.coeffs
     return [[c[i - j] for j in range(d.m)] for i in range(d.m)]
 
@@ -445,23 +446,28 @@ def _adjugate(c: tuple) -> tuple[int, Optional[tuple]]:
       c*(a*z + k*s_h) = a*N, whose conjugates over R are c's: det_m(c) =
       det_n(a*N), and y = (a*z + k*s_h)*(a*N)#. At n = 1 all of R's
       arithmetic is on ints.
-    - The remainder, an odd m >= 9 whose every prime is repeated (9, 25,
-      27, 49, ...), takes one fraction-free solve: cramer_solve on the
-      circulant with right-hand side e_0 gives adj(mult(c))*e_0 = y. At
-      m = 1, d = c_0 and y = 1.
+    - m = p*n with p an odd prime dividing n, when every prime of m is
+      repeated (9, 25, 27, 49, ..., and the 9 below 18 or 45). Z[Z/m] =
+      R[t]/(t^p - u) is free over R = Z[u] = Z[Z/n], u = t^p, on 1, t,
+      ..., t^(p-1), and multiplication by t^j has trace 0 over R unless
+      p | j, so tr_R(x) = p*x_0 for the coefficients x_0 of x at
+      multiples of p. Faddeev-LeVerrier (Le Verrier 1840; Faddeev and
+      Sominsky 1949) then runs on elements: Y_1 = 1 and Y_(k+1) =
+      c*Y_k - (p/k)*(c*Y_k)_0 for k < p. Each (p/k)*(c*Y_k)_0 is
+      tr_R(c*Y_k)/k, the negative of a coefficient of c's characteristic
+      polynomial over R; that polynomial has its coefficients in R, so
+      every division is exact. By Cayley-Hamilton c*Y_p = N is the
+      determinant of c over R (p is odd), so det_m(c) = det_n(N) and
+      y = Y_p*N#(u), whose coefficients at r mod p are Y_p's there times
+      N#.
 
-    At any level, a zero divisor below means one above: (0, None).
+    At m = 1, d = c_0 and y = 1. At any level, a zero divisor below means
+    one above: (0, None).
     """
     m = len(c)
     if m == 1:
         return (c[0], (1,)) if c[0] else (0, None)
     step = _tower(m)
-    if step is None:
-        try:
-            d, y = cramer_solve(mult_matrix(_trusted(m, c)), (1,) + (0,) * (m - 1))
-        except ValueError:
-            return 0, None
-        return d, tuple(y)
     n = step.n
     if step.p == 2:
         e, o = c[0::2], c[1::2]
@@ -476,6 +482,20 @@ def _adjugate(c: tuple) -> tuple[int, Optional[tuple]]:
         y[0::2] = _dot_coeffs(n, ((e, w_adj),))
         y[1::2] = _dot_coeffs(n, ((neg_o, w_adj),))
         return d, tuple(y)
+    if step.sigma is None:
+        p = step.p
+        y = (1,) + (0,) * (m - 1)
+        for k in range(1, p):
+            cy = list(_dot_coeffs(m, ((c, y),)))
+            cy[0::p] = [x - p * x // k for x in cy[0::p]]
+            y = tuple(cy)
+        d, n_adj = _adjugate(_dot_coeffs(m, ((c, y),))[0::p])
+        if n_adj is None:
+            return 0, None
+        out = [0] * m
+        for r in range(p):
+            out[r::p] = _dot_coeffs(n, ((y[r::p], n_adj),))
+        return d, tuple(out)
     sigma, cosets = step.sigma, step.cosets
     s1 = z = sigma(c)
     for power in step.chain:
@@ -500,15 +520,16 @@ def _adjugate(c: tuple) -> tuple[int, Optional[tuple]]:
 
 
 class _Split(NamedTuple):
-    """One level of _adjugate's tower at modulus m = p*n, p prime to n or p = 2.
+    """One level of _adjugate's tower at modulus m = p*n, p prime.
 
-    For an odd p: sigma(x) permutes x's coefficients as t -> t^K does;
-    chain holds, for each step of the doubling chain that builds
-    sigma(c)*...*sigma^(p-2)(c) from sigma(c), the permutation of sigma^k
-    for a doubling z -> z*sigma^k(z), or None for an increment
+    For an odd p prime to n: sigma(x) permutes x's coefficients as
+    t -> t^K does; chain holds, for each step of the doubling chain that
+    builds sigma(c)*...*sigma^(p-2)(c) from sigma(c), the permutation of
+    sigma^k for a doubling z -> z*sigma^k(z), or None for an increment
     z -> sigma(c)*sigma(z); cosets[r] is the exponent that is r mod n and
-    0 mod p, the image of R's generator power r. For p = 2 the other
-    fields are empty.
+    0 mod p, the image of R's generator power r. For p = 2, and for an
+    odd p dividing n (the Faddeev-LeVerrier level), the other fields are
+    empty.
     """
 
     p: int
@@ -519,17 +540,20 @@ class _Split(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _tower(m: int) -> Optional[_Split]:
-    """_adjugate's step at modulus m: halve an even m, else split off the
-    least odd prime p with p || m; None for the remainder, where no such p
-    is. A bad m raises, and nothing is cached.
+def _tower(m: int) -> _Split:
+    """_adjugate's step at modulus m >= 2: halve an even m, else split off
+    the least odd prime p with p || m, else, when every prime of m is
+    repeated, take the least one down by Faddeev-LeVerrier. A bad m
+    raises, and nothing is cached.
     """
     _check_modulus(m)
     if m % 2 == 0:
         return _Split(2, m // 2)
-    exact = [q for q, e in _factor(m).items() if e == 1]
+    factors = _factor(m)
+    exact = [q for q, e in factors.items() if e == 1]
     if not exact:
-        return None
+        p = min(factors)
+        return _Split(p, m // p)
     p = min(exact)
     n = m // p
     roots = _factor(p - 1)
@@ -854,8 +878,7 @@ def _reduced_bezout_pair(c1: tuple, c2: tuple) -> Optional[tuple[tuple, tuple]]:
     decide, and None means the ideal is proper. The trivial-unit start is a
     shortcut: det mult(+-gen^k) = +-1, so the fold reaches gcd 1 there too,
     after one or two more adjugates. Each (det mult(y), y#) is one
-    _adjugate: ring products down the cyclotomic tower, and an elimination
-    only on a repeated-prime remainder of m's odd part.
+    _adjugate: ring products down the cyclotomic tower, and no elimination.
 
     The round-off: every Bezout pair is (p, q) - beta*(x2, -x1) for a beta
     in Lambda, since b1*x1 + b2*x2 = 0 gives b1 = x2*t and b2 = -x1*t with

@@ -1,5 +1,5 @@
-"""Exact integer lattice arithmetic: Hermite normal form, membership, kernels,
-determinants and fraction-free solves.
+"""Exact integer lattice arithmetic: Hermite normal form, membership, kernels
+and determinants.
 
 Everything here works on plain Python ints (arbitrary precision), never floats.
 Rows are lists of ints; a lattice is the set of integer combinations of its rows.
@@ -7,8 +7,10 @@ Rows are lists of ints; a lattice is the set of integer combinations of its rows
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
+
+from .errors import DimensionMismatch, require_int, require_type
 
 
 def row_hnf_transform(
@@ -34,7 +36,7 @@ def row_hnf_transform(
     n = len(rows)
     for r in rows:
         if len(r) != ncols:
-            raise ValueError("row length mismatch")
+            raise DimensionMismatch(f"a row has length {len(r)}, not {ncols}")
     # a working row is H's row followed by U's row, so one row operation
     # updates both
     w = [
@@ -108,7 +110,7 @@ class ZLattice:
 
     def _reduce(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
         if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
+            raise DimensionMismatch(f"a vector has length {len(vec)}, not {self.ncols}")
         v = list(vec)
         coeffs = [0] * self.rank
         for k, col in enumerate(self.pivots):
@@ -145,17 +147,25 @@ class ZLattice:
         return [self.transform[i][:] for i in range(self.rank, len(self.gens))]
 
 
-def _bareiss(a: list[list[int]], n: int) -> int:
-    """Fraction-free elimination of the n rows a, in place; det of their n x n part.
+def det_int(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination.
 
     Bareiss's step a_ij <- (a_ij * a_kk - a_ik * a_kj) / a_(k-1)(k-1) keeps
     every entry an integer minor of the input, so each division is exact
-    (Bareiss, Math. Comp. 22, 1968). Columns past n, if any, ride along. A
-    zero pivot is swapped for a nonzero entry below it; if there is none the
-    part is singular and 0 comes back at once. Otherwise a ends upper
-    triangular, a row permutation of an equivalent system, with
-    a[n-1][n-1] = +-det.
+    (Bareiss, Math. Comp. 22, 1968). A zero pivot is swapped for a nonzero
+    entry below it; if there is none the matrix is singular and 0 comes
+    back at once. A ragged or non-square matrix raises DimensionMismatch,
+    and an entry that is not an int PreconditionFailed.
     """
+    require_type("a matrix", mat, Sequence)
+    n = len(mat)
+    for r in mat:
+        require_type("a matrix row", r, Sequence)
+        if len(r) != n:
+            raise DimensionMismatch(f"a {n}-row matrix has a row of length {len(r)}")
+        for x in r:
+            require_int("a matrix entry", x)
+    a = [list(r) for r in mat]
     if n == 0:
         return 1
     sign = 1
@@ -175,40 +185,3 @@ def _bareiss(a: list[list[int]], n: int) -> int:
             a[i] = [(x * akk - aik * y) // prev for x, y in zip(a[i], pk)]
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(mat)
-    a = [list(r) for r in mat]
-    for r in a:
-        if len(r) != n:
-            raise ValueError("matrix not square")
-    return _bareiss(a, n)
-
-
-def cramer_solve(mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
-    """(d, y) with mat * y = d * rhs and d = det(mat), all integers.
-
-    y = adj(mat) * rhs, so by Cramer's rule every y_i is an integer. One
-    Bareiss elimination of [mat | rhs] gives d; back substitution on the
-    triangular rows then divides exactly, since d * x solves them for the
-    rational solution x. Raises ValueError on a non-square or singular
-    matrix.
-    """
-    n = len(mat)
-    if len(rhs) != n:
-        raise ValueError("right-hand side length mismatch")
-    a = [list(r) + [b] for r, b in zip(mat, rhs)]
-    for r in a:
-        if len(r) != n + 1:
-            raise ValueError("matrix not square")
-    d = _bareiss(a, n)
-    if d == 0:
-        raise ValueError("singular matrix")
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        ai = a[i]
-        t = d * ai[n] - sum(map(mul, ai[i + 1 : n], y[i + 1 :]))
-        y[i] = t // ai[i]
-    return d, y

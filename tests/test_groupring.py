@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclact import groupring
+from cyclact import groupring, intlattice
 from cyclact.errors import Degenerate, ModulusMismatch, NotDivisible, PreconditionFailed
 from cyclact.groupring import (
     STRAIGHT_MAX_M,
@@ -34,7 +34,7 @@ from cyclact.groupring import (
     param_reduce,
     ring_mul,
 )
-from cyclact.intlattice import cramer_solve, det_int
+from cyclact.intlattice import det_int
 
 from oracles import conj_coeffs, cyclotomic, ideal_hnf, naive_hnf, naive_reduce, poly_mul_fold
 
@@ -857,9 +857,10 @@ def _zero_divisor_multiples(rng, m):
 
 
 # the even-m halving (2, 4, 8, 16, 32), the odd-prime split (3, 5, 7, 11, 13,
-# 15, 21, 35), the repeated-prime remainder (9, 25, 27) and their mixes, such
-# as 18 -> 9, 45 -> 9, 50 -> 25 and 100 -> 50 -> 25
-ADJUGATE_MODULI = list(range(2, 41)) + [45, 50, 63, 100]
+# 15, 21, 35), the Faddeev-LeVerrier level at a repeated prime (9, 25, 27,
+# 49, 81, 125) and their mixes, such as 18 -> 9, 45 -> 9, 50 -> 25,
+# 75 -> 25 and 100 -> 50 -> 25
+ADJUGATE_MODULI = list(range(2, 41)) + [45, 49, 50, 63, 75, 81, 100, 125]
 
 
 def test_the_adjugate_is_the_determinant_over_the_element():
@@ -890,15 +891,17 @@ def test_the_adjugate_is_the_determinant_over_the_element():
         assert poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
 
 
-def test_the_adjugate_eliminates_only_on_the_repeated_prime_remainder(monkeypatch):
-    # every modulus whose odd part is squarefree walks the tower down to
-    # m = 1 with ring products alone
-    def no_elimination(mat, rhs):
-        raise AssertionError(f"a {len(mat)} x {len(mat)} elimination ran")
+def test_the_adjugate_runs_no_elimination(monkeypatch):
+    # every modulus walks the tower down to m = 1 with ring products alone:
+    # no multiplication matrix is built and no determinant eliminated
+    def no_elimination(*args):
+        raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(groupring, "cramer_solve", no_elimination)
+    monkeypatch.setattr(groupring, "mult_matrix", no_elimination)
+    monkeypatch.setattr(intlattice, "det_int", no_elimination)
     rng = random.Random(30)
-    for m in [2, 3, 4, 5, 6, 7, 8, 10, 12, 21, 30, 201]:
+    moduli = list(range(2, 10)) + [10, 12, 18, 21, 25, 27, 30, 45, 49, 50, 63, 75, 81, 100, 125, 201]
+    for m in moduli:
         for _ in range(3):
             c = _rand(rng, m).coeffs
             d, y = _adjugate(c)
@@ -906,19 +909,7 @@ def test_the_adjugate_eliminates_only_on_the_repeated_prime_remainder(monkeypatc
                 assert d == det_int(mult_matrix(GroupRingElement(m, c)))
             assert (y is None) if d == 0 else poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
         for _, c in _zero_divisor_multiples(rng, m):
-            assert _adjugate(c) == (0, None)
-    # the remainder is the odd part's repeated primes, at the bottom of the
-    # walk: 100 -> 50 -> 25 ends on one 25 x 25 elimination
-    sizes = []
-    monkeypatch.setattr(
-        groupring, "cramer_solve", lambda mat, rhs: sizes.append(len(mat)) or cramer_solve(mat, rhs)
-    )
-    for m, size in ((9, 9), (18, 9), (45, 9), (50, 25), (63, 9), (100, 25)):
-        sizes.clear()
-        c = _rand(rng, m).coeffs
-        d, y = _adjugate(c)
-        assert sizes == [size], m
-        assert (y is None) if d == 0 else poly_mul_fold(m, c, y) == (d,) + (0,) * (m - 1)
+            assert _adjugate(c) == (0, None), m
 
 
 @pytest.mark.parametrize(
@@ -931,6 +922,7 @@ def test_the_adjugate_eliminates_only_on_the_repeated_prime_remainder(monkeypatc
         lambda: is_unit(5),
         lambda: exact_divide(GroupRingElement.one(3), 2),
         lambda: exact_divide(5, GroupRingElement.one(3)),
+        lambda: mult_matrix(5),
     ],
     ids=[
         "ideal_contains_one",
@@ -940,6 +932,7 @@ def test_the_adjugate_eliminates_only_on_the_repeated_prime_remainder(monkeypatc
         "is_unit",
         "exact_divide-divisor",
         "exact_divide-dividend",
+        "mult_matrix",
     ],
 )
 def test_ideal_and_unit_functions_name_an_argument_that_is_not_an_element(call):

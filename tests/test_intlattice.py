@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cyclact.intlattice import ZLattice, cramer_solve, det_int, row_hnf_transform
+from cyclact.errors import DimensionMismatch, PreconditionFailed
+from cyclact.intlattice import ZLattice, det_int, row_hnf_transform
 
 from oracles import element_shifts, fraction_det, naive_hnf, transform_certifies
 
@@ -133,41 +134,39 @@ def test_det_int_matches_fraction_gaussian():
     for _ in range(80):
         n = rng.randint(1, 6)
         rows = _random_rows(rng, n, n, -7, 7)
+        if rng.randrange(3) == 0:
+            # a zero leading entry forces a row swap
+            rows[0][0] = 0
         assert det_int(rows) == fraction_det(rows)
 
 
 def test_det_int_rejects_nonsquare():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         det_int([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionMismatch):
+        det_int([[1, 2], [3]])
 
 
-def test_cramer_solve_scales_the_solution_by_the_determinant():
-    # det_int's elimination, carrying the right-hand side: A*y = det(A)*b
-    rng = random.Random(83)
-    solved = 0
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        rows = _random_rows(rng, n, n, -7, 7)
-        if rng.randrange(3) == 0:
-            # a zero leading entry forces a row swap
-            rows[0][0] = 0
-        b = [rng.randint(-40, 40) for _ in range(n)]
-        det = fraction_det(rows)
-        if det == 0:
-            with pytest.raises(ValueError):
-                cramer_solve(rows, b)
-            continue
-        d, y = cramer_solve(rows, b)
-        assert d == det
-        assert [sum(r[j] * y[j] for j in range(n)) for r in rows] == [d * c for c in b]
-        solved += 1
-    assert solved > 150
-    with pytest.raises(ValueError):
-        cramer_solve([[1, 2, 3], [4, 5, 6]], [1, 2])
-    with pytest.raises(ValueError):
-        cramer_solve([[1, 0], [0, 1]], [1])
-    with pytest.raises(ValueError):
-        cramer_solve([[1, 2], [2, 4]], [1, 1])
+def test_det_int_rejects_entries_that_are_not_ints():
+    # a float matrix gave -0.0 for -0.875, and True counted as 1
+    for mat in ([[0.5, 1, 0], [1, 0.5, 1], [0, 1, 0.5]], [[True, 2], [3, 4]]):
+        with pytest.raises(PreconditionFailed, match="^a matrix entry must be an int"):
+            det_int(mat)
+    with pytest.raises(PreconditionFailed, match="^a matrix must be a Sequence, got 5$"):
+        det_int(5)
+    with pytest.raises(PreconditionFailed, match="^a matrix row must be a Sequence, got 3$"):
+        det_int([[1, 2], 3])
+
+
+def test_lattice_inputs_of_the_wrong_length_name_the_mismatch():
+    with pytest.raises(DimensionMismatch):
+        row_hnf_transform([[1, 2], [3, 4, 5]], 2)
+    with pytest.raises(DimensionMismatch):
+        ZLattice([[1, 2]], 3)
+    lat = ZLattice([[1, 2]], 2)
+    for call in (lat.reduce, lat.contains, lat.express):
+        with pytest.raises(DimensionMismatch):
+            call([1, 2, 3])
 
 
 def test_identity_heavy_rows_keep_the_transform_and_the_form():
